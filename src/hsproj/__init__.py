@@ -51,7 +51,6 @@ from .simplex import (
     complement_gram_inverse,
     deleted_minor,
     minor,
-    outer_normals,
     scaling_matrix,
     schur_complement,
     schur_complement_via_minors,
@@ -68,7 +67,7 @@ __all__ = [
     "inner", "on_manifold", "distance", "normalize_to_manifold",
     # simplex algebra
     "Simplex", "MinorSpec", "ScalingMatrix", "SchurBlock", "IdentityReport",
-    "build_simplex", "minor", "deleted_minor", "bordered_minor", "outer_normals",
+    "build_simplex", "minor", "deleted_minor", "bordered_minor",
     "scaling_matrix", "verify_inverse_identity", "schur_complement",
     "schur_complement_via_minors", "verify_block_inverse_identities", "complement_gram_inverse",
     # projection

@@ -3,16 +3,31 @@
 Candidates are parametrized projectively: a direction mu on the unit
 sphere of face-coefficient space names the manifold point
 normalize(sum mu_i * face_i), so the search domain is compact and
-sheet/scale bookkeeping is delegated to the normalization.  The search is
-a dense direction-grid scan (plus a batch of seeded random probe
-directions guarding against grid-aligned minima) followed by
-derivative-free Nelder-Mead refinement in the tangent space of the best
-direction.  Derivative-free on purpose: d(arccosh)/dx blows up at
-distance 0, exactly where the oracle is queried most.
+sheet/scale bookkeeping is delegated to the normalization.  The search
+scores a batch of seeded random probe directions (just +-1 for a
+one-vertex face) and refines the best one with derivative-free
+Nelder-Mead restarts in its tangent space.  Derivative-free on purpose:
+d(arccosh)/dx blows up at distance 0, exactly where the oracle is
+queried most.
 
-This module is the independent check of the closed-form projection: it
-never touches Gram matrices, minors or the normal frame.  It is allowed
-to be orders of magnitude slower.
+No dense grid is needed because the cost has no spurious local minima on
+the plane: in H^n the distance to a point is convex along geodesics
+(CAT(-1); Bridson & Haefliger II.2), so it has a single minimum on a
+totally geodesic k-plane; in S^n the cost -<p, v> on a great k-sphere
+has just two critical points, the foot and its antipode.
+
+Scoring works on reduced data only: with Q = the face block of the edge
+matrix, w_i = <p, face_i> and f_i = first coordinate of face_i, a
+direction mu gives a candidate v = sum mu_i face_i with
+
+    <v,v> = mu' Q mu,   <p,v> = mu . w,   v_1 = mu . f,
+
+so the cost (cosh of hyperbolic distance, -cos of spherical distance) is
+computed in O(d^2) per direction without touching ambient coordinates.
+
+This module is the independent check of the closed-form projection: its
+search never touches Gram matrices, minors or the normal frame.  It is
+allowed to be orders of magnitude slower.
 
 Also hosts the reproducible random generators used by the property and
 acceptance tests.  All randomness uses numpy's Generator with the PCG64
@@ -27,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from . import _scan
 from .errors import DegenerateSimplex, DimensionMismatch, GenerationExhausted, OracleFailure
 from .forms import DEFAULT_TOLS, Model, Tolerances, distance, normalize_to_manifold
 from .projection import ProjectionResult, _require_point, face_complement
@@ -36,6 +50,8 @@ from .simplex import Simplex, build_simplex
 __all__ = ["OracleOptions", "oracle_project", "random_simplex", "random_point"]
 
 PROBE_DIRECTIONS = 1024
+# initial Nelder-Mead step of the first refinement restart (radians)
+FIRST_REFINE_STEP = math.pi / 25
 _LIGHT_TOL = 1e-12
 
 # random_simplex also rejects draws whose edge matrix is conditioned worse
@@ -47,16 +63,39 @@ GENERATOR_CONDITION_LIMIT = 1e5
 
 @dataclass(frozen=True)
 class OracleOptions:
-    coarse_grid_points_per_dim: int = 25
     refine_iterations: int = 200
     convergence_tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.coarse_grid_points_per_dim < 1 or self.refine_iterations < 1:
-            raise ValueError("grid points and iteration counts must be >= 1")
+        if self.refine_iterations < 1:
+            raise ValueError("refine_iterations must be >= 1")
         if self.convergence_tol <= 0:
             raise ValueError("convergence_tol must be positive")
+
+
+def _score_block(
+    mu: np.ndarray,
+    Q: np.ndarray,
+    w: np.ndarray,
+    f: np.ndarray,
+    hyperbolic: bool,
+) -> np.ndarray:
+    """Cost of each direction row of mu; +inf where the candidate is not
+    normalizable (space-like or near-null in the Lorentzian case)."""
+    q = np.einsum("nd,de,ne->n", mu, Q, mu)
+    vp = mu @ w
+    cost = np.full(mu.shape[0], np.inf)
+    if hyperbolic:
+        ok = q < -_LIGHT_TOL
+        if np.any(ok):
+            sheet = np.where(mu[ok] @ f < 0.0, -1.0, 1.0)
+            cost[ok] = -sheet * vp[ok] / np.sqrt(-q[ok])
+    else:
+        ok = q > _LIGHT_TOL
+        if np.any(ok):
+            cost[ok] = -vp[ok] / np.sqrt(q[ok])
+    return cost
 
 
 def _cost_to_distance(model: Model, cost: float) -> float:
@@ -83,7 +122,7 @@ def oracle_project(
     """Foot and distance found by direct minimization over the face's plane.
 
     Deterministic for a fixed ``opts.seed`` (the seed drives the random
-    probe directions added to the coarse grid).
+    probe directions).
     """
     pv = _require_point(simplex, p, tols)
     face0, comp0 = face_complement(simplex, face)
@@ -93,33 +132,26 @@ def oracle_project(
     face_pts = simplex.vertices[face0]
     d = face_pts.shape[0]
 
-    Q = np.ascontiguousarray(simplex.edge_matrix[np.ix_(face0, face0)])
+    Q = simplex.edge_matrix[np.ix_(face0, face0)]
     w = (face_pts * sig) @ pv
-    f = np.ascontiguousarray(face_pts[:, 0])
+    f = face_pts[:, 0]
 
-    # coarse stage: dense grid plus seeded probes
+    # probe stage: the best of a batch of seeded directions
     if d == 1:
-        cand = np.array([[1.0], [-1.0]])
-        costs = _scan.score_block(cand, Q, w, f, hyper, _LIGHT_TOL)
-        i = int(np.argmin(costs))
-        best_cost, best_mu = float(costs[i]), cand[i]
+        probes = np.array([[1.0], [-1.0]])
     else:
-        cos_tab, sin_tab = _scan.angle_tables(d, opts.coarse_grid_points_per_dim)
-        best_cost, best_mu = _scan.scan_grid(cos_tab, sin_tab, Q, w, f, hyper, _LIGHT_TOL)
-        rng = np.random.default_rng(opts.seed)
-        probes = rng.normal(size=(PROBE_DIRECTIONS, d))
+        probes = np.random.default_rng(opts.seed).normal(size=(PROBE_DIRECTIONS, d))
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-        costs = _scan.score_block(probes, Q, w, f, hyper, _LIGHT_TOL)
-        i = int(np.argmin(costs))
-        if costs[i] < best_cost:
-            best_cost, best_mu = float(costs[i]), probes[i]
+    costs = _score_block(probes, Q, w, f, hyper)
+    i = int(np.argmin(costs))
+    best_cost, best_mu = float(costs[i]), probes[i]
     if not np.isfinite(best_cost):
-        raise OracleFailure("no normalizable candidate direction found on the grid")
-    coarse_distance = _cost_to_distance(model, best_cost)
+        raise OracleFailure("no normalizable candidate direction among the probes")
+    probe_distance = _cost_to_distance(model, best_cost)
 
     # refinement stage: Nelder-Mead in the tangent space of the best
     # direction, restarted with shrinking initial steps
-    best_dist = coarse_distance
+    best_dist = probe_distance
     mu = best_mu / np.linalg.norm(best_mu)
     if d > 1:
         def objective_at(center, basis):
@@ -128,15 +160,14 @@ def oracle_project(
                 nv = np.linalg.norm(v)
                 if nv < 1e-12:
                     return np.inf
-                c = _scan.score_block((v / nv)[None, :], Q, w, f, hyper, _LIGHT_TOL)[0]
+                c = _score_block((v / nv)[None, :], Q, w, f, hyper)[0]
                 if not np.isfinite(c):
                     return np.inf
                 return _cost_to_distance(model, float(c))
 
             return g
 
-        steps = [np.pi / opts.coarse_grid_points_per_dim, 1e-3, 1e-6]
-        for h in steps:
+        for h in (FIRST_REFINE_STEP, 1e-3, 1e-6):
             basis = _tangent_basis(mu)
             start = np.zeros(d - 1)
             init = np.vstack([start, np.eye(d - 1) * h])
@@ -155,9 +186,9 @@ def oracle_project(
                 best_dist = float(res.fun)
                 v = mu + basis @ res.x
                 mu = v / np.linalg.norm(v)
-        if best_dist > coarse_distance + opts.convergence_tol:
+        if best_dist > probe_distance + opts.convergence_tol:
             raise OracleFailure(
-                f"refinement regressed: {best_dist!r} above coarse {coarse_distance!r}"
+                f"refinement regressed: {best_dist!r} above best probe {probe_distance!r}"
             )
 
     foot = normalize_to_manifold(model, mu @ face_pts, tols.norm)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import BadFace, DomainError, GeometryError, OffManifold, ProjectionUndefined, WrongSheet
 from .forms import DEFAULT_TOLS, Model, Tolerances, normalize_to_manifold
-from .simplex import Simplex, bordered_minor, complement_gram_inverse, schur_complement
+from .simplex import Simplex, bordered_minor, complement_gram_inverse, deleted_minor, schur_complement
 
 __all__ = [
     "ProjectionResult",
@@ -219,18 +219,13 @@ def vertex_foot(
     pre_foot = simplex.vertices[j - 1].copy()
     for s in comp0:
         s1 = int(s) + 1
-        m_ss = _deleted_principal(M, s1)
+        m_ss = deleted_minor(M, s1, s1)
         lam_s = math.sqrt(abs(m_ss / det_m)) * bordered_minor(M, base, j, s1) / m_face
         lambdas[s1] = lam_s
         pre_foot += lam_s * simplex.normals[s]
     m_jj = bordered_minor(M, base, j, j)
     c2 = 1.0 - simplex.model.curvature * m_jj / m_face
     return _finish(simplex, pre_foot, c2, lambdas, tols, f"vertex {j} onto face {base}")
-
-
-def _deleted_principal(M: np.ndarray, i: int) -> float:
-    keep = [r for r in range(M.shape[0]) if r != i - 1]
-    return float(np.linalg.det(M[np.ix_(keep, keep)]))
 
 
 def altitude(
@@ -263,7 +258,7 @@ def altitude(
 
     result = dist_of(c2)
     if len(face0) == simplex.n:
-        m_jj = _deleted_principal(simplex.edge_matrix, j)
+        m_jj = deleted_minor(simplex.edge_matrix, j, j)
         facet = dist_of(1.0 - eps * simplex.edge_det / m_jj)
         if abs(facet - result) > tols.identity:
             raise GeometryError(

@@ -52,7 +52,6 @@ __all__ = [
     "minor",
     "deleted_minor",
     "bordered_minor",
-    "outer_normals",
     "scaling_matrix",
     "verify_inverse_identity",
     "schur_complement",
@@ -232,11 +231,6 @@ def bordered_minor(matrix, base: Sequence[int], s: int, t: int) -> float:
     rows = idx + [s - 1]
     cols = idx + [t - 1]
     return float(np.linalg.det(A[np.ix_(rows, cols)]))
-
-
-def outer_normals(simplex: Simplex) -> np.ndarray:
-    """Unit outer normals e_i (rows), <e_i, p_j> = 0 for j != i, <e_i, p_i> < 0."""
-    return simplex.normals
 
 
 @dataclass(frozen=True)

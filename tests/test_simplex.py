@@ -17,7 +17,6 @@ from hsproj import (
     deleted_minor,
     inner,
     minor,
-    outer_normals,
     scaling_matrix,
     schur_complement,
     schur_complement_via_minors,
@@ -106,7 +105,7 @@ def test_deleted_and_bordered_minor():
 # ---------------------------------------------------------------- normals
 
 def test_octant_normals(octant):
-    assert_allclose(outer_normals(octant), -np.eye(3), atol=1e-15)
+    assert_allclose(octant.normals, -np.eye(3), atol=1e-15)
 
 
 def test_segment_normal_example(hyp_segment):
