@@ -23,8 +23,8 @@ from .forms import DEFAULT_TOLS, Model, Tolerances
 from .forms import distance as geodesic
 from .oracle import OracleOptions, oracle_project, random_point, random_simplex
 from .projection import (
+    _distance_to_face_by_minors,
     altitude,
-    distance_to_face,
     face_complement,
     project_to_face,
     vertex_foot,
@@ -34,7 +34,6 @@ from .simplex import (
     bordered_minor,
     build_simplex,
     deleted_minor,
-    scaling_matrix,
     schur_complement,
     schur_complement_via_minors,
     verify_inverse_identity,
@@ -145,7 +144,7 @@ def _projection_block(simplex: Simplex, face, p, result, tols: Tolerances) -> tu
     residuals = {
         "foot_manifold": manifold,
         "orthogonality": ortho,
-        "distance_paths": abs(result.distance - distance_to_face(simplex, face, p, tols)),
+        "distance_paths": abs(result.distance - _distance_to_face_by_minors(simplex, face, p, tols)),
     }
     return results, residuals
 
@@ -226,16 +225,17 @@ def _check_one(simplex: Simplex, rng, opts: OracleOptions, tols: Tolerances) -> 
 
     sig = simplex.model.signature
     pairing = (simplex.vertices * sig) @ simplex.normals.T
-    m_ii = np.array([deleted_minor(M, i, i) for i in range(1, m + 1)])
-    expected = -np.sqrt(np.abs(simplex.edge_det / m_ii))
-    res["vertex_normal_duality"] = float(np.abs(pairing - np.diag(expected)).max())
+    t = simplex.scaling
+    res["vertex_normal_duality"] = float(np.abs(pairing + np.diag(1.0 / t)).max())
 
+    # signed minors: the identity pins the sign of G_jj, which T^2 drops
+    m_ii = np.array([deleted_minor(M, i, i) for i in range(1, m + 1)])
     g_ii = np.array([deleted_minor(G, i, i) for i in range(1, m + 1)])
     claim = eps * simplex.gram_det * m_ii / simplex.edge_det
     res["gram_minor_identity"] = float(
         (np.abs(g_ii - claim) / np.maximum(np.abs(g_ii), 1e-300)).max()
     )
-    t = scaling_matrix(simplex, tols).diag
+    # not scaling_matrix: it raises on disagreement, and this row must report it
     t_gram = np.sqrt(np.abs(g_ii / simplex.gram_det))
     res["scaling_agreement"] = float((np.abs(t - t_gram) / np.abs(t)).max())
 

@@ -11,10 +11,15 @@ point p works in three short steps, identical in both geometries:
 3. rescale the pre-foot onto the manifold.
 
 The radicand c2 = curvature * <p., p.> equals cosh^2 of the hyperbolic
-distance (always >= 1) or cos^2 of the spherical distance.  When c2 is not
-safely positive in the spherical case the nearest point is not unique
-(p sits at distance pi/2 from the whole plane): the foot constructors
-raise ProjectionUndefined while the plain distance routines return pi/2.
+distance (always >= 1) or cos^2 of the spherical distance.  It falls out of
+step 1 as c2 = 1 + curvature * <b, lambda>, so distance_to_face runs step 1
+alone and builds neither the foot nor any minor.  When c2 is not safely
+positive in the spherical case the nearest point is not unique (p sits at
+distance pi/2 from the whole plane): the foot constructors raise
+ProjectionUndefined while the plain distance routines return pi/2.
+
+The paper's bordered-minor formula for (G22)^-1 is kept as the private
+cross-check _distance_to_face_by_minors; no production path calls it.
 
 The closed forms are stated most simply when the face is the leading
 vertex block; here any face is accepted and the minor index sets are
@@ -92,11 +97,17 @@ def _require_point(simplex: Simplex, p, tols: Tolerances) -> np.ndarray:
 
 
 def _distance_from_radicand(model: Model, c2: float, tols: Tolerances) -> float:
-    """Distance whose cosh^2 (hyperbolic) or cos^2 (spherical) equals c2."""
+    """Distance whose cosh^2 (hyperbolic) or cos^2 (spherical) equals c2.
+
+    A spherical radicand within ``tols.norm`` of 0 gives exactly pi/2: the
+    distance is well-defined there even though the foot is not.
+    """
     if model.curvature == -1:
         if c2 < 1.0 - tols.domain:
             raise DomainError(f"hyperbolic radicand {c2!r} fell below 1")
         return math.acosh(math.sqrt(max(c2, 1.0)))
+    if c2 <= tols.norm:
+        return math.pi / 2
     if c2 > 1.0 + tols.domain:
         raise DomainError(f"spherical radicand {c2!r} exceeds 1")
     return math.acos(math.sqrt(min(max(c2, 0.0), 1.0)))
@@ -119,6 +130,17 @@ def _finish(
     return ProjectionResult(foot, _distance_from_radicand(model, c2, tols), lambdas, pre_foot)
 
 
+def _solve_complement(
+    simplex: Simplex, comp0: np.ndarray, pv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Step 1: the complement normals, lambda = -(G22)^-1 b and the radicand c2."""
+    e_comp = simplex.normals[comp0]
+    b = (e_comp * simplex.model.signature) @ pv
+    g22 = simplex.gram_matrix[np.ix_(comp0, comp0)]
+    lam = np.linalg.solve(g22, -b)
+    return e_comp, lam, 1.0 + simplex.model.curvature * float(b @ lam)
+
+
 def project_to_face(
     simplex: Simplex,
     face: Sequence[int],
@@ -131,14 +153,9 @@ def project_to_face(
     (spherical exception: ProjectionUndefined at distance pi/2).
     """
     pv = _require_point(simplex, p, tols)
-    face0, comp0 = face_complement(simplex, face)
-    sig = simplex.model.signature
-    e_comp = simplex.normals[comp0]
-    b = (e_comp * sig) @ pv
-    g22 = simplex.gram_matrix[np.ix_(comp0, comp0)]
-    lam = np.linalg.solve(g22, -b)
+    _, comp0 = face_complement(simplex, face)
+    e_comp, lam, c2 = _solve_complement(simplex, comp0, pv)
     pre_foot = pv + lam @ e_comp
-    c2 = 1.0 + simplex.model.curvature * float(b @ lam)
     lambdas = {int(t) + 1: float(v) for t, v in zip(comp0, lam)}
     return _finish(simplex, pre_foot, c2, lambdas, tols, f"face {tuple(int(i) for i in face)}")
 
@@ -149,21 +166,38 @@ def distance_to_face(
     p,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> float:
-    """Distance to the face's k-plane straight from minors, no foot built.
+    """Distance to the face's k-plane from the radicand of step 1, no foot built.
+
+    Runs the same G22 solve as project_to_face and stops at its radicand
+    c2 = 1 + curvature * <b, lambda>; no minor is computed.  In the
+    spherical case a radicand within tolerance of 0 returns exactly pi/2
+    (the distance is still well-defined there even though the foot is not).
+    """
+    pv = _require_point(simplex, p, tols)
+    _, comp0 = face_complement(simplex, face)
+    _, _, c2 = _solve_complement(simplex, comp0, pv)
+    return _distance_from_radicand(simplex.model, c2, tols)
+
+
+def _distance_to_face_by_minors(
+    simplex: Simplex,
+    face: Sequence[int],
+    p,
+    tols: Tolerances = DEFAULT_TOLS,
+) -> float:
+    """Cross-check of distance_to_face through the paper's minors route.
 
     Evaluates the closed-form radical 1 - curvature * b' (G22)^-1 b with
-    (G22)^-1 assembled from bordered edge-matrix minors.  In the spherical
-    case a radicand within tolerance of 0 returns exactly pi/2 (the
-    distance is still well-defined there even though the foot is not).
+    (G22)^-1 assembled from bordered edge-matrix minors
+    (complement_gram_inverse), independently of the G22 solve.  No
+    production path calls it; the CLI's ``distance_paths`` residual and
+    the tests compare the two routes.
     """
     pv = _require_point(simplex, p, tols)
     face0, comp0 = face_complement(simplex, face)
-    sig = simplex.model.signature
-    b = (simplex.normals[comp0] * sig) @ pv
+    b = (simplex.normals[comp0] * simplex.model.signature) @ pv
     kinv = complement_gram_inverse(simplex, [int(i) + 1 for i in face0])
     c2 = 1.0 - simplex.model.curvature * float(b @ kinv @ b)
-    if simplex.model.curvature == 1 and c2 <= tols.norm:
-        return math.pi / 2
     return _distance_from_radicand(simplex.model, c2, tols)
 
 
@@ -201,10 +235,11 @@ def vertex_foot(
     Uses the vertex-specialized closed form: since <p_j, e_t> vanishes for
     every complement vertex t != j, only the s-sum survives and
 
-        lambda_s = sqrt|M_ss / det M| * m_j^s / m_face.
+        lambda_s = T_s * m_j^s / m_face,  T_s = sqrt|M_ss / det M|
 
-    The pre-foot norm then satisfies curvature * <p., p.> =
-    1 - curvature * m_j^j / m_face, which doubles as the distance radicand.
+    with T read from the cached ``simplex.scaling``.  The pre-foot norm then
+    satisfies curvature * <p., p.> = 1 - curvature * m_j^j / m_face, which
+    doubles as the distance radicand.
     """
     face0, comp0 = face_complement(simplex, face)
     j = int(j)
@@ -213,14 +248,12 @@ def vertex_foot(
     M = simplex.edge_matrix
     base = tuple(int(i) + 1 for i in face0)
     m_face = float(np.linalg.det(M[np.ix_(face0, face0)]))
-    det_m = simplex.edge_det
 
     lambdas: dict[int, float] = {}
     pre_foot = simplex.vertices[j - 1].copy()
     for s in comp0:
         s1 = int(s) + 1
-        m_ss = deleted_minor(M, s1, s1)
-        lam_s = math.sqrt(abs(m_ss / det_m)) * bordered_minor(M, base, j, s1) / m_face
+        lam_s = float(simplex.scaling[s]) * bordered_minor(M, base, j, s1) / m_face
         lambdas[s1] = lam_s
         pre_foot += lam_s * simplex.normals[s]
     m_jj = bordered_minor(M, base, j, j)
@@ -250,16 +283,10 @@ def altitude(
     block = schur_complement(simplex.edge_matrix, [int(i) + 1 for i in comp0], tols.degenerate)
     pos = block.block_rows.index(j)
     c2 = 1.0 - eps * float(block.values[pos, pos])
-
-    def dist_of(radicand: float) -> float:
-        if eps == 1 and radicand <= tols.norm:
-            return math.pi / 2
-        return _distance_from_radicand(simplex.model, radicand, tols)
-
-    result = dist_of(c2)
+    result = _distance_from_radicand(simplex.model, c2, tols)
     if len(face0) == simplex.n:
         m_jj = deleted_minor(simplex.edge_matrix, j, j)
-        facet = dist_of(1.0 - eps * simplex.edge_det / m_jj)
+        facet = _distance_from_radicand(simplex.model, 1.0 - eps * simplex.edge_det / m_jj, tols)
         if abs(facet - result) > tols.identity:
             raise GeometryError(
                 f"facet altitude paths disagree: schur {result!r} vs determinant ratio {facet!r}"

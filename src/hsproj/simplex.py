@@ -9,8 +9,9 @@ its metric data:
 
 where e_i is the unit vector orthogonal to every vertex except p_i, signed
 so that <e_i, p_i> < 0 (outward).  M and G are mutually inverse up to the
-diagonal scaling T = diag(sqrt|M_ii / det M|), and Schur complements of
-their blocks give the inverses of the complementary blocks.  Those
+diagonal scaling T = diag(sqrt|M_ii / det M|), derived once per simplex
+and cached as Simplex.scaling, and Schur complements of their blocks give
+the inverses of the complementary blocks.  Those
 identities are exposed here as verification routines because every
 projection formula downstream rides on them.
 
@@ -95,6 +96,12 @@ class Simplex:
     @cached_property
     def gram_det(self) -> float:
         return float(np.linalg.det(self.gram_matrix))
+
+    @cached_property
+    def scaling(self) -> np.ndarray:
+        """Diagonal of T = diag(sqrt|M_ii / det M|), from the edge matrix's principal minors."""
+        m_ii = _principal_deleted(self.edge_matrix)
+        return _frozen(np.sqrt(np.abs(m_ii / self.edge_det)))
 
     def vertex(self, i: int) -> np.ndarray:
         """Vertex p_i, 1-based."""
@@ -239,9 +246,6 @@ class ScalingMatrix:
 
     diag: np.ndarray
 
-    def as_matrix(self) -> np.ndarray:
-        return np.diag(self.diag)
-
 
 def _principal_deleted(A: np.ndarray) -> np.ndarray:
     m = A.shape[0]
@@ -249,17 +253,20 @@ def _principal_deleted(A: np.ndarray) -> np.ndarray:
 
 
 def scaling_matrix(simplex: Simplex, tols: Tolerances = DEFAULT_TOLS) -> ScalingMatrix:
-    """Compute T from the edge matrix and cross-check against the Gram side."""
-    m_ii = _principal_deleted(simplex.edge_matrix)
+    """The cached T of ``simplex.scaling``, cross-checked against the Gram side.
+
+    Raises DegenerateSimplex when sqrt|G_ii / det G| disagrees with it by
+    more than ``tols.identity`` (relative).
+    """
+    from_m = simplex.scaling
     g_ii = _principal_deleted(simplex.gram_matrix)
-    from_m = np.sqrt(np.abs(m_ii / simplex.edge_det))
     from_g = np.sqrt(np.abs(g_ii / simplex.gram_det))
     rel = np.abs(from_m - from_g) / np.maximum(np.abs(from_m), 1e-300)
     if rel.max() > tols.identity:
         raise DegenerateSimplex(
             f"scaling-matrix expressions disagree (rel {rel.max():.3e}); simplex too ill-conditioned"
         )
-    return ScalingMatrix(_frozen(from_m))
+    return ScalingMatrix(from_m)
 
 
 @dataclass(frozen=True)
@@ -281,7 +288,7 @@ class IdentityReport:
 def verify_inverse_identity(simplex: Simplex, tol: float = DEFAULT_TOLS.identity) -> IdentityReport:
     """Residuals of M^-1 = T G T and G^-1 = T M T (as ||M (TGT) - I|| etc.)."""
     m = simplex.vertex_count
-    t = scaling_matrix(simplex).diag
+    t = simplex.scaling
     eye = np.eye(m)
     tgt = t[:, None] * simplex.gram_matrix * t[None, :]
     tmt = t[:, None] * simplex.edge_matrix * t[None, :]
@@ -373,7 +380,7 @@ def verify_block_inverse_identities(
         raise BadIndexSet(f"split_k must be in 0..{m - 2}, got {split_k}")
     lead = tuple(range(1, split_k + 2))
     trail = tuple(range(split_k + 2, m + 1))
-    t = scaling_matrix(simplex).diag
+    t = simplex.scaling
     M, G = simplex.edge_matrix, simplex.gram_matrix
 
     def residual(block_of, idx, schur_of_other):
@@ -398,23 +405,21 @@ def verify_block_inverse_identities(
 def complement_gram_inverse(simplex: Simplex, face: Sequence[int]) -> np.ndarray:
     """(G^22)^-1 over the complement normals, built from edge-matrix minors.
 
-    Entry (s,t) = sqrt|M_ss M_tt| * m_t^s / (curvature * det M * m_face)
-    where m_face = det M[face,face] and m_t^s is the bordered minor over
-    (face, s) x (face, t).  This is the closed-form route; the linear-solve
-    route in the projection code is the production path and the two are
-    cross-checked in tests.
+    Entry (s,t) = T_s T_t |det M| * m_t^s / (curvature * det M * m_face)
+    where T = ``simplex.scaling``, m_face = det M[face,face] and m_t^s is
+    the bordered minor over (face, s) x (face, t).  This is the paper's
+    closed-form route and a cross-check only: no projection or distance
+    calls it.  The distance cross-check ``projection._distance_to_face_by_minors``
+    (the CLI's ``distance_paths`` residual) and the tests compare it with
+    the linear solve of the G22 block that the projection code uses.
     """
     M = simplex.edge_matrix
     m = simplex.vertex_count
     face0 = [int(i) - 1 for i in face]
     comp = [i for i in range(m) if i not in set(face0)]
     m_face = float(np.linalg.det(M[np.ix_(face0, face0)]))
-    m_ii = _principal_deleted(M)
     denom = simplex.model.curvature * simplex.edge_det * m_face
     base = tuple(i + 1 for i in face0)
-    out = np.empty((len(comp), len(comp)))
-    for a, s in enumerate(comp):
-        for b, t in enumerate(comp):
-            mts = bordered_minor(M, base, s + 1, t + 1)
-            out[a, b] = np.sqrt(abs(m_ii[s] * m_ii[t])) * mts / denom
-    return out
+    mts = np.array([[bordered_minor(M, base, s + 1, t + 1) for t in comp] for s in comp])
+    t_comp = simplex.scaling[comp]
+    return t_comp[:, None] * t_comp[None, :] * mts * (abs(simplex.edge_det) / denom)

@@ -207,6 +207,18 @@ def test_check_random_small(capsys):
     assert all(row["passed"] for row in report["results"]["checks"])
 
 
+def test_check_reports_scaling_disagreement(tmp_path, capsys):
+    # cond(M) ~ 1.6e9: the M and G sides of T disagree by 2.3e-8 relative,
+    # which the suite must report as failed rows, not as a DegenerateSimplex
+    v = np.array([0.6, 0.8, 5e-5])
+    doc = {"model": "spherical", "vertices": [[1, 0, 0], [0, 1, 0], list(v / np.linalg.norm(v))]}
+    code, report, _ = run_json(capsys, "check", write_doc(tmp_path, doc))
+    assert code == 1
+    assert report["status"] == "CheckFailed"
+    assert {"scaling_agreement", "gram_minor_identity"} <= set(report["failed_checks"])
+    assert len(report["results"]["checks"]) == 8
+
+
 def test_check_rejects_bad_random_args(capsys):
     code, out, err = run(capsys, "check", "--random", "euclidean", "3", "1", "2")
     assert code == 2

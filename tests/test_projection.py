@@ -19,8 +19,10 @@ from hsproj import (
     project_to_hyperplane,
     vertex_foot,
 )
+from hsproj import projection
 from hsproj.forms import normalize_to_manifold
 from hsproj.oracle import random_point, random_simplex
+from hsproj.projection import _distance_to_face_by_minors
 
 from conftest import COSH1, SINH1, model_named
 
@@ -121,13 +123,28 @@ def test_projection_invariants(case):
 
 @pytest.mark.parametrize("case", _cases(2000, 10), ids=lambda c: f"{c[0].name}-n{c[0].n}")
 def test_distance_to_face_matches_projection(case):
+    # the bordered-minor cross-check against the G22 solve of the projection
     model, s, face, p = case
     try:
         r = project_to_face(s, face, p)
     except ProjectionUndefined:
-        assert distance_to_face(s, face, p) == math.pi / 2
+        assert _distance_to_face_by_minors(s, face, p) == math.pi / 2
         return
-    assert abs(distance_to_face(s, face, p) - r.distance) <= 1e-9
+    assert abs(_distance_to_face_by_minors(s, face, p) - r.distance) <= 1e-9
+
+
+def test_distance_to_face_computes_no_minor(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("distance_to_face computed a minor")
+
+    for name in ("complement_gram_inverse", "bordered_minor", "deleted_minor"):
+        monkeypatch.setattr(projection, name, forbidden)
+    for _, s, face, p in _cases(2000, 10):
+        try:
+            expected = project_to_face(s, face, p).distance
+        except ProjectionUndefined:
+            expected = math.pi / 2
+        assert distance_to_face(s, face, p) == expected
 
 
 def test_distance_in_plane_is_zero(octant):

@@ -169,6 +169,40 @@ def test_scaling_matrix_positive_on_random():
     assert np.all(d > 0) and np.all(np.isfinite(d))
 
 
+def test_scaling_minors_computed_once_per_simplex(monkeypatch):
+    import hsproj.simplex as simplex_mod
+
+    s = random_simplex(Model.hyperbolic(5), 4, seed=5)
+    t = s.scaling
+    assert t is s.scaling and not t.flags.writeable
+    edge_minors = []
+    real = simplex_mod.deleted_minor
+
+    def counting(matrix, i, j):
+        if matrix is s.edge_matrix:
+            edge_minors.append((i, j))
+        return real(matrix, i, j)
+
+    monkeypatch.setattr(simplex_mod, "deleted_minor", counting)
+    verify_inverse_identity(s)
+    for k in range(4):
+        verify_block_inverse_identities(s, k)
+        complement_gram_inverse(s, tuple(range(1, k + 2)))
+    assert scaling_matrix(s).diag is t
+    assert edge_minors == []
+
+
+def test_verify_honours_caller_tol_on_ill_conditioned_simplex():
+    # M and G disagree on T by 2.3e-8 relative, above the default identity
+    # tolerance; the identities themselves hold to 6e-8
+    v = np.array([0.6, 0.8, 5e-5])
+    s = build_simplex(Model.spherical(3), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], v / np.linalg.norm(v)])
+    assert np.linalg.cond(s.edge_matrix) > 1e9
+    assert verify_inverse_identity(s, tol=1e-6).passed
+    for k in (0, 1):
+        assert verify_block_inverse_identities(s, k, tol=1e-6).passed
+
+
 def test_inverse_identity_octant(octant):
     rep = verify_inverse_identity(octant)
     assert rep.max_residual <= 1e-14
