@@ -12,6 +12,7 @@ parse error.  All vertex and face indices are 1-based.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import __version__
 from .documents import SimplexDocument, digest, dumps, parse_simplex_document
 from .errors import DocumentError, GeometryError, ProjectionUndefined
-from .forms import DEFAULT_TOLS, Model, Tolerances
+from .forms import DEFAULT_TOLS, Model, Tolerances, _membership_residual
 from .forms import distance as geodesic
 from .oracle import OracleOptions, oracle_project, random_point, random_simplex
 from .projection import (
@@ -55,9 +56,12 @@ def _int_csv(text: str) -> tuple[int, ...]:
 
 def _float_csv(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(x) for x in text.split(","))
+        values = tuple(float(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"expected finite numbers, got {text!r}")
+    return values
 
 
 def _read_document(path: str | None) -> SimplexDocument:
@@ -95,15 +99,6 @@ def _report(command: str, inputs: dict) -> dict:
     }
 
 
-def _membership_residuals(simplex: Simplex) -> list[float]:
-    sig = simplex.model.signature
-    P = simplex.vertices
-    return [
-        abs(float((P[i] * sig) @ P[i]) - simplex.model.curvature)
-        for i in range(simplex.vertex_count)
-    ]
-
-
 def cmd_validate(args, tols: Tolerances) -> dict:
     doc = _read_document(args.file)
     report = _report("validate", _echo_inputs(doc))
@@ -114,7 +109,9 @@ def cmd_validate(args, tols: Tolerances) -> dict:
         "det_edge_matrix": simplex.edge_det,
         "det_gram_matrix": simplex.gram_det,
     }
-    report["residuals"] = {"vertex_membership": _membership_residuals(simplex)}
+    report["residuals"] = {
+        "vertex_membership": [_membership_residual(simplex.model, v) for v in simplex.vertices]
+    }
     return report
 
 
@@ -138,11 +135,8 @@ def _projection_block(simplex: Simplex, face, p, result, tols: Tolerances) -> tu
     sig = simplex.model.signature
     r = np.asarray(p, dtype=float) - result.pre_foot
     ortho = max(abs(float((r * sig) @ simplex.vertices[i])) for i in face0)
-    manifold = abs(
-        float((result.foot * sig) @ result.foot) - simplex.model.curvature
-    )
     residuals = {
-        "foot_manifold": manifold,
+        "foot_manifold": _membership_residual(simplex.model, result.foot),
         "orthogonality": ortho,
         "distance_paths": abs(result.distance - _distance_to_face_by_minors(simplex, face, p, tols)),
     }
@@ -369,12 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hsproj {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_file=True, file_optional=False):
-        if needs_file:
-            if file_optional:
-                p.add_argument("file", nargs="?", help="simplex document (JSON); '-' or omit for stdin")
-            else:
-                p.add_argument("file", help="simplex document (JSON); '-' for stdin")
+    def common(p, file_optional=False):
+        if file_optional:
+            p.add_argument("file", nargs="?", help="simplex document (JSON); '-' or omit for stdin")
+        else:
+            p.add_argument("file", help="simplex document (JSON); '-' for stdin")
         p.add_argument("--json", action="store_true", help="emit the machine-readable JSON report")
         p.add_argument("--tol", type=float, default=1.0, metavar="FACTOR",
                        help="scale all default tolerances by FACTOR")

@@ -80,9 +80,12 @@ def parse_simplex_document(text: str) -> SimplexDocument:
                 "(vertex count must equal the coordinate length)"
             )
         try:
-            rows.append([float(x) for x in row])
+            values = [float(x) for x in row]
         except (TypeError, ValueError) as exc:
             raise DocumentError(f"vertex row {i} has a non-numeric entry") from exc
+        if not all(map(math.isfinite, values)):
+            raise DocumentError(f"vertex row {i} has a non-finite entry")
+        rows.append(values)
     if count < 2:
         raise DocumentError("a simplex needs at least 2 vertices")
     metadata = raw.get("metadata", {})

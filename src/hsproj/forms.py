@@ -11,6 +11,11 @@ Points are plain float ndarrays of length ``ambient_dim``; the first
 coordinate carries the Lorentzian sign in the hyperbolic case.  Coordinates
 are spoken of 1-based in documentation and error messages (x1 is the
 time-like one); array storage is 0-based as usual.
+
+This module owns the membership rule every closed form assumes (right
+length, |<x,x> - curvature| <= tol so that NaN and inf fail, upper sheet in
+H^n): every entry point checks its points and vertices through
+``_require_on_manifold``, and every reported residual is ``_membership_residual``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NotNormalizable, OffManifold
+from .errors import DimensionMismatch, DomainError, NotNormalizable, OffManifold, WrongSheet
 
 __all__ = [
     "Model",
@@ -53,8 +58,8 @@ class Tolerances:
 
     def scaled(self, factor: float) -> "Tolerances":
         """Scale every tolerance uniformly (the CLI --tol knob)."""
-        if factor <= 0:
-            raise ValueError("tolerance scale factor must be positive")
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValueError(f"tolerance scale factor must be finite and positive, got {factor!r}")
         return replace(
             self,
             manifold=self.manifold * factor,
@@ -124,15 +129,32 @@ def inner(model: Model, x, y) -> float:
     return float((xv * model.signature) @ yv)
 
 
-def on_manifold(model: Model, x, tol: float = DEFAULT_TOLS.manifold) -> bool:
-    """True iff <x,x> equals the curvature within tol (and x1 > 0 for H^n)."""
-    try:
-        xv = _as_vector(model, x)
-    except DimensionMismatch:
-        return False
-    if abs(float((xv * model.signature) @ xv) - model.curvature) > tol:
-        return False
+def _membership_residual(model: Model, x: np.ndarray) -> float:
+    """|<x,x> - curvature| of a float vector of the right length."""
+    return abs(float((x * model.signature) @ x) - model.curvature)
+
+
+def _require_on_manifold(model: Model, x, tol: float, what: str) -> np.ndarray:
+    """Return x as a float vector if it is a point of the manifold, else raise.
+
+    DimensionMismatch for a wrong shape; OffManifold unless the membership
+    residual is <= tol, which NaN and inf never are; WrongSheet for x1 <= 0
+    in H^n.  ``what`` names x in the messages ("point", "p", "vertex 3").
+    """
+    xv = _as_vector(model, x, what)
+    residual = _membership_residual(model, xv)
+    if not residual <= tol:
+        raise OffManifold(f"{what} is off the {model.name} manifold: residual {residual!r} > {tol!r}")
     if model.curvature == -1 and xv[0] <= 0.0:
+        raise WrongSheet(f"{what} is on the lower sheet: first coordinate {float(xv[0])!r}")
+    return xv
+
+
+def on_manifold(model: Model, x, tol: float = DEFAULT_TOLS.manifold) -> bool:
+    """True iff len(x) fits, |<x,x> - curvature| <= tol and x1 > 0 in H^n; NaN/inf never pass."""
+    try:
+        _require_on_manifold(model, x, tol, "x")
+    except (DimensionMismatch, OffManifold):
         return False
     return True
 
@@ -156,11 +178,8 @@ def distance(model: Model, p, q, tols: Tolerances = DEFAULT_TOLS) -> float:
     is clamped into its legal range when the violation is within
     ``tols.domain`` and rejected beyond that.
     """
-    pv = _as_vector(model, p, "p")
-    qv = _as_vector(model, q, "q")
-    for name, v in (("p", pv), ("q", qv)):
-        if not on_manifold(model, v, tols.manifold):
-            raise OffManifold(f"{name} is not on the {model.name} manifold")
+    pv = _require_on_manifold(model, p, tols.manifold, "p")
+    qv = _require_on_manifold(model, q, tols.manifold, "q")
     ip = float((pv * model.signature) @ qv)
     if model.curvature == -1:
         return _clamped_arccosh(-ip, tols.domain)
@@ -178,7 +197,7 @@ def normalize_to_manifold(model: Model, v, tol_norm: float = DEFAULT_TOLS.norm) 
     """
     vv = _as_vector(model, v)
     q = model.curvature * float((vv * model.signature) @ vv)
-    if q <= tol_norm:
+    if not q > tol_norm:
         raise NotNormalizable(
             f"curvature*<v,v> = {q!r} is not positive; cannot normalize onto {model.name} manifold"
         )

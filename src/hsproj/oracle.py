@@ -43,8 +43,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DegenerateSimplex, DimensionMismatch, GenerationExhausted, OracleFailure
-from .forms import DEFAULT_TOLS, Model, Tolerances, distance, normalize_to_manifold
-from .projection import ProjectionResult, _require_point, face_complement
+from .forms import DEFAULT_TOLS, Model, Tolerances, _require_on_manifold, distance, normalize_to_manifold
+from .projection import ProjectionResult, face_complement
 from .simplex import Simplex, build_simplex
 
 __all__ = ["OracleOptions", "oracle_project", "random_simplex", "random_point"]
@@ -52,6 +52,10 @@ __all__ = ["OracleOptions", "oracle_project", "random_simplex", "random_point"]
 PROBE_DIRECTIONS = 1024
 # initial Nelder-Mead step of the first refinement restart (radians)
 FIRST_REFINE_STEP = math.pi / 25
+# iteration cap of each Nelder-Mead restart and its convergence tolerance
+# (xatol; fatol is 1e-5 of it)
+REFINE_ITERATIONS = 200
+CONVERGENCE_TOL = 1e-10
 _LIGHT_TOL = 1e-12
 
 # random_simplex also rejects draws whose edge matrix is conditioned worse
@@ -59,19 +63,12 @@ _LIGHT_TOL = 1e-12
 # floor but void the 1e-8 identity tolerances the test populations are
 # measured against; 1e5 keeps residuals ~1e-10 and costs < ~6% retries.
 GENERATOR_CONDITION_LIMIT = 1e5
+GENERATOR_MAX_TRIES = 1000
 
 
 @dataclass(frozen=True)
 class OracleOptions:
-    refine_iterations: int = 200
-    convergence_tol: float = 1e-10
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.refine_iterations < 1:
-            raise ValueError("refine_iterations must be >= 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
 
 
 def _score_block(
@@ -124,7 +121,7 @@ def oracle_project(
     Deterministic for a fixed ``opts.seed`` (the seed drives the random
     probe directions).
     """
-    pv = _require_point(simplex, p, tols)
+    pv = _require_on_manifold(simplex.model, p, tols.manifold, "point")
     face0, comp0 = face_complement(simplex, face)
     model = simplex.model
     hyper = model.curvature == -1
@@ -177,16 +174,16 @@ def oracle_project(
                 method="Nelder-Mead",
                 options={
                     "initial_simplex": init,
-                    "maxiter": opts.refine_iterations,
-                    "xatol": opts.convergence_tol,
-                    "fatol": opts.convergence_tol * 1e-5,
+                    "maxiter": REFINE_ITERATIONS,
+                    "xatol": CONVERGENCE_TOL,
+                    "fatol": CONVERGENCE_TOL * 1e-5,
                 },
             )
             if np.isfinite(res.fun) and res.fun <= best_dist:
                 best_dist = float(res.fun)
                 v = mu + basis @ res.x
                 mu = v / np.linalg.norm(v)
-        if best_dist > probe_distance + opts.convergence_tol:
+        if best_dist > probe_distance + CONVERGENCE_TOL:
             raise OracleFailure(
                 f"refinement regressed: {best_dist!r} above best probe {probe_distance!r}"
             )
@@ -222,7 +219,6 @@ def random_simplex(
     model: Model,
     n: int,
     seed: int,
-    max_tries: int = 1000,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> Simplex:
     """Random valid n-simplex, deterministic per seed (PCG64).
@@ -232,7 +228,7 @@ def random_simplex(
     the sphere, resampled until all pairwise distances lie in [0.2, 2.0]
     (which also rules out near-antipodal pairs).  Draws are retried until
     build_simplex accepts and the edge matrix is well conditioned
-    (GENERATOR_CONDITION_LIMIT), up to ``max_tries``.
+    (GENERATOR_CONDITION_LIMIT), up to GENERATOR_MAX_TRIES times.
     """
     if n < 1:
         raise ValueError(f"simplex dimension must be >= 1, got {n}")
@@ -242,7 +238,7 @@ def random_simplex(
         )
     rng = np.random.default_rng(seed)
     m = n + 1
-    for _ in range(max_tries):
+    for _ in range(GENERATOR_MAX_TRIES):
         if model.curvature == -1:
             vertices = np.array([random_point(model, rng) for _ in range(m)])
         else:
@@ -259,4 +255,4 @@ def random_simplex(
             continue
         if np.linalg.cond(simplex.edge_matrix) <= GENERATOR_CONDITION_LIMIT:
             return simplex
-    raise GenerationExhausted(f"no valid {model.name} {n}-simplex in {max_tries} tries")
+    raise GenerationExhausted(f"no valid {model.name} {n}-simplex in {GENERATOR_MAX_TRIES} tries")

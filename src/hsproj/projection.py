@@ -34,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadFace, DomainError, GeometryError, OffManifold, ProjectionUndefined, WrongSheet
-from .forms import DEFAULT_TOLS, Model, Tolerances, normalize_to_manifold
+from .errors import BadFace, DomainError, GeometryError, ProjectionUndefined
+from .forms import DEFAULT_TOLS, Model, Tolerances, _require_on_manifold, normalize_to_manifold
 from .simplex import Simplex, bordered_minor, complement_gram_inverse, deleted_minor, schur_complement
 
 __all__ = [
@@ -83,17 +83,15 @@ def face_complement(simplex: Simplex, face: Sequence[int]) -> tuple[np.ndarray, 
     return face0, comp0
 
 
-def _require_point(simplex: Simplex, p, tols: Tolerances) -> np.ndarray:
-    pv = np.asarray(p, dtype=float)
-    model = simplex.model
-    if pv.shape != (model.ambient_dim,):
-        raise OffManifold(f"point has shape {pv.shape}, expected ({model.ambient_dim},)")
-    sig = model.signature
-    if abs(float((pv * sig) @ pv) - model.curvature) > tols.manifold:
-        raise OffManifold(f"point is not on the {model.name} manifold")
-    if model.curvature == -1 and pv[0] <= 0.0:
-        raise WrongSheet("point is on the lower hyperboloid sheet")
-    return pv
+def _opposite_vertex(
+    simplex: Simplex, face: Sequence[int], j: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """face_complement plus the check that vertex j (1-based) lies outside the face."""
+    face0, comp0 = face_complement(simplex, face)
+    j = int(j)
+    if j - 1 not in comp0:
+        raise BadFace(f"vertex {j} must lie outside the face {tuple(int(i) + 1 for i in face0)}")
+    return face0, comp0, j
 
 
 def _distance_from_radicand(model: Model, c2: float, tols: Tolerances) -> float:
@@ -152,7 +150,7 @@ def project_to_face(
     The foot is the unique geodesic-distance minimizer over the plane
     (spherical exception: ProjectionUndefined at distance pi/2).
     """
-    pv = _require_point(simplex, p, tols)
+    pv = _require_on_manifold(simplex.model, p, tols.manifold, "point")
     _, comp0 = face_complement(simplex, face)
     e_comp, lam, c2 = _solve_complement(simplex, comp0, pv)
     pre_foot = pv + lam @ e_comp
@@ -173,7 +171,7 @@ def distance_to_face(
     spherical case a radicand within tolerance of 0 returns exactly pi/2
     (the distance is still well-defined there even though the foot is not).
     """
-    pv = _require_point(simplex, p, tols)
+    pv = _require_on_manifold(simplex.model, p, tols.manifold, "point")
     _, comp0 = face_complement(simplex, face)
     _, _, c2 = _solve_complement(simplex, comp0, pv)
     return _distance_from_radicand(simplex.model, c2, tols)
@@ -193,7 +191,7 @@ def _distance_to_face_by_minors(
     production path calls it; the CLI's ``distance_paths`` residual and
     the tests compare the two routes.
     """
-    pv = _require_point(simplex, p, tols)
+    pv = _require_on_manifold(simplex.model, p, tols.manifold, "point")
     face0, comp0 = face_complement(simplex, face)
     b = (simplex.normals[comp0] * simplex.model.signature) @ pv
     kinv = complement_gram_inverse(simplex, [int(i) + 1 for i in face0])
@@ -216,7 +214,7 @@ def project_to_hyperplane(
     m = simplex.vertex_count
     if not 1 <= int(j) <= m:
         raise BadFace(f"vertex index {j} outside 1..{m}")
-    pv = _require_point(simplex, p, tols)
+    pv = _require_on_manifold(simplex.model, p, tols.manifold, "point")
     e_j = simplex.normals[int(j) - 1]
     a = float((pv * simplex.model.signature) @ e_j)
     pre_foot = pv - a * e_j
@@ -241,10 +239,7 @@ def vertex_foot(
     satisfies curvature * <p., p.> = 1 - curvature * m_j^j / m_face, which
     doubles as the distance radicand.
     """
-    face0, comp0 = face_complement(simplex, face)
-    j = int(j)
-    if j - 1 not in comp0:
-        raise BadFace(f"vertex {j} must lie outside the face {tuple(int(i) + 1 for i in face0)}")
+    face0, comp0, j = _opposite_vertex(simplex, face, j)
     M = simplex.edge_matrix
     base = tuple(int(i) + 1 for i in face0)
     m_face = float(np.linalg.det(M[np.ix_(face0, face0)]))
@@ -275,10 +270,7 @@ def altitude(
     closed form 1 - curvature * det M / M_jj is evaluated as well and the
     two must agree.  The spherical undefined-foot limit returns pi/2.
     """
-    face0, comp0 = face_complement(simplex, face)
-    j = int(j)
-    if j - 1 not in comp0:
-        raise BadFace(f"vertex {j} must lie outside the face {tuple(int(i) + 1 for i in face0)}")
+    face0, comp0, j = _opposite_vertex(simplex, face, j)
     eps = simplex.model.curvature
     block = schur_complement(simplex.edge_matrix, [int(i) + 1 for i in comp0], tols.degenerate)
     pos = block.block_rows.index(j)

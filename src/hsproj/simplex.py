@@ -33,15 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BadIndexSet,
-    DegenerateSimplex,
-    DimensionMismatch,
-    OffManifold,
-    SingularBlock,
-    WrongSheet,
-)
-from .forms import DEFAULT_TOLS, Model, Tolerances
+from .errors import BadIndexSet, DegenerateSimplex, DimensionMismatch, SingularBlock
+from .forms import DEFAULT_TOLS, Model, Tolerances, _require_on_manifold
 
 __all__ = [
     "Simplex",
@@ -128,17 +121,10 @@ def build_simplex(
         raise DimensionMismatch(
             f"expected {m} vertices of length {m}, got array of shape {P.shape}"
         )
-    sig = model.signature
-    norms = np.einsum("ij,j,ij->i", P, sig, P)
-    for i in range(m):
-        if abs(norms[i] - model.curvature) > tols.manifold:
-            raise OffManifold(
-                f"vertex {i + 1}: <x,x> = {norms[i]!r}, expected {model.curvature} "
-                f"within {tols.manifold}"
-            )
-        if model.curvature == -1 and P[i, 0] <= 0.0:
-            raise WrongSheet(f"vertex {i + 1}: first coordinate {P[i, 0]!r} is not positive")
+    for i, vertex in enumerate(P, start=1):
+        _require_on_manifold(model, vertex, tols.manifold, f"vertex {i}")
 
+    sig = model.signature
     M = (P * sig) @ P.T
     M = (M + M.T) / 2.0
     scale = float(np.abs(M).max())

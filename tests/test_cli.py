@@ -114,6 +114,9 @@ def test_project_bad_face_exit_code(tmp_path, capsys):
     code, report, _ = run_json(capsys, "project", path, "--face", "1,4", "--point", "1,0,0")
     assert code == 1
     assert report["status"] == "BadFace"
+    code, report, _ = run_json(capsys, "project", path, "--face", "1,2", "--point", "1,0")
+    assert code == 1
+    assert report["status"] == "DimensionMismatch"
 
 
 def test_project_point_at_face_vertex(tmp_path, capsys):
@@ -240,3 +243,16 @@ def test_tol_scaling_flag(tmp_path, capsys):
     assert code == 1
     code, _, _ = run_json(capsys, "validate", path, "--tol", "1e6")
     assert code == 0
+    for factor in ("nan", "inf"):
+        code, _, err = run_json(capsys, "validate", path, "--tol", factor)
+        assert code == 2 and "finite and positive" in err
+
+
+def test_non_finite_input_is_exit_2(tmp_path, capsys):
+    path = write_doc(tmp_path, OCTANT)
+    for point in ("nan,0,0", "1,inf,0"):
+        code, _, err = run(capsys, "project", path, "--face", "1,2", "--point", point, "--json")
+        assert code == 2 and "finite" in err
+    doc = {"model": "spherical", "vertices": [[1, 0, 0], [0, math.nan, 0], [0, 0, 1]]}
+    code, _, err = run(capsys, "validate", write_doc(tmp_path, doc, "nan.json"), "--json")
+    assert code == 2 and "row 2 has a non-finite entry" in err

@@ -37,6 +37,8 @@ def test_parse_metadata_kept():
         ('{"model": "spherical", "vertices": [[1,0,0],[0,1,0],[0,0,1],[0,0,0]]}', "row 1"),
         ('{"model": "spherical", "vertices": [[1,0,0],[0,1,0,0],[0,0,1]]}', "row 2"),
         ('{"model": "spherical", "vertices": [[1,0,0],[0,"x",0],[0,0,1]]}', "row 2"),
+        ('{"model": "spherical", "vertices": [[1,0,0],[0,NaN,0],[0,0,1]]}', "row 2 has a non-finite"),
+        ('{"model": "spherical", "vertices": [[1,0,0],[0,1,0],[0,0,1e999]]}', "row 3 has a non-finite"),
         ('{"model": "spherical", "vertices": [[1]]}', "at least 2"),
     ],
 )

@@ -10,6 +10,7 @@ from hsproj import (
     NotNormalizable,
     OffManifold,
     Tolerances,
+    WrongSheet,
     distance,
     inner,
     normalize_to_manifold,
@@ -72,6 +73,7 @@ def test_on_manifold_examples():
     assert on_manifold(S3, (0.6, 0.8, 0.0), 1e-9)
     assert not on_manifold(S3, (0.6, 0.8, 0.1), 1e-9)
     assert not on_manifold(S3, (1.0, 0.0), 1e-9)  # wrong length is just "no"
+    assert not on_manifold(S3, (math.nan, 0.0, 0.0), 1e-9)
 
 
 def test_distance_examples():
@@ -87,6 +89,10 @@ def test_distance_requires_manifold_points():
         distance(H3, (2.0, 0.0, 0.0), (1.0, 0.0, 0.0))
     with pytest.raises(OffManifold):
         distance(S3, (1, 0, 0), (0.5, 0.5, 0.0))
+    with pytest.raises(OffManifold):
+        distance(S3, (1, 0, 0), (math.nan, 0.0, 0.0))
+    with pytest.raises(WrongSheet):
+        distance(H3, (-1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
@@ -111,6 +117,8 @@ def test_normalize_rejects_bad_vectors():
         normalize_to_manifold(S3, (0.0, 0.0, 0.0))
     with pytest.raises(NotNormalizable):
         normalize_to_manifold(H3, (1.0, 1.0, 0.0))  # light-like
+    with pytest.raises(NotNormalizable):
+        normalize_to_manifold(H3, (math.nan, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
@@ -133,3 +141,6 @@ def test_tolerance_scaling():
     assert t.manifold == 1e-8 and t.identity == 1e-7
     with pytest.raises(ValueError):
         Tolerances().scaled(0.0)
+    for factor in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Tolerances().scaled(factor)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from hsproj import (
     DimensionMismatch,
     Model,
+    OffManifold,
     OracleOptions,
     distance,
     on_manifold,
@@ -21,11 +22,11 @@ from conftest import model_named
 OCTANT_DIST = 0.6154797086703874
 
 
-def test_options_validation():
-    with pytest.raises(ValueError):
-        OracleOptions(refine_iterations=0)
-    with pytest.raises(ValueError):
-        OracleOptions(convergence_tol=0.0)
+def test_oracle_point_validation(octant):
+    with pytest.raises(OffManifold):
+        oracle_project(octant, (1, 2), (math.nan, 0.0, 0.0))
+    with pytest.raises(DimensionMismatch):
+        oracle_project(octant, (1, 2), (1.0, 0.0))
 
 
 def test_oracle_octant(octant):

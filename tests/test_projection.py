@@ -6,9 +6,11 @@ from numpy.testing import assert_allclose
 
 from hsproj import (
     BadFace,
+    DimensionMismatch,
     Model,
     OffManifold,
     ProjectionUndefined,
+    WrongSheet,
     altitude,
     bordered_minor,
     distance,
@@ -73,7 +75,7 @@ def test_project_hyperbolic_example(hyp_triangle):
     assert_allclose(r.distance, 1.0, rtol=0, atol=1e-12)
 
 
-def test_project_face_validation(octant):
+def test_project_face_validation(octant, hyp_triangle):
     with pytest.raises(BadFace):
         project_to_face(octant, (1, 4), (1, 0, 0))
     with pytest.raises(BadFace):
@@ -84,6 +86,14 @@ def test_project_face_validation(octant):
         project_to_face(octant, (), (1, 0, 0))
     with pytest.raises(OffManifold):
         project_to_face(octant, (1, 2), (1.0, 1.0, 0.0))
+    for route in (project_to_face, distance_to_face):
+        for bad in ((math.nan, 0.0, 0.0), (1.0, math.inf, 0.0)):
+            with pytest.raises(OffManifold):
+                route(octant, (1, 2), bad)
+        with pytest.raises(DimensionMismatch):
+            route(octant, (1, 2), (1.0, 0.0))
+        with pytest.raises(WrongSheet):
+            route(hyp_triangle, (1, 2), (-1.0, 0.0, 0.0))
 
 
 def test_project_undefined_at_pole(octant):
@@ -182,6 +192,10 @@ def test_hyperplane_index_validation(octant):
         project_to_hyperplane(octant, 0, (1, 0, 0))
     with pytest.raises(BadFace):
         project_to_hyperplane(octant, 4, (1, 0, 0))
+    with pytest.raises(OffManifold):
+        project_to_hyperplane(octant, 3, (math.nan, 0.0, 0.0))
+    with pytest.raises(DimensionMismatch):
+        project_to_hyperplane(octant, 3, (1.0, 0.0))
 
 
 @pytest.mark.parametrize("case", _cases(3000, 8), ids=lambda c: f"{c[0].name}-n{c[0].n}")

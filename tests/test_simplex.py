@@ -52,6 +52,8 @@ def test_build_rejects_repeated_vertex():
 def test_build_rejects_off_manifold_and_wrong_sheet():
     with pytest.raises(OffManifold):
         build_simplex(Model.spherical(3), [[1, 0, 0], [0, 1.001, 0], [0, 0, 1]])
+    with pytest.raises(OffManifold):
+        build_simplex(Model.spherical(3), [[1, 0, 0], [0, np.nan, 0], [0, 0, 1]])
     with pytest.raises(WrongSheet):
         build_simplex(
             Model.hyperbolic(3),
