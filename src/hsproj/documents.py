@@ -79,6 +79,9 @@ def parse_simplex_document(text: str) -> SimplexDocument:
                 f"vertex row {i} has length {len(row)}, expected {count} "
                 "(vertex count must equal the coordinate length)"
             )
+        # float(true) is 1.0, so a JSON boolean has to be refused by its type
+        if any(isinstance(x, bool) for x in row):
+            raise DocumentError(f"vertex row {i} has a non-numeric entry")
         try:
             values = [float(x) for x in row]
         except (TypeError, ValueError) as exc:
@@ -89,9 +92,9 @@ def parse_simplex_document(text: str) -> SimplexDocument:
     if count < 2:
         raise DocumentError("a simplex needs at least 2 vertices")
     metadata = raw.get("metadata", {})
-    if metadata and not isinstance(metadata, dict):
+    if not isinstance(metadata, dict):
         raise DocumentError("metadata must be an object")
-    meta = {str(k): str(v) for k, v in metadata.items()} if metadata else {}
+    meta = {str(k): str(v) for k, v in metadata.items()}
     return SimplexDocument(model, rows, meta)
 
 

@@ -8,7 +8,9 @@ scores a batch of seeded random probe directions (just +-1 for a
 one-vertex face) and refines the best one with derivative-free
 Nelder-Mead restarts in its tangent space.  Derivative-free on purpose:
 d(arccosh)/dx blows up at distance 0, exactly where the oracle is
-queried most.
+queried most.  The Nelder-Mead is this module's own ``_nelder_mead``, a
+bit-identical port of the branch of scipy's that the refinement uses, so
+the package needs numpy alone (and ``import hsproj`` loads no scipy).
 
 No dense grid is needed because the cost has no spurious local minima on
 the plane: in H^n the distance to a point is convex along geodesics
@@ -40,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DegenerateSimplex, DimensionMismatch, GenerationExhausted, OracleFailure
 from .forms import DEFAULT_TOLS, Model, Tolerances, _require_on_manifold, distance, normalize_to_manifold
@@ -109,6 +110,67 @@ def _tangent_basis(mu: np.ndarray) -> np.ndarray:
     return q[:, 1:d]
 
 
+def _nelder_mead(fun, sim: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimize ``fun`` by Nelder-Mead from the (N+1, N) initial simplex ``sim``.
+
+    Returns the best vertex and its value.  Reflection 1, expansion 2,
+    contraction 1/2, shrink 1/2; stops when every vertex lies within
+    CONVERGENCE_TOL of the best one and every value within
+    CONVERGENCE_TOL * 1e-5 of its value, or after REFINE_ITERATIONS - 1
+    steps.  The arithmetic, its order and
+    the argsort after every step are those of scipy's
+    ``minimize(method="Nelder-Mead")`` with ``maxiter=REFINE_ITERATIONS``,
+    ``xatol=CONVERGENCE_TOL`` and ``fatol=CONVERGENCE_TOL * 1e-5``, so the
+    iterates are bit-identical to it (``tests/test_oracle.py`` checks).
+    ``sim`` is not modified.
+    """
+    n = sim.shape[1]
+    fsim = np.array([fun(x) for x in sim], dtype=float)
+
+    def ordered(sim, fsim):
+        order = np.argsort(fsim)
+        return sim[order], fsim[order]
+
+    # scipy sorts twice before its first step: the order of tied values
+    # (e.g. several inf vertices) may depend on it
+    sim, fsim = ordered(*ordered(sim, fsim))
+    for _ in range(REFINE_ITERATIONS - 1):
+        if (
+            np.max(np.abs(sim[1:] - sim[0])) <= CONVERGENCE_TOL
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= CONVERGENCE_TOL * 1e-5
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = fun(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = fun(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]  # outside contraction
+                fxc = fun(xc)
+                accept = fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]  # inside contraction
+                fxc = fun(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = fun(sim[j])
+        sim, fsim = ordered(sim, fsim)
+    return sim[0], float(np.min(fsim))
+
+
 def oracle_project(
     simplex: Simplex,
     face,
@@ -166,22 +228,11 @@ def oracle_project(
 
         for h in (FIRST_REFINE_STEP, 1e-3, 1e-6):
             basis = _tangent_basis(mu)
-            start = np.zeros(d - 1)
-            init = np.vstack([start, np.eye(d - 1) * h])
-            res = minimize(
-                objective_at(mu, basis),
-                start,
-                method="Nelder-Mead",
-                options={
-                    "initial_simplex": init,
-                    "maxiter": REFINE_ITERATIONS,
-                    "xatol": CONVERGENCE_TOL,
-                    "fatol": CONVERGENCE_TOL * 1e-5,
-                },
-            )
-            if np.isfinite(res.fun) and res.fun <= best_dist:
-                best_dist = float(res.fun)
-                v = mu + basis @ res.x
+            init = np.vstack([np.zeros(d - 1), np.eye(d - 1) * h])
+            x, fx = _nelder_mead(objective_at(mu, basis), init)
+            if math.isfinite(fx) and fx <= best_dist:
+                best_dist = fx
+                v = mu + basis @ x
                 mu = v / np.linalg.norm(v)
         if best_dist > probe_distance + CONVERGENCE_TOL:
             raise OracleFailure(

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hsproj import oracle
 from hsproj import (
     DimensionMismatch,
     Model,
@@ -15,7 +20,15 @@ from hsproj import (
     project_to_face,
 )
 from hsproj.forms import normalize_to_manifold
-from hsproj.oracle import _score_block, random_point, random_simplex
+from hsproj.oracle import (
+    CONVERGENCE_TOL,
+    FIRST_REFINE_STEP,
+    REFINE_ITERATIONS,
+    _nelder_mead,
+    _score_block,
+    random_point,
+    random_simplex,
+)
 
 from conftest import model_named
 
@@ -119,6 +132,95 @@ def test_oracle_spherical_near_half_pi(eps):
             assert abs(closed.distance - (math.pi / 2 - eps)) <= 1e-9
             assert abs(got.distance - closed.distance) <= 1e-6
             assert distance(model, got.foot, closed.foot) <= 1e-5
+
+
+# ------------------------------------------------- Nelder-Mead refinement
+
+def _scipy_nelder_mead(fun, sim):
+    """The reference the port follows: scipy's Nelder-Mead, same stopping rule."""
+    from scipy.optimize import minimize
+
+    res = minimize(
+        fun,
+        sim[0],
+        method="Nelder-Mead",
+        options={
+            "initial_simplex": sim,
+            "maxiter": REFINE_ITERATIONS,
+            "xatol": CONVERGENCE_TOL,
+            "fatol": CONVERGENCE_TOL * 1e-5,
+        },
+    )
+    return res.x, res.fun
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _oracle_restarts(monkeypatch):
+    """(objective, initial simplex) of every refinement restart oracle_project
+    runs over a seeded population: both models, n 2..6, face sizes 2..n."""
+    restarts = []
+
+    def spy(fun, sim):
+        restarts.append((fun, sim.copy()))
+        return _nelder_mead(fun, sim)
+
+    monkeypatch.setattr(oracle, "_nelder_mead", spy)
+    rng = np.random.default_rng(31)
+    for model_name in ("hyperbolic", "spherical"):
+        for n in range(2, 7):
+            model = model_named(model_name, n + 1)
+            s = random_simplex(model, n, seed=900 + n)
+            for size in range(2, n + 1):
+                face = tuple(sorted(int(x) + 1 for x in rng.choice(n + 1, size=size, replace=False)))
+                oracle_project(s, face, random_point(model, rng))
+    return restarts
+
+
+def test_nelder_mead_is_bit_identical_to_scipy(monkeypatch):
+    pytest.importorskip("scipy.optimize")
+    restarts = _oracle_restarts(monkeypatch)
+    assert {sim[1, 0] for _, sim in restarts} == {FIRST_REFINE_STEP, 1e-3, 1e-6}
+    for fun, sim in restarts:
+        x, f = _nelder_mead(fun, sim)
+        ref_x, ref_f = _scipy_nelder_mead(fun, sim)
+        assert _bits(x) == _bits(ref_x)
+        assert _bits(f) == _bits(ref_f)
+
+
+def test_nelder_mead_is_bit_identical_to_scipy_where_objective_is_inf(monkeypatch):
+    # a hyperbolic objective from a 4-vertex face, started with tangent steps
+    # so large that some candidates are space-like and score inf
+    pytest.importorskip("scipy.optimize")
+    fun, sim = next((f, s) for f, s in _oracle_restarts(monkeypatch) if s.shape[1] == 3)
+    big = np.vstack([np.zeros(3), 3.0 * np.eye(3)])
+    values = []
+
+    def counted(x):
+        values.append(fun(x))
+        return values[-1]
+
+    x, f = _nelder_mead(counted, big)
+    assert np.isinf(values).any() and np.isfinite(f)
+    ref_x, ref_f = _scipy_nelder_mead(fun, big)
+    assert _bits(x) == _bits(ref_x)
+    assert _bits(f) == _bits(ref_f)
+
+
+def test_import_loads_no_scipy():
+    # the closed forms and the oracle need numpy alone; scipy would cost
+    # most of a cold `import hsproj` and of every CLI call
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, hsproj, hsproj.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------- generators
