@@ -42,7 +42,6 @@ from .projection import (
 )
 from .simplex import (
     IdentityReport,
-    MinorSpec,
     ScalingMatrix,
     SchurBlock,
     Simplex,
@@ -50,7 +49,6 @@ from .simplex import (
     build_simplex,
     complement_gram_inverse,
     deleted_minor,
-    minor,
     scaling_matrix,
     schur_complement,
     schur_complement_via_minors,
@@ -66,8 +64,8 @@ __all__ = [
     "Model", "Tolerances", "DEFAULT_TOLS",
     "inner", "on_manifold", "distance", "normalize_to_manifold",
     # simplex algebra
-    "Simplex", "MinorSpec", "ScalingMatrix", "SchurBlock", "IdentityReport",
-    "build_simplex", "minor", "deleted_minor", "bordered_minor",
+    "Simplex", "ScalingMatrix", "SchurBlock", "IdentityReport",
+    "build_simplex", "deleted_minor", "bordered_minor",
     "scaling_matrix", "verify_inverse_identity", "schur_complement",
     "schur_complement_via_minors", "verify_block_inverse_identities", "complement_gram_inverse",
     # projection

@@ -118,7 +118,7 @@ def cmd_validate(args, tols: Tolerances) -> dict:
 def _projection_block(simplex: Simplex, face, p, result, tols: Tolerances) -> tuple[dict, dict]:
     face0, comp0 = face_complement(simplex, face)
     M = simplex.edge_matrix
-    base = tuple(int(i) + 1 for i in face0)
+    base = (face0 + 1).tolist()
     results = {
         "foot": _vec(result.foot),
         "distance": result.distance,
@@ -128,7 +128,7 @@ def _projection_block(simplex: Simplex, face, p, result, tols: Tolerances) -> tu
             "det_edge_matrix": simplex.edge_det,
             "face_minor": float(np.linalg.det(M[np.ix_(face0, face0)])),
             "bordered_diagonal": {
-                str(int(t) + 1): bordered_minor(M, base, int(t) + 1, int(t) + 1) for t in comp0
+                str(t): bordered_minor(M, base, t, t) for t in (comp0 + 1).tolist()
             },
         },
     }
@@ -177,7 +177,7 @@ def cmd_altitudes(args, tols: Tolerances) -> dict:
     m = simplex.vertex_count
     if args.face:
         _, comp0 = face_complement(simplex, args.face)
-        targets = [(tuple(args.face), int(j) + 1) for j in comp0]
+        targets = [(tuple(args.face), j) for j in (comp0 + 1).tolist()]
     else:
         targets = [
             (tuple(i for i in range(1, m + 1) if i != j), j) for j in range(1, m + 1)

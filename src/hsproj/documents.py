@@ -79,13 +79,10 @@ def parse_simplex_document(text: str) -> SimplexDocument:
                 f"vertex row {i} has length {len(row)}, expected {count} "
                 "(vertex count must equal the coordinate length)"
             )
-        # float(true) is 1.0, so a JSON boolean has to be refused by its type
-        if any(isinstance(x, bool) for x in row):
+        # only JSON numbers: float() would also take true and "1"
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row):
             raise DocumentError(f"vertex row {i} has a non-numeric entry")
-        try:
-            values = [float(x) for x in row]
-        except (TypeError, ValueError) as exc:
-            raise DocumentError(f"vertex row {i} has a non-numeric entry") from exc
+        values = [float(x) for x in row]
         if not all(map(math.isfinite, values)):
             raise DocumentError(f"vertex row {i} has a non-finite entry")
         rows.append(values)

@@ -35,7 +35,7 @@ class DegenerateSimplex(GeometryError):
 
 
 class BadIndexSet(GeometryError):
-    """Minor row/column index sets are invalid for the given matrix."""
+    """A matrix index argument (minor rows/columns, Schur retained set, block split) is invalid."""
 
 
 class SingularBlock(GeometryError):
@@ -43,7 +43,7 @@ class SingularBlock(GeometryError):
 
 
 class BadFace(GeometryError):
-    """Face selector indices are invalid for the simplex."""
+    """A face or vertex index argument is invalid for the simplex."""
 
 
 class ProjectionUndefined(GeometryError):

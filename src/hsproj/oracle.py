@@ -45,8 +45,8 @@ import numpy as np
 
 from .errors import DegenerateSimplex, DimensionMismatch, GenerationExhausted, OracleFailure
 from .forms import DEFAULT_TOLS, Model, Tolerances, _require_on_manifold, distance, normalize_to_manifold
-from .projection import ProjectionResult, face_complement
-from .simplex import Simplex, build_simplex
+from .projection import ProjectionResult
+from .simplex import Simplex, build_simplex, face_complement
 
 __all__ = ["OracleOptions", "oracle_project", "random_simplex", "random_point"]
 
@@ -249,7 +249,7 @@ def oracle_project(
     e_comp = simplex.normals[comp0]
     g22 = simplex.gram_matrix[np.ix_(comp0, comp0)]
     lam = np.linalg.solve(g22, (e_comp * sig) @ (pre_foot - pv))
-    lambdas = {int(t) + 1: float(v) for t, v in zip(comp0, lam)}
+    lambdas = dict(zip((comp0 + 1).tolist(), lam.tolist()))
     return ProjectionResult(foot, dist, lambdas, pre_foot)
 
 

@@ -23,7 +23,9 @@ cross-check _distance_to_face_by_minors; no production path calls it.
 
 The closed forms are stated most simply when the face is the leading
 vertex block; here any face is accepted and the minor index sets are
-remapped accordingly.  All indices are 1-based.
+remapped accordingly.  All indices are 1-based and pass the index rule of
+``simplex`` (face_complement for faces); an invalid face or vertex raises
+BadFace.
 """
 
 from __future__ import annotations
@@ -34,9 +36,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadFace, DomainError, GeometryError, ProjectionUndefined
+from .errors import BadFace, DomainError, ProjectionUndefined
 from .forms import DEFAULT_TOLS, Model, Tolerances, _require_on_manifold, normalize_to_manifold
-from .simplex import Simplex, bordered_minor, complement_gram_inverse, deleted_minor, schur_complement
+from .simplex import (
+    Simplex,
+    _index_positions,
+    bordered_minor,
+    complement_gram_inverse,
+    face_complement,
+    schur_complement,
+)
 
 __all__ = [
     "ProjectionResult",
@@ -64,34 +73,18 @@ class ProjectionResult:
     pre_foot: np.ndarray
 
 
-def face_complement(simplex: Simplex, face: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a face selector; return 0-based (face, complement) arrays.
-
-    A valid face is a strictly increasing tuple of 1-based vertex indices,
-    at least one vertex and at most n (the complement must be nonempty).
-    """
-    idx = [int(i) for i in face]
-    m = simplex.vertex_count
-    if not idx or len(idx) > m - 1:
-        raise BadFace(f"face must select between 1 and {m - 1} vertices, got {len(idx)}")
-    if any(b <= a for a, b in zip(idx, idx[1:])):
-        raise BadFace(f"face indices must be strictly increasing, got {tuple(idx)}")
-    if idx[0] < 1 or idx[-1] > m:
-        raise BadFace(f"face indices {tuple(idx)} outside 1..{m}")
-    face0 = np.array(idx, dtype=int) - 1
-    comp0 = np.array([i for i in range(m) if i + 1 not in set(idx)], dtype=int)
-    return face0, comp0
-
-
 def _opposite_vertex(
     simplex: Simplex, face: Sequence[int], j: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """face_complement plus the check that vertex j (1-based) lies outside the face."""
+    """face_complement plus vertex j (1-based), which must lie outside the face.
+
+    Returns the face and complement arrays and j's 0-based position.
+    """
     face0, comp0 = face_complement(simplex, face)
-    j = int(j)
-    if j - 1 not in comp0:
-        raise BadFace(f"vertex {j} must lie outside the face {tuple(int(i) + 1 for i in face0)}")
-    return face0, comp0, j
+    (j0,) = _index_positions((j,), simplex.vertex_count, BadFace, "vertex")
+    if j0 in face0:
+        raise BadFace(f"vertex {j0 + 1} must lie outside the face {tuple((face0 + 1).tolist())}")
+    return face0, comp0, j0
 
 
 def _distance_from_radicand(model: Model, c2: float, tols: Tolerances) -> float:
@@ -151,11 +144,11 @@ def project_to_face(
     (spherical exception: ProjectionUndefined at distance pi/2).
     """
     pv = _require_on_manifold(simplex.model, p, tols.manifold, "point")
-    _, comp0 = face_complement(simplex, face)
+    face0, comp0 = face_complement(simplex, face)
     e_comp, lam, c2 = _solve_complement(simplex, comp0, pv)
     pre_foot = pv + lam @ e_comp
-    lambdas = {int(t) + 1: float(v) for t, v in zip(comp0, lam)}
-    return _finish(simplex, pre_foot, c2, lambdas, tols, f"face {tuple(int(i) for i in face)}")
+    lambdas = dict(zip((comp0 + 1).tolist(), lam.tolist()))
+    return _finish(simplex, pre_foot, c2, lambdas, tols, f"face {tuple((face0 + 1).tolist())}")
 
 
 def distance_to_face(
@@ -194,7 +187,7 @@ def _distance_to_face_by_minors(
     pv = _require_on_manifold(simplex.model, p, tols.manifold, "point")
     face0, comp0 = face_complement(simplex, face)
     b = (simplex.normals[comp0] * simplex.model.signature) @ pv
-    kinv = complement_gram_inverse(simplex, [int(i) + 1 for i in face0])
+    kinv = complement_gram_inverse(simplex, face0 + 1)
     c2 = 1.0 - simplex.model.curvature * float(b @ kinv @ b)
     return _distance_from_radicand(simplex.model, c2, tols)
 
@@ -211,15 +204,13 @@ def project_to_hyperplane(
     with 1 - <p,e_j>^2 in S^n; agrees with project_to_face on the face that
     omits j.
     """
-    m = simplex.vertex_count
-    if not 1 <= int(j) <= m:
-        raise BadFace(f"vertex index {j} outside 1..{m}")
+    (j0,) = _index_positions((j,), simplex.vertex_count, BadFace, "vertex")
     pv = _require_on_manifold(simplex.model, p, tols.manifold, "point")
-    e_j = simplex.normals[int(j) - 1]
+    e_j = simplex.normals[j0]
     a = float((pv * simplex.model.signature) @ e_j)
     pre_foot = pv - a * e_j
     c2 = 1.0 - simplex.model.curvature * a * a
-    return _finish(simplex, pre_foot, c2, {int(j): -a}, tols, f"hyperplane opposite {j}")
+    return _finish(simplex, pre_foot, c2, {j0 + 1: -a}, tols, f"hyperplane opposite {j0 + 1}")
 
 
 def vertex_foot(
@@ -239,21 +230,20 @@ def vertex_foot(
     satisfies curvature * <p., p.> = 1 - curvature * m_j^j / m_face, which
     doubles as the distance radicand.
     """
-    face0, comp0, j = _opposite_vertex(simplex, face, j)
+    face0, comp0, j0 = _opposite_vertex(simplex, face, j)
     M = simplex.edge_matrix
-    base = tuple(int(i) + 1 for i in face0)
+    base = (face0 + 1).tolist()
     m_face = float(np.linalg.det(M[np.ix_(face0, face0)]))
 
     lambdas: dict[int, float] = {}
-    pre_foot = simplex.vertices[j - 1].copy()
-    for s in comp0:
-        s1 = int(s) + 1
-        lam_s = float(simplex.scaling[s]) * bordered_minor(M, base, j, s1) / m_face
-        lambdas[s1] = lam_s
+    pre_foot = simplex.vertices[j0].copy()
+    for s in comp0.tolist():
+        lam_s = float(simplex.scaling[s]) * bordered_minor(M, base, j0 + 1, s + 1) / m_face
+        lambdas[s + 1] = lam_s
         pre_foot += lam_s * simplex.normals[s]
-    m_jj = bordered_minor(M, base, j, j)
+    m_jj = bordered_minor(M, base, j0 + 1, j0 + 1)
     c2 = 1.0 - simplex.model.curvature * m_jj / m_face
-    return _finish(simplex, pre_foot, c2, lambdas, tols, f"vertex {j} onto face {base}")
+    return _finish(simplex, pre_foot, c2, lambdas, tols, f"vertex {j0 + 1} onto face {tuple(base)}")
 
 
 def altitude(
@@ -266,21 +256,12 @@ def altitude(
 
     Computed from the Schur complement of the face block of the edge
     matrix: the radicand is 1 - curvature * S_jj (S_jj = a_jj hyperbolic,
-    b_jj spherical).  For a facet (|face| = n) the determinant-ratio
-    closed form 1 - curvature * det M / M_jj is evaluated as well and the
-    two must agree.  The spherical undefined-foot limit returns pi/2.
+    b_jj spherical).  The spherical undefined-foot limit returns pi/2.
+    For a facet the determinant ratio 1 - curvature * det M / M_jj gives
+    the same radicand; the tests keep it as a cross-check.
     """
-    face0, comp0, j = _opposite_vertex(simplex, face, j)
-    eps = simplex.model.curvature
-    block = schur_complement(simplex.edge_matrix, [int(i) + 1 for i in comp0], tols.degenerate)
-    pos = block.block_rows.index(j)
-    c2 = 1.0 - eps * float(block.values[pos, pos])
-    result = _distance_from_radicand(simplex.model, c2, tols)
-    if len(face0) == simplex.n:
-        m_jj = deleted_minor(simplex.edge_matrix, j, j)
-        facet = _distance_from_radicand(simplex.model, 1.0 - eps * simplex.edge_det / m_jj, tols)
-        if abs(facet - result) > tols.identity:
-            raise GeometryError(
-                f"facet altitude paths disagree: schur {result!r} vs determinant ratio {facet!r}"
-            )
-    return result
+    _, comp0, j0 = _opposite_vertex(simplex, face, j)
+    block = schur_complement(simplex.edge_matrix, comp0 + 1, tols.degenerate)
+    pos = block.block_rows.index(j0 + 1)
+    c2 = 1.0 - simplex.model.curvature * float(block.values[pos, pos])
+    return _distance_from_radicand(simplex.model, c2, tols)

@@ -15,8 +15,13 @@ the inverses of the complementary blocks.  Those
 identities are exposed here as verification routines because every
 projection formula downstream rides on them.
 
-All user-facing indices (vertices, minor row/column sets, block splits)
-are 1-based, matching the mathematical notation; storage is 0-based.
+All user-facing indices (vertices, faces, minor row/column sets, block
+splits) are 1-based, matching the mathematical notation; storage is
+0-based.  This module owns the one index rule, ``_index_positions``: every
+index argument of the package passes through it, so ``1.5``, ``3.0``,
+``True`` and ``"1"`` are refused alike (never truncated) with the typed
+error of the function that received them (``BadFace`` for faces and
+vertices, ``BadIndexSet`` for matrix index sets).
 
 Sign policy: in the Lorentzian signature det M, the minors M_ii and det G
 are negative, so every radical of a ratio or product of them is taken of
@@ -33,17 +38,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadIndexSet, DegenerateSimplex, DimensionMismatch, SingularBlock
+from .errors import (
+    BadFace,
+    BadIndexSet,
+    DegenerateSimplex,
+    DimensionMismatch,
+    GeometryError,
+    SingularBlock,
+)
 from .forms import DEFAULT_TOLS, Model, Tolerances, _require_on_manifold
 
 __all__ = [
     "Simplex",
-    "MinorSpec",
     "ScalingMatrix",
     "SchurBlock",
     "IdentityReport",
     "build_simplex",
-    "minor",
+    "face_complement",
     "deleted_minor",
     "bordered_minor",
     "scaling_matrix",
@@ -95,12 +106,6 @@ class Simplex:
         """Diagonal of T = diag(sqrt|M_ii / det M|), from the edge matrix's principal minors."""
         m_ii = _principal_deleted(self.edge_matrix)
         return _frozen(np.sqrt(np.abs(m_ii / self.edge_det)))
-
-    def vertex(self, i: int) -> np.ndarray:
-        """Vertex p_i, 1-based."""
-        if not 1 <= i <= self.vertex_count:
-            raise BadIndexSet(f"vertex index {i} outside 1..{self.vertex_count}")
-        return self.vertices[i - 1]
 
 
 def build_simplex(
@@ -155,23 +160,51 @@ def build_simplex(
     return Simplex(model, _frozen(P.copy()), _frozen(M), _frozen(G), _frozen(E))
 
 
-@dataclass(frozen=True)
-class MinorSpec:
-    """Ordered row/column index subsets (1-based, strictly increasing)."""
+def _index_positions(
+    indices, m: int, error: type[GeometryError], what: str, first: int = 1
+) -> list[int]:
+    """The package's one index rule: ``indices`` as 0-based positions.
 
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
+    Valid indices are Python ``int``s or numpy integers, strictly increasing
+    within first..m (1-based unless ``first`` says otherwise).  ``bool``,
+    ``float`` (even ``3.0``) and ``str`` are refused, never truncated;
+    anything invalid raises ``error``.  Set relations (face size, a vertex
+    outside a face, borders outside a base) stay with the callers.
+    """
+    try:
+        items = tuple(indices)
+    except TypeError:
+        raise error(f"{what} must be a sequence of integers, got {indices!r}") from None
+    positions: list[int] = []
+    last = first - 1
+    for i in items:
+        # type(), not isinstance(): bool is an int subclass
+        if not (type(i) is int or isinstance(i, np.integer)) or not last < i <= m:
+            raise error(
+                f"{what} {items!r} invalid: expected integers in {first}..{m}, strictly increasing"
+            )
+        positions.append(int(i) - first)
+        last = i
+    return positions
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(int(i) for i in self.rows))
-        object.__setattr__(self, "cols", tuple(int(i) for i in self.cols))
-        if len(self.rows) != len(self.cols) or not self.rows:
-            raise BadIndexSet("rows and cols must have the same nonzero length")
-        for name, idx in (("rows", self.rows), ("cols", self.cols)):
-            if any(b <= a for a, b in zip(idx, idx[1:])):
-                raise BadIndexSet(f"{name} must be strictly increasing, got {idx}")
-            if idx[0] < 1:
-                raise BadIndexSet(f"{name} must be 1-based positive, got {idx}")
+
+def _complement(m: int, positions: list[int]) -> list[int]:
+    """The 0-based positions of 0..m-1 not in ``positions``, in order."""
+    taken = set(positions)
+    return [i for i in range(m) if i not in taken]
+
+
+def face_complement(simplex: Simplex, face: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a face selector; return 0-based (face, complement) arrays.
+
+    A valid face is a strictly increasing tuple of 1-based vertex indices,
+    at least one vertex and at most n (the complement must be nonempty).
+    """
+    m = simplex.vertex_count
+    face0 = _index_positions(face, m, BadFace, "face")
+    if not 0 < len(face0) < m:
+        raise BadFace(f"face must select between 1 and {m - 1} vertices, got {len(face0)}")
+    return np.array(face0, dtype=int), np.array(_complement(m, face0), dtype=int)
 
 
 def _check_square(matrix) -> np.ndarray:
@@ -181,31 +214,15 @@ def _check_square(matrix) -> np.ndarray:
     return A
 
 
-def minor(matrix, spec: MinorSpec) -> float:
-    """Determinant of the selected submatrix (LU under the hood).
-
-    No cofactor sign (-1)^(i+j) is applied; where a signed cofactor is
-    needed the caller supplies the sign.
-    """
-    A = _check_square(matrix)
-    if spec.rows[-1] > A.shape[0] or spec.cols[-1] > A.shape[0]:
-        raise BadIndexSet(f"indices {spec.rows}/{spec.cols} exceed matrix size {A.shape[0]}")
-    r = np.array(spec.rows) - 1
-    c = np.array(spec.cols) - 1
-    return float(np.linalg.det(A[np.ix_(r, c)]))
-
-
 def deleted_minor(matrix, i: int, j: int) -> float:
     """The ij-th minor: determinant after deleting row i and column j (1-based)."""
     A = _check_square(matrix)
     m = A.shape[0]
-    if not (1 <= i <= m and 1 <= j <= m):
-        raise BadIndexSet(f"minor indices ({i},{j}) outside 1..{m}")
+    (i0,) = _index_positions((i,), m, BadIndexSet, "minor row")
+    (j0,) = _index_positions((j,), m, BadIndexSet, "minor column")
     if m == 1:
         return 1.0
-    keep_r = [r for r in range(m) if r != i - 1]
-    keep_c = [c for c in range(m) if c != j - 1]
-    return float(np.linalg.det(A[np.ix_(keep_r, keep_c)]))
+    return float(np.linalg.det(A[np.ix_(_complement(m, [i0]), _complement(m, [j0]))]))
 
 
 def bordered_minor(matrix, base: Sequence[int], s: int, t: int) -> float:
@@ -216,14 +233,12 @@ def bordered_minor(matrix, base: Sequence[int], s: int, t: int) -> float:
     """
     A = _check_square(matrix)
     m = A.shape[0]
-    idx = [int(b) - 1 for b in base]
-    if any(not 0 <= b < m for b in idx) or not (1 <= s <= m and 1 <= t <= m):
-        raise BadIndexSet(f"bordered minor indices outside 1..{m}")
-    if (s - 1) in idx or (t - 1) in idx:
+    base0 = _index_positions(base, m, BadIndexSet, "bordered minor base")
+    (s0,) = _index_positions((s,), m, BadIndexSet, "bordered minor row")
+    (t0,) = _index_positions((t,), m, BadIndexSet, "bordered minor column")
+    if s0 in base0 or t0 in base0:
         raise BadIndexSet("border indices must lie outside the base set")
-    rows = idx + [s - 1]
-    cols = idx + [t - 1]
-    return float(np.linalg.det(A[np.ix_(rows, cols)]))
+    return float(np.linalg.det(A[np.ix_(base0 + [s0], base0 + [t0])]))
 
 
 @dataclass(frozen=True)
@@ -295,13 +310,11 @@ class SchurBlock:
     values: np.ndarray
 
 
-def _split_indices(m: int, retained: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    keep = sorted(int(i) for i in retained)
-    if not keep or len(set(keep)) != len(keep) or keep[0] < 1 or keep[-1] > m:
-        raise BadIndexSet(f"retained set {tuple(retained)} invalid for size {m}")
-    keep0 = np.array(keep) - 1
-    elim0 = np.array([i for i in range(m) if i + 1 not in set(keep)], dtype=int)
-    return keep0, elim0
+def _split_indices(m: int, retained: Sequence[int]) -> tuple[list[int], list[int]]:
+    keep0 = _index_positions(retained, m, BadIndexSet, "retained set")
+    if not keep0:
+        raise BadIndexSet("retained set must be nonempty")
+    return keep0, _complement(m, keep0)
 
 
 def schur_complement(
@@ -316,18 +329,19 @@ def schur_complement(
     """
     A = _check_square(matrix)
     keep0, elim0 = _split_indices(A.shape[0], retained)
-    if elim0.size == 0:
-        return SchurBlock(tuple(int(i) + 1 for i in keep0), _frozen(A[np.ix_(keep0, keep0)].copy()))
+    rows = tuple(i + 1 for i in keep0)
+    if not elim0:
+        return SchurBlock(rows, _frozen(A[np.ix_(keep0, keep0)].copy()))
     block_a = A[np.ix_(elim0, elim0)]
     # gate on the spectrum, not on det vs entry-scale^k: that floor grows
     # far faster than determinants of honest blocks do
     svals = np.linalg.svd(block_a, compute_uv=False)
     if svals[-1] <= tol_degenerate * svals[0] or svals[0] == 0.0:
-        raise SingularBlock(f"eliminated block {tuple(int(i) + 1 for i in elim0)} is singular")
+        raise SingularBlock(f"eliminated block {tuple(i + 1 for i in elim0)} is singular")
     s = A[np.ix_(keep0, keep0)] - A[np.ix_(keep0, elim0)] @ np.linalg.solve(
         block_a, A[np.ix_(elim0, keep0)]
     )
-    return SchurBlock(tuple(int(i) + 1 for i in keep0), _frozen(s))
+    return SchurBlock(rows, _frozen(s))
 
 
 def schur_complement_via_minors(matrix, retained: Sequence[int]) -> SchurBlock:
@@ -338,17 +352,18 @@ def schur_complement_via_minors(matrix, retained: Sequence[int]) -> SchurBlock:
     """
     A = _check_square(matrix)
     keep0, elim0 = _split_indices(A.shape[0], retained)
-    if elim0.size == 0:
-        return SchurBlock(tuple(int(i) + 1 for i in keep0), _frozen(A[np.ix_(keep0, keep0)].copy()))
-    base = tuple(int(i) + 1 for i in elim0)
+    rows = tuple(i + 1 for i in keep0)
+    if not elim0:
+        return SchurBlock(rows, _frozen(A[np.ix_(keep0, keep0)].copy()))
+    base = [i + 1 for i in elim0]
     denom = float(np.linalg.det(A[np.ix_(elim0, elim0)]))
     if denom == 0.0:
-        raise SingularBlock(f"eliminated block {base} is singular")
-    out = np.empty((keep0.size, keep0.size))
-    for a, s in enumerate(keep0):
-        for b, t in enumerate(keep0):
-            out[a, b] = bordered_minor(A, base, int(s) + 1, int(t) + 1) / denom
-    return SchurBlock(tuple(int(i) + 1 for i in keep0), _frozen(out))
+        raise SingularBlock(f"eliminated block {tuple(base)} is singular")
+    out = np.empty((len(rows), len(rows)))
+    for a, s in enumerate(rows):
+        for b, t in enumerate(rows):
+            out[a, b] = bordered_minor(A, base, s, t) / denom
+    return SchurBlock(rows, _frozen(out))
 
 
 def verify_block_inverse_identities(
@@ -362,10 +377,9 @@ def verify_block_inverse_identities(
     reported as products-with-inverse residuals.
     """
     m = simplex.vertex_count
-    if not 0 <= split_k <= m - 2:
-        raise BadIndexSet(f"split_k must be in 0..{m - 2}, got {split_k}")
-    lead = tuple(range(1, split_k + 2))
-    trail = tuple(range(split_k + 2, m + 1))
+    (split,) = _index_positions((split_k,), m - 2, BadIndexSet, "split_k", first=0)
+    lead = tuple(range(1, split + 2))
+    trail = tuple(range(split + 2, m + 1))
     t = simplex.scaling
     M, G = simplex.edge_matrix, simplex.gram_matrix
 
@@ -399,13 +413,12 @@ def complement_gram_inverse(simplex: Simplex, face: Sequence[int]) -> np.ndarray
     (the CLI's ``distance_paths`` residual) and the tests compare it with
     the linear solve of the G22 block that the projection code uses.
     """
+    face0, comp0 = face_complement(simplex, face)
     M = simplex.edge_matrix
-    m = simplex.vertex_count
-    face0 = [int(i) - 1 for i in face]
-    comp = [i for i in range(m) if i not in set(face0)]
     m_face = float(np.linalg.det(M[np.ix_(face0, face0)]))
     denom = simplex.model.curvature * simplex.edge_det * m_face
-    base = tuple(i + 1 for i in face0)
-    mts = np.array([[bordered_minor(M, base, s + 1, t + 1) for t in comp] for s in comp])
-    t_comp = simplex.scaling[comp]
+    base = (face0 + 1).tolist()
+    comp = (comp0 + 1).tolist()
+    mts = np.array([[bordered_minor(M, base, s, t) for t in comp] for s in comp])
+    t_comp = simplex.scaling[comp0]
     return t_comp[:, None] * t_comp[None, :] * mts * (abs(simplex.edge_det) / denom)

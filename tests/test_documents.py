@@ -42,6 +42,7 @@ def test_parse_metadata_kept():
         ('{"model": "spherical", "vertices": [[1]]}', "at least 2"),
         ('{"model": "spherical", "vertices": [[true,0,0],[0,1,0],[0,0,1]]}', "row 1 has a non-numeric"),
         ('{"model": "spherical", "vertices": [[1,0,0],[0,1,0],[0,0,false]]}', "row 3 has a non-numeric"),
+        ('{"model": "spherical", "vertices": [["1",0,0],[0,1,0],[0,0,1]]}', "row 1 has a non-numeric"),
         ('{"model": "spherical", "vertices": [[1,0,0],[0,1,0],[0,0,1]], "metadata": []}', "metadata"),
         ('{"model": "spherical", "vertices": [[1,0,0],[0,1,0],[0,0,1]], "metadata": 0}', "metadata"),
         ('{"model": "spherical", "vertices": [[1,0,0],[0,1,0],[0,0,1]], "metadata": ""}', "metadata"),

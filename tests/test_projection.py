@@ -13,6 +13,7 @@ from hsproj import (
     WrongSheet,
     altitude,
     bordered_minor,
+    deleted_minor,
     distance,
     distance_to_face,
     inner,
@@ -22,6 +23,7 @@ from hsproj import (
     vertex_foot,
 )
 from hsproj import projection
+from hsproj import simplex as simplex_mod
 from hsproj.forms import normalize_to_manifold
 from hsproj.oracle import random_point, random_simplex
 from hsproj.projection import _distance_to_face_by_minors
@@ -147,8 +149,10 @@ def test_distance_to_face_computes_no_minor(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("distance_to_face computed a minor")
 
-    for name in ("complement_gram_inverse", "bordered_minor", "deleted_minor"):
+    for name in ("complement_gram_inverse", "bordered_minor"):
         monkeypatch.setattr(projection, name, forbidden)
+    # projection does not import deleted_minor: forbid it in simplex, where it lives
+    monkeypatch.setattr(simplex_mod, "deleted_minor", forbidden)
     for _, s, face, p in _cases(2000, 10):
         try:
             expected = project_to_face(s, face, p).distance
@@ -272,13 +276,33 @@ def test_altitude_validation(octant):
         altitude(octant, (1, 2), 1)
 
 
-@pytest.mark.parametrize("case", _cases(5000, 10), ids=lambda c: f"{c[0].name}-n{c[0].n}")
+def _facet_cases():
+    """One facet per model, where the determinant ratio gives a further path."""
+    out = []
+    for name in ("hyperbolic", "spherical"):
+        model = model_named(name, 5)
+        s = random_simplex(model, 4, seed=5100)
+        out.append(pytest.param((model, s, (1, 2, 3, 5), None), id=f"{name}-n4-facet"))
+    return out
+
+
+@pytest.mark.parametrize(
+    "case", _cases(5000, 10) + _facet_cases(), ids=lambda c: f"{c[0].name}-n{c[0].n}"
+)
 def test_altitude_three_paths_agree(case):
     model, s, face, _ = case
     comp = [j for j in range(1, s.vertex_count + 1) if j not in face]
     for j in comp:
         alt = altitude(s, face, j)
         assert abs(alt - distance_to_face(s, face, s.vertices[j - 1])) <= 1e-9
+        if len(face) == s.n:
+            # facet: the determinant-ratio closed form 1 - curvature * det M / M_jj
+            c2 = 1.0 - model.curvature * s.edge_det / deleted_minor(s.edge_matrix, j, j)
+            if model.curvature == -1:
+                direct = math.acosh(math.sqrt(max(c2, 1.0)))
+            else:
+                direct = math.pi / 2 if c2 <= 1e-9 else math.acos(math.sqrt(min(c2, 1.0)))
+            assert abs(alt - direct) <= 1e-9
         try:
             foot = vertex_foot(s, face, j)
         except ProjectionUndefined:

@@ -6,7 +6,6 @@ from hsproj import (
     BadIndexSet,
     DegenerateSimplex,
     DimensionMismatch,
-    MinorSpec,
     Model,
     OffManifold,
     SingularBlock,
@@ -16,7 +15,6 @@ from hsproj import (
     complement_gram_inverse,
     deleted_minor,
     inner,
-    minor,
     scaling_matrix,
     schur_complement,
     schur_complement_via_minors,
@@ -71,30 +69,6 @@ def test_simplex_is_immutable(octant):
 
 
 # ---------------------------------------------------------------- minors
-
-def test_minor_examples(hyp_triangle):
-    assert minor(np.eye(3), MinorSpec((1, 2), (1, 2))) == 1.0
-    assert minor([[-1, -2], [-2, -1]], MinorSpec((1,), (1,))) == -1.0
-    # independent 2x2 oracle: ad - bc on the selected entries
-    M = hyp_triangle.edge_matrix
-    by_hand = M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1]
-    got = minor(M, MinorSpec((2, 3), (2, 3)))
-    assert got == pytest.approx(by_hand, abs=1e-15)
-    assert_allclose(got, -4.669626950043876, rtol=0, atol=1e-12)
-
-
-def test_minor_spec_validation():
-    with pytest.raises(BadIndexSet):
-        MinorSpec((2, 1), (1, 2))  # not increasing
-    with pytest.raises(BadIndexSet):
-        MinorSpec((1, 2), (1,))  # length mismatch
-    with pytest.raises(BadIndexSet):
-        MinorSpec((), ())
-    with pytest.raises(BadIndexSet):
-        MinorSpec((0, 1), (1, 2))  # not 1-based
-    with pytest.raises(BadIndexSet):
-        minor(np.eye(2), MinorSpec((1, 3), (1, 2)))  # out of range
-
 
 def test_deleted_and_bordered_minor():
     A = np.arange(1.0, 10.0).reshape(3, 3) + np.eye(3)
