@@ -5,7 +5,7 @@ The input grammar is plain JSON (documented in the README):
     {
       "model": "hyperbolic" | "spherical",
       "vertices": [[x1, ..., x_{n+1}], ...],   # n+1 rows of length n+1
-      "metadata": {"any": "strings"}           # optional
+      "metadata": {"any": "strings"}           # optional, string values only
     }
 
 Vertex rows are 1-based in all diagnostics, matching the rest of the
@@ -82,8 +82,12 @@ def parse_simplex_document(text: str) -> SimplexDocument:
         # only JSON numbers: float() would also take true and "1"
         if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row):
             raise DocumentError(f"vertex row {i} has a non-numeric entry")
-        values = [float(x) for x in row]
-        if not all(map(math.isfinite, values)):
+        try:
+            values = [float(x) for x in row]
+            finite = all(map(math.isfinite, values))
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise DocumentError(f"vertex row {i} has a non-finite entry")
         rows.append(values)
     if count < 2:
@@ -91,8 +95,9 @@ def parse_simplex_document(text: str) -> SimplexDocument:
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict):
         raise DocumentError("metadata must be an object")
-    meta = {str(k): str(v) for k, v in metadata.items()}
-    return SimplexDocument(model, rows, meta)
+    if not all(isinstance(v, str) for v in metadata.values()):
+        raise DocumentError("metadata values must be strings")
+    return SimplexDocument(model, rows, metadata)
 
 
 def _write(obj, parts: list[str], indent: int | None, level: int) -> None:

@@ -20,12 +20,13 @@ ProjectionUndefined while the plain distance routines return pi/2.
 
 The paper's bordered-minor formula for (G22)^-1 is kept as the private
 cross-check _distance_to_face_by_minors; no production path calls it.
+vertex_foot and altitude read row j of the Schur complement S of the face
+block of M (S[j,s] = m_j^s / m_face), solved once; they compute no minor.
 
-The closed forms are stated most simply when the face is the leading
-vertex block; here any face is accepted and the minor index sets are
-remapped accordingly.  All indices are 1-based and pass the index rule of
-``simplex`` (face_complement for faces); an invalid face or vertex raises
-BadFace.
+Any face is accepted, not only the leading vertex block in which the
+closed forms are stated.  All indices are 1-based and pass the index rule
+of ``simplex`` (face_complement for faces); an invalid face or vertex
+raises BadFace.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .forms import DEFAULT_TOLS, Model, Tolerances, _require_on_manifold, normal
 from .simplex import (
     Simplex,
     _index_positions,
-    bordered_minor,
     complement_gram_inverse,
     face_complement,
     schur_complement,
@@ -73,18 +73,22 @@ class ProjectionResult:
     pre_foot: np.ndarray
 
 
-def _opposite_vertex(
-    simplex: Simplex, face: Sequence[int], j: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """face_complement plus vertex j (1-based), which must lie outside the face.
+def _vertex_schur_row(
+    simplex: Simplex, face: Sequence[int], j: int, tols: Tolerances
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, float]:
+    """Row j of the Schur complement S of the face block of M, and c2 = 1 - curvature * S[j,j].
 
-    Returns the face and complement arrays and j's 0-based position.
+    Vertex j (1-based) must lie outside the face.  Returns the face and
+    complement arrays, j's 0-based position, the row and c2.
     """
     face0, comp0 = face_complement(simplex, face)
     (j0,) = _index_positions((j,), simplex.vertex_count, BadFace, "vertex")
     if j0 in face0:
         raise BadFace(f"vertex {j0 + 1} must lie outside the face {tuple((face0 + 1).tolist())}")
-    return face0, comp0, j0
+    block = schur_complement(simplex.edge_matrix, comp0 + 1, tols.degenerate)
+    pos = block.block_rows.index(j0 + 1)
+    row = block.values[pos]
+    return face0, comp0, j0, row, 1.0 - simplex.model.curvature * float(row[pos])
 
 
 def _distance_from_radicand(model: Model, c2: float, tols: Tolerances) -> float:
@@ -224,26 +228,19 @@ def vertex_foot(
     Uses the vertex-specialized closed form: since <p_j, e_t> vanishes for
     every complement vertex t != j, only the s-sum survives and
 
-        lambda_s = T_s * m_j^s / m_face,  T_s = sqrt|M_ss / det M|
+        lambda_s = T_s * S[j,s],  T_s = sqrt|M_ss / det M|
 
-    with T read from the cached ``simplex.scaling``.  The pre-foot norm then
-    satisfies curvature * <p., p.> = 1 - curvature * m_j^j / m_face, which
-    doubles as the distance radicand.
+    with S the Schur complement of the face block of the edge matrix
+    (S[j,s] = m_j^s / m_face) and T the cached ``simplex.scaling``.  The
+    pre-foot norm satisfies curvature * <p., p.> = 1 - curvature * S[j,j],
+    the radicand ``altitude`` reads from the same row.
     """
-    face0, comp0, j0 = _opposite_vertex(simplex, face, j)
-    M = simplex.edge_matrix
-    base = (face0 + 1).tolist()
-    m_face = float(np.linalg.det(M[np.ix_(face0, face0)]))
-
-    lambdas: dict[int, float] = {}
-    pre_foot = simplex.vertices[j0].copy()
-    for s in comp0.tolist():
-        lam_s = float(simplex.scaling[s]) * bordered_minor(M, base, j0 + 1, s + 1) / m_face
-        lambdas[s + 1] = lam_s
-        pre_foot += lam_s * simplex.normals[s]
-    m_jj = bordered_minor(M, base, j0 + 1, j0 + 1)
-    c2 = 1.0 - simplex.model.curvature * m_jj / m_face
-    return _finish(simplex, pre_foot, c2, lambdas, tols, f"vertex {j0 + 1} onto face {tuple(base)}")
+    face0, comp0, j0, row, c2 = _vertex_schur_row(simplex, face, j, tols)
+    lam = simplex.scaling[comp0] * row
+    pre_foot = simplex.vertices[j0] + lam @ simplex.normals[comp0]
+    lambdas = dict(zip((comp0 + 1).tolist(), lam.tolist()))
+    what = f"vertex {j0 + 1} onto face {tuple((face0 + 1).tolist())}"
+    return _finish(simplex, pre_foot, c2, lambdas, tols, what)
 
 
 def altitude(
@@ -255,13 +252,11 @@ def altitude(
     """Distance from vertex p_j to the k-plane of an opposite face.
 
     Computed from the Schur complement of the face block of the edge
-    matrix: the radicand is 1 - curvature * S_jj (S_jj = a_jj hyperbolic,
-    b_jj spherical).  The spherical undefined-foot limit returns pi/2.
-    For a facet the determinant ratio 1 - curvature * det M / M_jj gives
-    the same radicand; the tests keep it as a cross-check.
+    matrix, the same row ``vertex_foot`` reads: the radicand is
+    1 - curvature * S_jj (S_jj = a_jj hyperbolic, b_jj spherical).  The
+    spherical undefined-foot limit returns pi/2.  For a facet the
+    determinant ratio 1 - curvature * det M / M_jj gives the same
+    radicand; the tests keep it as a cross-check.
     """
-    _, comp0, j0 = _opposite_vertex(simplex, face, j)
-    block = schur_complement(simplex.edge_matrix, comp0 + 1, tols.degenerate)
-    pos = block.block_rows.index(j0 + 1)
-    c2 = 1.0 - simplex.model.curvature * float(block.values[pos, pos])
+    *_, c2 = _vertex_schur_row(simplex, face, j, tols)
     return _distance_from_radicand(simplex.model, c2, tols)

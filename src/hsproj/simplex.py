@@ -405,20 +405,15 @@ def verify_block_inverse_identities(
 def complement_gram_inverse(simplex: Simplex, face: Sequence[int]) -> np.ndarray:
     """(G^22)^-1 over the complement normals, built from edge-matrix minors.
 
-    Entry (s,t) = T_s T_t |det M| * m_t^s / (curvature * det M * m_face)
-    where T = ``simplex.scaling``, m_face = det M[face,face] and m_t^s is
-    the bordered minor over (face, s) x (face, t).  This is the paper's
-    closed-form route and a cross-check only: no projection or distance
-    calls it.  The distance cross-check ``projection._distance_to_face_by_minors``
-    (the CLI's ``distance_paths`` residual) and the tests compare it with
-    the linear solve of the G22 block that the projection code uses.
+    Equals sign(det M) * curvature * T_c S T_c, with T_c = ``simplex.scaling``
+    over the complement and S the face block's Schur complement as the
+    bordered-minor ratios of ``schur_complement_via_minors``.  This is the
+    paper's closed-form route and a cross-check only: no projection or
+    distance calls it; ``projection._distance_to_face_by_minors`` (the CLI's
+    ``distance_paths`` residual) and the tests compare it with the G22 solve.
     """
-    face0, comp0 = face_complement(simplex, face)
-    M = simplex.edge_matrix
-    m_face = float(np.linalg.det(M[np.ix_(face0, face0)]))
-    denom = simplex.model.curvature * simplex.edge_det * m_face
-    base = (face0 + 1).tolist()
-    comp = (comp0 + 1).tolist()
-    mts = np.array([[bordered_minor(M, base, s, t) for t in comp] for s in comp])
+    _, comp0 = face_complement(simplex, face)
+    s = schur_complement_via_minors(simplex.edge_matrix, comp0 + 1).values
     t_comp = simplex.scaling[comp0]
-    return t_comp[:, None] * t_comp[None, :] * mts * (abs(simplex.edge_det) / denom)
+    sign = np.sign(simplex.edge_det) * simplex.model.curvature
+    return sign * t_comp[:, None] * s * t_comp[None, :]

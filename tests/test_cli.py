@@ -256,3 +256,6 @@ def test_non_finite_input_is_exit_2(tmp_path, capsys):
     doc = {"model": "spherical", "vertices": [[1, 0, 0], [0, math.nan, 0], [0, 0, 1]]}
     code, _, err = run(capsys, "validate", write_doc(tmp_path, doc, "nan.json"), "--json")
     assert code == 2 and "row 2 has a non-finite entry" in err
+    huge = {"model": "spherical", "vertices": [[1, 0, 0], [0, 10**400, 0], [0, 0, 1]]}
+    code, _, err = run(capsys, "validate", write_doc(tmp_path, huge, "huge.json"), "--json")
+    assert code == 2 and "row 2 has a non-finite entry" in err

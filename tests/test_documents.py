@@ -39,6 +39,7 @@ def test_parse_metadata_kept():
         ('{"model": "spherical", "vertices": [[1,0,0],[0,"x",0],[0,0,1]]}', "row 2"),
         ('{"model": "spherical", "vertices": [[1,0,0],[0,NaN,0],[0,0,1]]}', "row 2 has a non-finite"),
         ('{"model": "spherical", "vertices": [[1,0,0],[0,1,0],[0,0,1e999]]}', "row 3 has a non-finite"),
+        ('{"model": "spherical", "vertices": [[1,0,0],[0,1' + "0" * 400 + ',0],[0,0,1]]}', "row 2 has a non-finite"),
         ('{"model": "spherical", "vertices": [[1]]}', "at least 2"),
         ('{"model": "spherical", "vertices": [[true,0,0],[0,1,0],[0,0,1]]}', "row 1 has a non-numeric"),
         ('{"model": "spherical", "vertices": [[1,0,0],[0,1,0],[0,0,false]]}', "row 3 has a non-numeric"),
@@ -48,6 +49,11 @@ def test_parse_metadata_kept():
         ('{"model": "spherical", "vertices": [[1,0,0],[0,1,0],[0,0,1]], "metadata": ""}', "metadata"),
         ('{"model": "spherical", "vertices": [[1,0,0],[0,1,0],[0,0,1]], "metadata": null}', "metadata"),
         ('{"model": "spherical", "vertices": [[1,0,0],[0,1,0],[0,0,1]], "metadata": [1]}', "metadata"),
+        (
+            '{"model": "spherical", "vertices": [[1,0,0],[0,1,0],[0,0,1]],'
+            ' "metadata": {"a": null, "b": {"c": [1, true]}}}',
+            "metadata values must be strings",
+        ),
     ],
 )
 def test_parse_errors(text, needle):

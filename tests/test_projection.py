@@ -149,10 +149,10 @@ def test_distance_to_face_computes_no_minor(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("distance_to_face computed a minor")
 
-    for name in ("complement_gram_inverse", "bordered_minor"):
-        monkeypatch.setattr(projection, name, forbidden)
-    # projection does not import deleted_minor: forbid it in simplex, where it lives
-    monkeypatch.setattr(simplex_mod, "deleted_minor", forbidden)
+    monkeypatch.setattr(projection, "complement_gram_inverse", forbidden)
+    # projection imports no minor function: forbid them in simplex, where they live
+    for name in ("bordered_minor", "deleted_minor"):
+        monkeypatch.setattr(simplex_mod, name, forbidden)
     for _, s, face, p in _cases(2000, 10):
         try:
             expected = project_to_face(s, face, p).distance
@@ -256,9 +256,43 @@ def test_vertex_foot_matches_general_path(case):
         # and 1 - m_j^j/m_face (spherical)
         M = s.edge_matrix
         face0 = [i - 1 for i in face]
-        ratio = bordered_minor(M, face, j, j) / np.linalg.det(M[np.ix_(face0, face0)])
+        m_face = np.linalg.det(M[np.ix_(face0, face0)])
+        ratio = bordered_minor(M, face, j, j) / m_face
         expected = -1.0 - ratio if model.curvature == -1 else 1.0 - ratio
         assert inner(model, a.pre_foot, a.pre_foot) == pytest.approx(expected, abs=1e-9)
+        # the paper's vertex-specialized coefficients lambda_s = T_s m_j^s / m_face
+        for t, lam in a.lambdas.items():
+            paper = s.scaling[t - 1] * bordered_minor(M, face, j, t) / m_face
+            assert lam == pytest.approx(paper, abs=1e-9)
+
+
+def test_vertex_routes_compute_no_minor(monkeypatch):
+    cases = _cases(4000, 10)
+    for _, s, _, _ in cases:
+        s.scaling  # T is derived once per simplex, outside the routes under test
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a vertex route computed a minor")
+
+    for name in ("bordered_minor", "deleted_minor"):
+        monkeypatch.setattr(simplex_mod, name, forbidden)
+    monkeypatch.setattr(np.linalg, "det", forbidden)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return simplex_mod.schur_complement(*args, **kwargs)
+
+    monkeypatch.setattr(projection, "schur_complement", counted)
+    for _, s, face, _ in cases:
+        for j in sorted(set(range(1, s.vertex_count + 1)) - set(face)):
+            calls.clear()
+            alt = altitude(s, face, j)
+            try:
+                assert vertex_foot(s, face, j).distance == alt
+            except ProjectionUndefined:
+                pass
+            assert len(calls) == 2  # one schur_complement per route
 
 
 # -------------------------------------------------------------------- altitude
