@@ -54,6 +54,12 @@ def _int_csv(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _float_csv(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(x) for x in text.split(","))
@@ -184,13 +190,14 @@ def cmd_altitudes(args, tols: Tolerances) -> dict:
         ]
     rows = []
     for face, j in targets:
-        entry: dict = {"vertex": j, "face": list(face), "distance": altitude(simplex, face, j, tols)}
+        # one Schur row per target: altitude is needed only where the foot is not
+        entry: dict = {"vertex": j, "face": list(face)}
         try:
             foot = vertex_foot(simplex, face, j, tols)
-            entry["foot"] = _vec(foot.foot)
-            entry["foot_undefined"] = False
         except ProjectionUndefined:
-            entry["foot_undefined"] = True
+            entry.update(distance=altitude(simplex, face, j, tols), foot_undefined=True)
+        else:
+            entry.update(distance=foot.distance, foot=_vec(foot.foot), foot_undefined=False)
         rows.append(entry)
     report["results"]["altitudes"] = rows
     return report
@@ -262,8 +269,8 @@ def cmd_check(args, tols: Tolerances, tol_factor: float) -> dict:
             n, gen_seed, count = int(n_str), int(seed_str), int(count_str)
         except ValueError:
             raise DocumentError("--random N SEED COUNT must be integers")
-        if n < 2 or count < 1:
-            raise DocumentError("--random needs n >= 2 and count >= 1")
+        if n < 2 or gen_seed < 0 or count < 1:
+            raise DocumentError("--random needs n >= 2, SEED >= 0 and count >= 1")
         inputs = {
             "random": {"model": model_name, "n": n, "seed": gen_seed, "count": count},
             "check_seed": args.seed,
@@ -383,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="ambient coordinates of the point (use --point=... if negative)")
     p_proj.add_argument("--check", action="store_true",
                         help="also run the brute-force oracle and report the deviation")
-    p_proj.add_argument("--seed", type=int, default=0, help="oracle probe seed")
+    p_proj.add_argument("--seed", type=_seed, default=0, help="oracle probe seed")
 
     p_alt = sub.add_parser("altitudes", help="altitudes (and feet) from vertices to opposite faces")
     common(p_alt)
@@ -394,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_chk, file_optional=True)
     p_chk.add_argument("--random", nargs=4, metavar=("MODEL", "N", "SEED", "COUNT"),
                        help="check COUNT random n-simplices instead of a document")
-    p_chk.add_argument("--seed", type=int, default=0, help="sampling seed for faces/points/oracle")
+    p_chk.add_argument("--seed", type=_seed, default=0, help="sampling seed for faces/points/oracle")
     return parser
 
 

@@ -13,9 +13,9 @@ package.  Structural problems (bad JSON, wrong row lengths, unknown
 model) raise DocumentError, which the CLI maps to exit code 2; geometric
 problems surface later from build_simplex and map to exit code 1.
 
-Reports are emitted through :func:`dumps`, a small JSON writer that
-serializes every float with 17 significant digits so parsing a report
-back reproduces the exact doubles that produced it.
+Reports are emitted through :func:`dumps`, the standard ``json`` writer:
+each float is its shortest round-trip repr, so a parsed report holds the
+exact doubles that produced it, integral ones as floats (``1.0``, not ``1``).
 """
 
 from __future__ import annotations
@@ -100,56 +100,15 @@ def parse_simplex_document(text: str) -> SimplexDocument:
     return SimplexDocument(model, rows, metadata)
 
 
-def _write(obj, parts: list[str], indent: int | None, level: int) -> None:
-    pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
-    end = "" if indent is None else "\n" + " " * (indent * level)
-    if isinstance(obj, bool):
-        parts.append("true" if obj else "false")
-    elif obj is None:
-        parts.append("null")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ValueError(f"cannot serialize non-finite float {x!r}")
-        parts.append(format(x, ".17g"))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        parts.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                parts.append("," if indent is None else ",")
-            parts.append(pad)
-            parts.append(json.dumps(str(k)))
-            parts.append(": ")
-            _write(v, parts, indent, level + 1)
-        parts.append(end + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            parts.append("[]")
-            return
-        parts.append("[")
-        for i, v in enumerate(seq):
-            if i:
-                parts.append("," if indent is None else ",")
-            parts.append(pad)
-            _write(v, parts, indent, level + 1)
-        parts.append(end + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+def _numpy(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def dumps(obj, indent: int | None = None) -> str:
-    """JSON text with every float at 17 significant digits (round-trip exact)."""
-    parts: list[str] = []
-    _write(obj, parts, indent, 0)
-    return "".join(parts)
+    """JSON text, floats as shortest round-trip reprs; numpy via tolist; ValueError on NaN/inf."""
+    return json.dumps(obj, indent=indent, separators=(",", ": "), allow_nan=False, default=_numpy)
 
 
 def digest(obj) -> str:

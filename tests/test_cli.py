@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hsproj import Model, build_simplex, project_to_face
+from hsproj import Model, build_simplex, project_to_face, projection
 from hsproj.cli import main
+from hsproj.simplex import schur_complement
 
 from conftest import COSH1, SINH1
 
@@ -74,9 +75,19 @@ def test_validate_parse_error_names_row(tmp_path, capsys):
     assert "row 1" in err
 
 
-def test_usage_error_is_exit_2(capsys):
+def test_usage_error_is_exit_2(tmp_path, capsys):
     assert main([]) == 2
     assert main(["project"]) == 2  # missing required flags
+    capsys.readouterr()
+    path = write_doc(tmp_path, OCTANT)
+    for argv in (
+        ["project", path, "--face", "1,2", "--point", "1,0,0", "--check", "--seed", "-1"],
+        ["check", path, "--seed", "-1"],
+        ["check", "--random", "spherical", "3", "1", "2", "--seed", "-3"],
+        ["check", path, "--seed", "x"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "argument --seed" in err
 
 
 # ------------------------------------------------------------------- project
@@ -147,6 +158,12 @@ def test_report_roundtrip_is_bit_identical(tmp_path, capsys):
     again = project_to_face(simplex, inputs["face"], np.array(inputs["point"], dtype=float))
     assert [float(v) for v in again.foot] == report["results"]["foot"]
     assert float(again.distance) == report["results"]["distance"]
+    # floats echo back as floats, integral ones (1.0, 0.0) included
+    echoed = [x for row in inputs["vertices"] for x in row] + inputs["point"]
+    results = report["results"]
+    produced = results["foot"] + results["pre_foot"] + list(results["lambda"].values())
+    produced += [results["distance"], results["minors"]["det_edge_matrix"]]
+    assert all(type(x) is float for x in echoed + produced)
 
 
 def test_project_reads_stdin(tmp_path, capsys, monkeypatch):
@@ -181,6 +198,21 @@ def test_altitudes_triangle_face(tmp_path, capsys):
     assert rows[0]["distance"] == pytest.approx(1.0, abs=1e-12)
     assert rows[0]["foot_undefined"] is False
     assert_allclose(rows[0]["foot"], [1.0, 0.0, 0.0], atol=1e-12)
+
+
+def test_altitudes_solve_one_schur_row_per_target(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return schur_complement(*args, **kwargs)
+
+    monkeypatch.setattr(projection, "schur_complement", counted)
+    code, report, _ = run_json(capsys, "altitudes", write_doc(tmp_path, TRIANGLE))
+    assert code == 0
+    rows = report["results"]["altitudes"]
+    assert len(rows) == 3 and not any(row["foot_undefined"] for row in rows)
+    assert len(calls) == 3
 
 
 def test_altitudes_degenerate_input(tmp_path, capsys):
@@ -227,6 +259,8 @@ def test_check_rejects_bad_random_args(capsys):
     assert code == 2
     code, out, err = run(capsys, "check", "--random", "spherical", "x", "1", "2")
     assert code == 2
+    code, out, err = run(capsys, "check", "--random", "spherical", "3", "-5", "2")
+    assert code == 2 and "SEED >= 0" in err
 
 
 def test_check_human_table(capsys):

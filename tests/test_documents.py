@@ -72,8 +72,8 @@ def test_dumps_roundtrips_floats_exactly():
     text = dumps({"v": values})
     back = json.loads(text)["v"]
     assert all(float(a) == b for a, b in zip(back, values))
-    # 17 significant digits are spelled out
-    assert "0.10000000000000001" in text
+    # integral floats stay floats: 1.0 is not written as 1
+    assert all(type(a) is float for a in back)
 
 
 def test_dumps_types():
@@ -83,6 +83,10 @@ def test_dumps_types():
     assert json.loads(dumps(np.arange(3))) == [0, 1, 2]
     assert json.loads(dumps({})) == {}
     assert json.loads(dumps([])) == []
+    assert json.loads(dumps({"k": np.int64(3)})) == {"k": 3}
+    assert json.loads(dumps(np.array([[1.0, 0.5], [0.0, -2.0]]))) == [[1.0, 0.5], [0.0, -2.0]]
+    with pytest.raises(TypeError):
+        dumps({"s": {1, 2}})
 
 
 def test_dumps_indent_parses():
