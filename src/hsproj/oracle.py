@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DegenerateSimplex, DimensionMismatch, GenerationExhausted, OracleFailure
 from .forms import DEFAULT_TOLS, Model, Tolerances, _require_on_manifold, distance, normalize_to_manifold
-from .projection import ProjectionResult
+from .projection import ProjectionResult, _lambdas
 from .simplex import Simplex, build_simplex, face_complement
 
 __all__ = ["OracleOptions", "oracle_project", "random_simplex", "random_point"]
@@ -244,13 +244,10 @@ def oracle_project(
     scale = math.cosh(dist) if hyper else math.cos(dist)
     pre_foot = scale * foot
 
-    # coefficients of pre_foot - p in the complement normal basis (report
-    # decoration; the search above never used the normal frame)
-    e_comp = simplex.normals[comp0]
-    g22 = simplex.gram_matrix[np.ix_(comp0, comp0)]
-    lam = np.linalg.solve(g22, (e_comp * sig) @ (pre_foot - pv))
-    lambdas = dict(zip((comp0 + 1).tolist(), lam.tolist()))
-    return ProjectionResult(foot, dist, lambdas, pre_foot)
+    # coefficients of pre_foot - p in the complement normal basis by the
+    # projection's own formula (report decoration; the search above never
+    # used the normal frame)
+    return ProjectionResult(foot, dist, _lambdas(simplex, comp0, pre_foot - pv), pre_foot)
 
 
 def random_point(model: Model, rng) -> np.ndarray:

@@ -1,27 +1,28 @@
 """Closed-form orthogonal projection onto k-planes spanned by simplex faces.
 
 A k-face of the simplex (any k+1 of its vertices, 0 <= k <= n-1) spans a
-k-plane of the manifold.  The complement normals {e_t : t not in face} are
-a basis of the orthogonal complement of that span, so the projection of a
-point p works in three short steps, identical in both geometries:
+k-plane of the manifold.  Every foot and distance here, from a point or
+from a vertex, is one solve of the face block of the edge matrix, the same
+in both geometries:
 
-1. solve  G22 . lambda = -[<p, e_t>]  over the complement Gram block,
-2. form the pre-foot  p. = p + sum_s lambda_s e_s  (the component of p in
-   the span of the face vertices),
+1. solve  M[face,face] . mu = w  with  w_i = <p_i, p>,
+2. form the pre-foot  p. = sum_i mu_i p_i  (the component of p in the span
+   of the face vertices),
 3. rescale the pre-foot onto the manifold.
 
-The radicand c2 = curvature * <p., p.> equals cosh^2 of the hyperbolic
-distance (always >= 1) or cos^2 of the spherical distance.  It falls out of
-step 1 as c2 = 1 + curvature * <b, lambda>, so distance_to_face runs step 1
-alone and builds neither the foot nor any minor.  When c2 is not safely
-positive in the spherical case the nearest point is not unique (p sits at
-distance pi/2 from the whole plane): the foot constructors raise
-ProjectionUndefined while the plain distance routines return pi/2.
+The paper's route through the complement Gram block G22 gives the same
+foot, by the block-inverse identity (M^11)^-1 = T S(G22) T.  Step 1 yields
+two radicands without cancellation: s2 = <p - p., p - p.> (sinh^2 or sin^2
+of the distance) and c2 = curvature * mu . w (cosh^2 or cos^2), so the
+distance is asinh(sqrt s2) in H^n and atan2(sqrt s2, sqrt c2) in S^n.  The
+normal coefficients need no minor: <e_s, p_t> = 0 for s != t, so
+lambda_t = <p. - p, p_t> / <e_t, p_t>.  When c2 is not safely positive in
+the spherical case the nearest point is not unique (p sits at distance
+pi/2 from the whole plane): the foot constructors raise ProjectionUndefined
+while the plain distance routines return pi/2.
 
 The paper's bordered-minor formula for (G22)^-1 is kept as the private
 cross-check _distance_to_face_by_minors; no production path calls it.
-vertex_foot and altitude read row j of the Schur complement S of the face
-block of M (S[j,s] = m_j^s / m_face), solved once; they compute no minor.
 
 Any face is accepted, not only the leading vertex block in which the
 closed forms are stated.  All indices are 1-based and pass the index rule
@@ -39,13 +40,7 @@ import numpy as np
 
 from .errors import BadFace, DomainError, ProjectionUndefined
 from .forms import DEFAULT_TOLS, Model, Tolerances, _require_on_manifold, normalize_to_manifold
-from .simplex import (
-    Simplex,
-    _index_positions,
-    complement_gram_inverse,
-    face_complement,
-    schur_complement,
-)
+from .simplex import Simplex, _index_positions, complement_gram_inverse, face_complement
 
 __all__ = [
     "ProjectionResult",
@@ -73,44 +68,49 @@ class ProjectionResult:
     pre_foot: np.ndarray
 
 
-def _vertex_schur_row(
-    simplex: Simplex, face: Sequence[int], j: int, tols: Tolerances
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, float]:
-    """Row j of the Schur complement S of the face block of M, and c2 = 1 - curvature * S[j,j].
+def _face_solve(simplex: Simplex, face0: np.ndarray, pv: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Steps 1-2: the pre-foot and its radicands s2 = <p - p., p - p.>, c2 = curvature * mu . w."""
+    sig = simplex.model.signature
+    face_pts = simplex.vertices[face0]
+    w = (face_pts * sig) @ pv
+    mu = np.linalg.solve(simplex.edge_matrix[face0][:, face0], w)
+    pre_foot = mu @ face_pts
+    r = pv - pre_foot
+    return pre_foot, float((r * sig) @ r), simplex.model.curvature * float(mu @ w)
 
-    Vertex j (1-based) must lie outside the face.  Returns the face and
-    complement arrays, j's 0-based position, the row and c2.
+
+def _lambdas(simplex: Simplex, comp0: np.ndarray, displacement: np.ndarray) -> dict[int, float]:
+    """Coefficients of ``displacement`` (p. - p) in the complement normals, keyed 1-based.
+
+    lambda_t = <displacement, p_t> / <e_t, p_t>, since <e_s, p_t> = 0 for s != t.
     """
-    face0, comp0 = face_complement(simplex, face)
-    (j0,) = _index_positions((j,), simplex.vertex_count, BadFace, "vertex")
-    if j0 in face0:
-        raise BadFace(f"vertex {j0 + 1} must lie outside the face {tuple((face0 + 1).tolist())}")
-    block = schur_complement(simplex.edge_matrix, comp0 + 1, tols.degenerate)
-    pos = block.block_rows.index(j0 + 1)
-    row = block.values[pos]
-    return face0, comp0, j0, row, 1.0 - simplex.model.curvature * float(row[pos])
+    comp_pts = simplex.vertices[comp0] * simplex.model.signature
+    lam = (comp_pts @ displacement) / np.einsum("ij,ij->i", comp_pts, simplex.normals[comp0])
+    return dict(zip((comp0 + 1).tolist(), lam.tolist()))
 
 
-def _distance_from_radicand(model: Model, c2: float, tols: Tolerances) -> float:
-    """Distance whose cosh^2 (hyperbolic) or cos^2 (spherical) equals c2.
+def _distance(model: Model, s2: float, c2: float, tols: Tolerances) -> float:
+    """Distance whose sinh^2/sin^2 is s2 and cosh^2/cos^2 is c2.
 
-    A spherical radicand within ``tols.norm`` of 0 gives exactly pi/2: the
+    A spherical c2 within ``tols.norm`` of 0 gives exactly pi/2: the
     distance is well-defined there even though the foot is not.
     """
+    sine = math.sqrt(max(s2, 0.0))
     if model.curvature == -1:
         if c2 < 1.0 - tols.domain:
             raise DomainError(f"hyperbolic radicand {c2!r} fell below 1")
-        return math.acosh(math.sqrt(max(c2, 1.0)))
+        return math.asinh(sine)
     if c2 <= tols.norm:
         return math.pi / 2
     if c2 > 1.0 + tols.domain:
         raise DomainError(f"spherical radicand {c2!r} exceeds 1")
-    return math.acos(math.sqrt(min(max(c2, 0.0), 1.0)))
+    return math.atan2(sine, math.sqrt(c2))
 
 
 def _finish(
     simplex: Simplex,
     pre_foot: np.ndarray,
+    s2: float,
     c2: float,
     lambdas: dict[int, float],
     tols: Tolerances,
@@ -122,18 +122,14 @@ def _finish(
             f"{what}: point is at distance pi/2 from the plane; the foot is not unique"
         )
     foot = normalize_to_manifold(model, pre_foot, tols.norm)
-    return ProjectionResult(foot, _distance_from_radicand(model, c2, tols), lambdas, pre_foot)
+    return ProjectionResult(foot, _distance(model, s2, c2, tols), lambdas, pre_foot)
 
 
-def _solve_complement(
-    simplex: Simplex, comp0: np.ndarray, pv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Step 1: the complement normals, lambda = -(G22)^-1 b and the radicand c2."""
-    e_comp = simplex.normals[comp0]
-    b = (e_comp * simplex.model.signature) @ pv
-    g22 = simplex.gram_matrix[np.ix_(comp0, comp0)]
-    lam = np.linalg.solve(g22, -b)
-    return e_comp, lam, 1.0 + simplex.model.curvature * float(b @ lam)
+def _project(
+    simplex: Simplex, face0: np.ndarray, comp0: np.ndarray, pv: np.ndarray, tols: Tolerances, what: str
+) -> ProjectionResult:
+    pre_foot, s2, c2 = _face_solve(simplex, face0, pv)
+    return _finish(simplex, pre_foot, s2, c2, _lambdas(simplex, comp0, pre_foot - pv), tols, what)
 
 
 def project_to_face(
@@ -144,15 +140,13 @@ def project_to_face(
 ) -> ProjectionResult:
     """Orthogonal projection of p onto the k-plane of the selected face.
 
-    The foot is the unique geodesic-distance minimizer over the plane
+    One solve of the face block of the edge matrix (steps 1-3 above).  The
+    foot is the unique geodesic-distance minimizer over the plane
     (spherical exception: ProjectionUndefined at distance pi/2).
     """
     pv = _require_on_manifold(simplex.model, p, tols.manifold, "point")
     face0, comp0 = face_complement(simplex, face)
-    e_comp, lam, c2 = _solve_complement(simplex, comp0, pv)
-    pre_foot = pv + lam @ e_comp
-    lambdas = dict(zip((comp0 + 1).tolist(), lam.tolist()))
-    return _finish(simplex, pre_foot, c2, lambdas, tols, f"face {tuple((face0 + 1).tolist())}")
+    return _project(simplex, face0, comp0, pv, tols, f"face {tuple((face0 + 1).tolist())}")
 
 
 def distance_to_face(
@@ -161,17 +155,14 @@ def distance_to_face(
     p,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> float:
-    """Distance to the face's k-plane from the radicand of step 1, no foot built.
+    """Distance to the face's k-plane: project_to_face's solve, stopped at its radicands.
 
-    Runs the same G22 solve as project_to_face and stops at its radicand
-    c2 = 1 + curvature * <b, lambda>; no minor is computed.  In the
-    spherical case a radicand within tolerance of 0 returns exactly pi/2
-    (the distance is still well-defined there even though the foot is not).
+    In the spherical case a c2 within tolerance of 0 returns exactly pi/2.
     """
     pv = _require_on_manifold(simplex.model, p, tols.manifold, "point")
-    _, comp0 = face_complement(simplex, face)
-    _, _, c2 = _solve_complement(simplex, comp0, pv)
-    return _distance_from_radicand(simplex.model, c2, tols)
+    face0, _ = face_complement(simplex, face)
+    _, s2, c2 = _face_solve(simplex, face0, pv)
+    return _distance(simplex.model, s2, c2, tols)
 
 
 def _distance_to_face_by_minors(
@@ -182,18 +173,17 @@ def _distance_to_face_by_minors(
 ) -> float:
     """Cross-check of distance_to_face through the paper's minors route.
 
-    Evaluates the closed-form radical 1 - curvature * b' (G22)^-1 b with
-    (G22)^-1 assembled from bordered edge-matrix minors
-    (complement_gram_inverse), independently of the G22 solve.  No
-    production path calls it; the CLI's ``distance_paths`` residual and
-    the tests compare the two routes.
+    Evaluates the closed-form radicand s2 = b' (G22)^-1 b, b_t = <p, e_t>,
+    with (G22)^-1 assembled from bordered edge-matrix minors
+    (complement_gram_inverse), independently of the face-block solve, and
+    c2 = 1 - curvature * s2.  No production path calls it; the CLI's
+    ``distance_paths`` residual and the tests compare the two routes.
     """
     pv = _require_on_manifold(simplex.model, p, tols.manifold, "point")
     face0, comp0 = face_complement(simplex, face)
     b = (simplex.normals[comp0] * simplex.model.signature) @ pv
-    kinv = complement_gram_inverse(simplex, face0 + 1)
-    c2 = 1.0 - simplex.model.curvature * float(b @ kinv @ b)
-    return _distance_from_radicand(simplex.model, c2, tols)
+    s2 = float(b @ complement_gram_inverse(simplex, face0 + 1) @ b)
+    return _distance(simplex.model, s2, 1.0 - simplex.model.curvature * s2, tols)
 
 
 def project_to_hyperplane(
@@ -205,8 +195,8 @@ def project_to_hyperplane(
     """Fast path for the facet hyperplane opposite vertex j.
 
     sigma(p) = (p - <p,e_j> e_j) / sqrt(1 + <p,e_j>^2) in H^n and the same
-    with 1 - <p,e_j>^2 in S^n; agrees with project_to_face on the face that
-    omits j.
+    with 1 - <p,e_j>^2 in S^n, so s2 = <p,e_j>^2; agrees with
+    project_to_face on the face that omits j.
     """
     (j0,) = _index_positions((j,), simplex.vertex_count, BadFace, "vertex")
     pv = _require_on_manifold(simplex.model, p, tols.manifold, "point")
@@ -214,7 +204,16 @@ def project_to_hyperplane(
     a = float((pv * simplex.model.signature) @ e_j)
     pre_foot = pv - a * e_j
     c2 = 1.0 - simplex.model.curvature * a * a
-    return _finish(simplex, pre_foot, c2, {j0 + 1: -a}, tols, f"hyperplane opposite {j0 + 1}")
+    return _finish(simplex, pre_foot, a * a, c2, {j0 + 1: -a}, tols, f"hyperplane opposite {j0 + 1}")
+
+
+def _opposite_vertex(simplex: Simplex, face: Sequence[int], j: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Face and complement arrays and the 0-based position of vertex j, which must lie outside the face."""
+    face0, comp0 = face_complement(simplex, face)
+    (j0,) = _index_positions((j,), simplex.vertex_count, BadFace, "vertex")
+    if j0 in face0:
+        raise BadFace(f"vertex {j0 + 1} must lie outside the face {tuple((face0 + 1).tolist())}")
+    return face0, comp0, j0
 
 
 def vertex_foot(
@@ -225,22 +224,12 @@ def vertex_foot(
 ) -> ProjectionResult:
     """Perpendicular foot from vertex p_j onto a face not containing it.
 
-    Uses the vertex-specialized closed form: since <p_j, e_t> vanishes for
-    every complement vertex t != j, only the s-sum survives and
-
-        lambda_s = T_s * S[j,s],  T_s = sqrt|M_ss / det M|
-
-    with S the Schur complement of the face block of the edge matrix
-    (S[j,s] = m_j^s / m_face) and T the cached ``simplex.scaling``.  The
-    pre-foot norm satisfies curvature * <p., p.> = 1 - curvature * S[j,j],
-    the radicand ``altitude`` reads from the same row.
+    project_to_face's solve run on p_j, bit for bit, without checking the
+    vertex again; the coefficients are the paper's lambda_s = T_s m_j^s / m_face.
     """
-    face0, comp0, j0, row, c2 = _vertex_schur_row(simplex, face, j, tols)
-    lam = simplex.scaling[comp0] * row
-    pre_foot = simplex.vertices[j0] + lam @ simplex.normals[comp0]
-    lambdas = dict(zip((comp0 + 1).tolist(), lam.tolist()))
+    face0, comp0, j0 = _opposite_vertex(simplex, face, j)
     what = f"vertex {j0 + 1} onto face {tuple((face0 + 1).tolist())}"
-    return _finish(simplex, pre_foot, c2, lambdas, tols, what)
+    return _project(simplex, face0, comp0, simplex.vertices[j0], tols, what)
 
 
 def altitude(
@@ -251,12 +240,10 @@ def altitude(
 ) -> float:
     """Distance from vertex p_j to the k-plane of an opposite face.
 
-    Computed from the Schur complement of the face block of the edge
-    matrix, the same row ``vertex_foot`` reads: the radicand is
-    1 - curvature * S_jj (S_jj = a_jj hyperbolic, b_jj spherical).  The
-    spherical undefined-foot limit returns pi/2.  For a facet the
-    determinant ratio 1 - curvature * det M / M_jj gives the same
-    radicand; the tests keep it as a cross-check.
+    distance_to_face run on p_j, bit for bit.  The paper's radicands
+    1 - curvature * m_j^j / m_face and, for a facet, 1 - curvature * det M / M_jj
+    give the same c2; the tests keep them as cross-checks.
     """
-    *_, c2 = _vertex_schur_row(simplex, face, j, tols)
-    return _distance_from_radicand(simplex.model, c2, tols)
+    face0, _, j0 = _opposite_vertex(simplex, face, j)
+    _, s2, c2 = _face_solve(simplex, face0, simplex.vertices[j0])
+    return _distance(simplex.model, s2, c2, tols)

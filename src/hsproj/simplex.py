@@ -410,7 +410,8 @@ def complement_gram_inverse(simplex: Simplex, face: Sequence[int]) -> np.ndarray
     bordered-minor ratios of ``schur_complement_via_minors``.  This is the
     paper's closed-form route and a cross-check only: no projection or
     distance calls it; ``projection._distance_to_face_by_minors`` (the CLI's
-    ``distance_paths`` residual) and the tests compare it with the G22 solve.
+    ``distance_paths`` residual) and the tests compare it with the face-block
+    solve of the projection.
     """
     _, comp0 = face_complement(simplex, face)
     s = schur_complement_via_minors(simplex.edge_matrix, comp0 + 1).values

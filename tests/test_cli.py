@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hsproj import Model, build_simplex, project_to_face, projection
+from hsproj import Model, build_simplex, cli, project_to_face
+from hsproj import simplex as simplex_mod
 from hsproj.cli import main
-from hsproj.simplex import schur_complement
 
 from conftest import COSH1, SINH1
 
@@ -200,14 +200,29 @@ def test_altitudes_triangle_face(tmp_path, capsys):
     assert_allclose(rows[0]["foot"], [1.0, 0.0, 0.0], atol=1e-12)
 
 
-def test_altitudes_solve_one_schur_row_per_target(tmp_path, capsys, monkeypatch):
+def test_altitudes_solve_one_face_block_per_target(tmp_path, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("altitudes computed a minor or a Schur block")
+
+    for name in ("bordered_minor", "deleted_minor", "schur_complement"):
+        monkeypatch.setattr(simplex_mod, name, forbidden)
+    solve = np.linalg.solve
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return schur_complement(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(projection, "schur_complement", counted)
+    build = cli._build
+
+    def build_then_spy(doc, tols):
+        # building takes det M and solves for the normals; the spies start after it
+        simplex = build(doc, tols)
+        monkeypatch.setattr(np.linalg, "det", forbidden)
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        return simplex
+
+    monkeypatch.setattr(cli, "_build", build_then_spy)
     code, report, _ = run_json(capsys, "altitudes", write_doc(tmp_path, TRIANGLE))
     assert code == 0
     rows = report["results"]["altitudes"]

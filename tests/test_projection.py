@@ -135,7 +135,7 @@ def test_projection_invariants(case):
 
 @pytest.mark.parametrize("case", _cases(2000, 10), ids=lambda c: f"{c[0].name}-n{c[0].n}")
 def test_distance_to_face_matches_projection(case):
-    # the bordered-minor cross-check against the G22 solve of the projection
+    # the bordered-minor cross-check against the face-block solve of the projection
     model, s, face, p = case
     try:
         r = project_to_face(s, face, p)
@@ -268,31 +268,42 @@ def test_vertex_foot_matches_general_path(case):
 
 def test_vertex_routes_compute_no_minor(monkeypatch):
     cases = _cases(4000, 10)
-    for _, s, _, _ in cases:
-        s.scaling  # T is derived once per simplex, outside the routes under test
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a vertex route computed a minor")
+        raise AssertionError("a vertex route computed a minor or a Schur block")
 
-    for name in ("bordered_minor", "deleted_minor"):
+    for name in ("bordered_minor", "deleted_minor", "schur_complement"):
         monkeypatch.setattr(simplex_mod, name, forbidden)
     monkeypatch.setattr(np.linalg, "det", forbidden)
+    solve = np.linalg.solve
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return simplex_mod.schur_complement(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(projection, "schur_complement", counted)
+    monkeypatch.setattr(np.linalg, "solve", counted)
     for _, s, face, _ in cases:
         for j in sorted(set(range(1, s.vertex_count + 1)) - set(face)):
+            p_j = s.vertices[j - 1]
             calls.clear()
             alt = altitude(s, face, j)
+            assert len(calls) == 1  # one face-block solve per call
+            assert alt == distance_to_face(s, face, p_j)
+            calls.clear()
             try:
-                assert vertex_foot(s, face, j).distance == alt
+                foot = vertex_foot(s, face, j)
             except ProjectionUndefined:
-                pass
-            assert len(calls) == 2  # one schur_complement per route
+                assert len(calls) == 1
+                with pytest.raises(ProjectionUndefined):
+                    project_to_face(s, face, p_j)
+                continue
+            assert len(calls) == 1
+            general = project_to_face(s, face, p_j)
+            assert foot.distance == general.distance == alt
+            assert np.array_equal(foot.foot, general.foot)
+            assert np.array_equal(foot.pre_foot, general.pre_foot)
+            assert foot.lambdas == general.lambdas
 
 
 # -------------------------------------------------------------------- altitude
