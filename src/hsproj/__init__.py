@@ -40,13 +40,12 @@ from .projection import (
     project_to_hyperplane,
     vertex_foot,
 )
-from .simplex import (
+from .simplex import Simplex, build_simplex
+from .crosscheck import (
     IdentityReport,
     ScalingMatrix,
     SchurBlock,
-    Simplex,
     bordered_minor,
-    build_simplex,
     complement_gram_inverse,
     deleted_minor,
     scaling_matrix,
@@ -63,9 +62,9 @@ __all__ = [
     # forms
     "Model", "Tolerances", "DEFAULT_TOLS",
     "inner", "on_manifold", "distance", "normalize_to_manifold",
-    # simplex algebra
-    "Simplex", "ScalingMatrix", "SchurBlock", "IdentityReport",
-    "build_simplex", "deleted_minor", "bordered_minor",
+    # simplex and its cross-checks
+    "Simplex", "build_simplex", "ScalingMatrix", "SchurBlock", "IdentityReport",
+    "deleted_minor", "bordered_minor",
     "scaling_matrix", "verify_inverse_identity", "schur_complement",
     "schur_complement_via_minors", "verify_block_inverse_identities", "complement_gram_inverse",
     # projection

@@ -23,23 +23,9 @@ from .errors import DocumentError, GeometryError, ProjectionUndefined
 from .forms import DEFAULT_TOLS, Model, Tolerances, _membership_residual
 from .forms import distance as geodesic
 from .oracle import OracleOptions, oracle_project, random_point, random_simplex
-from .projection import (
-    _distance_to_face_by_minors,
-    altitude,
-    face_complement,
-    project_to_face,
-    vertex_foot,
-)
-from .simplex import (
-    Simplex,
-    bordered_minor,
-    build_simplex,
-    deleted_minor,
-    schur_complement,
-    schur_complement_via_minors,
-    verify_inverse_identity,
-    verify_block_inverse_identities,
-)
+from .projection import altitude, face_complement, project_to_face, vertex_foot
+from .simplex import Simplex, build_simplex
+from .crosscheck import bordered_minor, distance_to_face_by_minors, identity_residuals
 
 # check-suite bounds on the closed form vs oracle comparison
 ORACLE_DISTANCE_TOL = 1e-6
@@ -144,7 +130,7 @@ def _projection_block(simplex: Simplex, face, p, result, tols: Tolerances) -> tu
     residuals = {
         "foot_manifold": _membership_residual(simplex.model, result.foot),
         "orthogonality": ortho,
-        "distance_paths": abs(result.distance - _distance_to_face_by_minors(simplex, face, p, tols)),
+        "distance_paths": abs(result.distance - distance_to_face_by_minors(simplex, face, p, tols)),
     }
     return results, residuals
 
@@ -204,42 +190,8 @@ def cmd_altitudes(args, tols: Tolerances) -> dict:
 
 
 def _check_one(simplex: Simplex, rng, opts: OracleOptions, tols: Tolerances) -> tuple[dict, int]:
-    """Max residual per invariant for one simplex; returns (residuals, skipped)."""
+    """Closed form against the oracle on sampled faces and points; returns (residuals, skipped)."""
     m = simplex.vertex_count
-    M, G = simplex.edge_matrix, simplex.gram_matrix
-    eps = simplex.model.curvature
-    res: dict[str, float] = {}
-
-    res["inverse_identity"] = verify_inverse_identity(simplex, tols.identity).max_residual
-    block_inverse = 0.0
-    schur_paths = 0.0
-    for k in range(0, m - 1):
-        block_inverse = max(
-            block_inverse, verify_block_inverse_identities(simplex, k, tols.identity).max_residual
-        )
-        trail = tuple(range(k + 2, m + 1))
-        a = schur_complement(M, trail, tols.degenerate).values
-        b = schur_complement_via_minors(M, trail).values
-        schur_paths = max(schur_paths, float(np.abs(a - b).max()))
-    res["block_inverse"] = block_inverse
-    res["schur_paths"] = schur_paths
-
-    sig = simplex.model.signature
-    pairing = (simplex.vertices * sig) @ simplex.normals.T
-    t = simplex.scaling
-    res["vertex_normal_duality"] = float(np.abs(pairing + np.diag(1.0 / t)).max())
-
-    # signed minors: the identity pins the sign of G_jj, which T^2 drops
-    m_ii = np.array([deleted_minor(M, i, i) for i in range(1, m + 1)])
-    g_ii = np.array([deleted_minor(G, i, i) for i in range(1, m + 1)])
-    claim = eps * simplex.gram_det * m_ii / simplex.edge_det
-    res["gram_minor_identity"] = float(
-        (np.abs(g_ii - claim) / np.maximum(np.abs(g_ii), 1e-300)).max()
-    )
-    # not scaling_matrix: it raises on disagreement, and this row must report it
-    t_gram = np.sqrt(np.abs(g_ii / simplex.gram_det))
-    res["scaling_agreement"] = float((np.abs(t - t_gram) / np.abs(t)).max())
-
     dist_dev = 0.0
     foot_dev = 0.0
     skipped = 0
@@ -255,9 +207,7 @@ def _check_one(simplex: Simplex, rng, opts: OracleOptions, tols: Tolerances) -> 
         oracle = oracle_project(simplex, face, p, opts, tols)
         dist_dev = max(dist_dev, abs(closed.distance - oracle.distance))
         foot_dev = max(foot_dev, geodesic(simplex.model, closed.foot, oracle.foot, tols))
-    res["oracle_distance"] = dist_dev
-    res["oracle_foot"] = foot_dev
-    return res, skipped
+    return {"oracle_distance": dist_dev, "oracle_foot": foot_dev}, skipped
 
 
 def cmd_check(args, tols: Tolerances, tol_factor: float) -> dict:
@@ -287,22 +237,20 @@ def cmd_check(args, tols: Tolerances, tol_factor: float) -> dict:
     worst: dict[str, float] = {}
     skipped = 0
     for i, simplex in enumerate(simplices):
+        res = identity_residuals(simplex, tols)
         rng = np.random.default_rng([args.seed, i])
-        res, skip = _check_one(simplex, rng, opts, tols)
+        sampled, skip = _check_one(simplex, rng, opts, tols)
+        res.update(sampled)
         skipped += skip
         for key, val in res.items():
             worst[key] = max(worst.get(key, 0.0), val)
 
-    bounds = {
-        "inverse_identity": tols.identity,
-        "block_inverse": tols.identity,
-        "schur_paths": tols.identity,
-        "vertex_normal_duality": tols.identity,
-        "gram_minor_identity": tols.identity,
-        "scaling_agreement": tols.identity,
-        "oracle_distance": ORACLE_DISTANCE_TOL * tol_factor,
-        "oracle_foot": ORACLE_FOOT_TOL * tol_factor,
-    }
+    # every row but the oracle's is an identity_residuals row
+    bounds = dict.fromkeys(worst, tols.identity)
+    bounds.update(
+        oracle_distance=ORACLE_DISTANCE_TOL * tol_factor,
+        oracle_foot=ORACLE_FOOT_TOL * tol_factor,
+    )
     rows = [
         {"check": key, "max_residual": worst[key], "tol": bounds[key], "passed": worst[key] <= bounds[key]}
         for key in bounds

@@ -1,0 +1,309 @@
+"""Cross-checks: the paper's independent routes, kept as verification only.
+
+Production computes every foot and distance with one solve of the face
+block of the edge matrix (``projection``) and T from the vertex-normal
+pairing (``Simplex.scaling``).  The paper's determinant routes to the same
+numbers live here: deleted and bordered minors, T = diag(sqrt|M_ii/det M|)
+= diag(sqrt|G_ii/det G|), the inverse and block-inverse identities, Schur
+blocks as bordered-minor ratios, (G22)^-1 from them and the distance
+through it.  Nothing in ``simplex``, ``projection`` or ``oracle`` imports
+this module; the CLI's ``check`` and ``project`` residuals, the tests and
+the benchmark compare the two routes.
+
+Sign policy: in the Lorentzian signature det M, the minors M_ii and det G
+are negative, so every radical of a ratio or product of them is taken of
+the absolute value.  The residual signs are pinned by checkable facts
+(unit normals, outwardness, the inverse identities themselves), not by
+the radicand.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from .errors import BadIndexSet, DegenerateSimplex, SingularBlock
+from .forms import DEFAULT_TOLS, Tolerances, _require_on_manifold
+from .projection import _distance
+from .simplex import Simplex, _complement, _frozen, _index_positions, face_complement
+
+__all__ = [
+    "ScalingMatrix", "SchurBlock", "IdentityReport", "deleted_minor", "bordered_minor",
+    "scaling_matrix", "verify_inverse_identity", "schur_complement", "schur_complement_via_minors",
+    "verify_block_inverse_identities", "complement_gram_inverse", "distance_to_face_by_minors",
+    "identity_residuals",
+]
+
+
+def _check_square(matrix) -> np.ndarray:
+    A = np.asarray(matrix, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise BadIndexSet(f"expected a square matrix, got shape {A.shape}")
+    return A
+
+
+def deleted_minor(matrix, i: int, j: int) -> float:
+    """The ij-th minor: determinant after deleting row i and column j (1-based)."""
+    A = _check_square(matrix)
+    m = A.shape[0]
+    (i0,) = _index_positions((i,), m, BadIndexSet, "minor row")
+    (j0,) = _index_positions((j,), m, BadIndexSet, "minor column")
+    if m == 1:
+        return 1.0
+    return float(np.linalg.det(A[np.ix_(_complement(m, [i0]), _complement(m, [j0]))]))
+
+
+def bordered_minor(matrix, base: Sequence[int], s: int, t: int) -> float:
+    """Determinant over rows (base, s) and columns (base, t), all 1-based.
+
+    With base = the face index set these are the bordered minors whose
+    ratios give Schur complement entries.
+    """
+    A = _check_square(matrix)
+    m = A.shape[0]
+    base0 = _index_positions(base, m, BadIndexSet, "bordered minor base")
+    (s0,) = _index_positions((s,), m, BadIndexSet, "bordered minor row")
+    (t0,) = _index_positions((t,), m, BadIndexSet, "bordered minor column")
+    if s0 in base0 or t0 in base0:
+        raise BadIndexSet("border indices must lie outside the base set")
+    return float(np.linalg.det(A[np.ix_(base0 + [s0], base0 + [t0])]))
+
+
+def _principal_deleted(A: np.ndarray) -> np.ndarray:
+    m = A.shape[0]
+    return np.array([deleted_minor(A, i, i) for i in range(1, m + 1)])
+
+
+@dataclass(frozen=True)
+class ScalingMatrix:
+    """Diagonal of T = diag(sqrt|M_ii / det M|) = diag(sqrt|G_ii / det G|)."""
+
+    diag: np.ndarray
+
+
+def scaling_matrix(simplex: Simplex, tols: Tolerances = DEFAULT_TOLS) -> ScalingMatrix:
+    """The cached T of ``simplex.scaling``, cross-checked against the Gram side.
+
+    Raises DegenerateSimplex when sqrt|G_ii / det G| disagrees with it by
+    more than ``tols.identity`` (relative).
+    """
+    from_m = simplex.scaling
+    g_ii = _principal_deleted(simplex.gram_matrix)
+    from_g = np.sqrt(np.abs(g_ii / simplex.gram_det))
+    rel = np.abs(from_m - from_g) / np.maximum(np.abs(from_m), 1e-300)
+    if rel.max() > tols.identity:
+        raise DegenerateSimplex(
+            f"scaling-matrix expressions disagree (rel {rel.max():.3e}); simplex too ill-conditioned"
+        )
+    return ScalingMatrix(from_m)
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    """Max-norm residuals of a family of matrix identities, with a pass bound."""
+
+    residuals: dict[str, float]
+    tol: float
+
+    @property
+    def max_residual(self) -> float:
+        return max(self.residuals.values())
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.tol
+
+
+def verify_inverse_identity(simplex: Simplex, tol: float = DEFAULT_TOLS.identity) -> IdentityReport:
+    """Residuals of M^-1 = T G T and G^-1 = T M T (as ||M (TGT) - I|| etc.)."""
+    t = simplex.scaling
+    eye = np.eye(simplex.vertex_count)
+    tgt = t[:, None] * simplex.gram_matrix * t[None, :]
+    tmt = t[:, None] * simplex.edge_matrix * t[None, :]
+    return IdentityReport(
+        {
+            "edge_inverse": float(np.abs(simplex.edge_matrix @ tgt - eye).max()),
+            "gram_inverse": float(np.abs(simplex.gram_matrix @ tmt - eye).max()),
+        },
+        tol,
+    )
+
+
+@dataclass(frozen=True)
+class SchurBlock:
+    """Schur complement restricted to the retained (1-based) index set."""
+
+    block_rows: tuple[int, ...]
+    values: np.ndarray
+
+
+def _split_indices(m: int, retained: Sequence[int]) -> tuple[list[int], list[int]]:
+    keep0 = _index_positions(retained, m, BadIndexSet, "retained set")
+    if not keep0:
+        raise BadIndexSet("retained set must be nonempty")
+    return keep0, _complement(m, keep0)
+
+
+def schur_complement(
+    matrix,
+    retained: Sequence[int],
+    tol_degenerate: float = DEFAULT_TOLS.degenerate,
+) -> SchurBlock:
+    """M[B,B] - M[B,A] (M[A,A])^-1 M[A,B] with B = retained, A = the rest.
+
+    An empty complement is allowed (the block is the matrix itself).
+    Raises SingularBlock when M[A,A] is not safely invertible.
+    """
+    A = _check_square(matrix)
+    keep0, elim0 = _split_indices(A.shape[0], retained)
+    rows = tuple(i + 1 for i in keep0)
+    if not elim0:
+        return SchurBlock(rows, _frozen(A[np.ix_(keep0, keep0)].copy()))
+    block_a = A[np.ix_(elim0, elim0)]
+    # gate on the spectrum, not on det vs entry-scale^k: that floor grows
+    # far faster than determinants of honest blocks do
+    svals = np.linalg.svd(block_a, compute_uv=False)
+    if svals[-1] <= tol_degenerate * svals[0] or svals[0] == 0.0:
+        raise SingularBlock(f"eliminated block {tuple(i + 1 for i in elim0)} is singular")
+    s = A[np.ix_(keep0, keep0)] - A[np.ix_(keep0, elim0)] @ np.linalg.solve(
+        block_a, A[np.ix_(elim0, keep0)]
+    )
+    return SchurBlock(rows, _frozen(s))
+
+
+def schur_complement_via_minors(matrix, retained: Sequence[int]) -> SchurBlock:
+    """Same block computed entrywise as bordered-minor ratios.
+
+    S[s,t] = det M(A,s; A,t) / det M(A,A) by the Schur determinant identity;
+    this is the independent route used to cross-check the block algebra.
+    """
+    A = _check_square(matrix)
+    keep0, elim0 = _split_indices(A.shape[0], retained)
+    rows = tuple(i + 1 for i in keep0)
+    if not elim0:
+        return SchurBlock(rows, _frozen(A[np.ix_(keep0, keep0)].copy()))
+    base = [i + 1 for i in elim0]
+    denom = float(np.linalg.det(A[np.ix_(elim0, elim0)]))
+    if denom == 0.0:
+        raise SingularBlock(f"eliminated block {tuple(base)} is singular")
+    out = np.empty((len(rows), len(rows)))
+    for a, s in enumerate(rows):
+        for b, t in enumerate(rows):
+            out[a, b] = bordered_minor(A, base, s, t) / denom
+    return SchurBlock(rows, _frozen(out))
+
+
+def verify_block_inverse_identities(
+    simplex: Simplex, split_k: int, tol: float = DEFAULT_TOLS.identity
+) -> IdentityReport:
+    """Residuals of the four block-inverse identities at a given split.
+
+    The matrices are split into the leading block {1..split_k+1} and the
+    trailing block {split_k+2..n+1}; both must be nonempty.  The identities
+    checked are (M^11)^-1 = T^11 S_{G^22} T^11 and the three companions,
+    reported as products-with-inverse residuals.
+    """
+    m = simplex.vertex_count
+    (split,) = _index_positions((split_k,), m - 2, BadIndexSet, "split_k", first=0)
+    lead = tuple(range(1, split + 2))
+    trail = tuple(range(split + 2, m + 1))
+    t = simplex.scaling
+    M, G = simplex.edge_matrix, simplex.gram_matrix
+
+    def residual(block_of, idx, schur_of_other):
+        i0 = np.array(idx) - 1
+        blk = block_of[np.ix_(i0, i0)]
+        s = schur_of_other.values
+        ts = t[i0]
+        claimed_inv = ts[:, None] * s * ts[None, :]
+        return float(np.abs(blk @ claimed_inv - np.eye(len(idx))).max())
+
+    return IdentityReport(
+        {
+            "edge_lead": residual(M, lead, schur_complement(G, lead)),
+            "edge_trail": residual(M, trail, schur_complement(G, trail)),
+            "gram_lead": residual(G, lead, schur_complement(M, lead)),
+            "gram_trail": residual(G, trail, schur_complement(M, trail)),
+        },
+        tol,
+    )
+
+
+def complement_gram_inverse(simplex: Simplex, face: Sequence[int]) -> np.ndarray:
+    """(G^22)^-1 over the complement normals, built from edge-matrix minors.
+
+    Equals sign(det M) * curvature * T_c S T_c, with T_c = ``simplex.scaling``
+    over the complement and S the face block's Schur complement as the
+    bordered-minor ratios of ``schur_complement_via_minors``.  This is the
+    paper's closed-form route; ``distance_to_face_by_minors`` and the tests
+    compare it with the face-block solve of the projection.
+    """
+    _, comp0 = face_complement(simplex, face)
+    s = schur_complement_via_minors(simplex.edge_matrix, comp0 + 1).values
+    t_comp = simplex.scaling[comp0]
+    sign = np.sign(simplex.edge_det) * simplex.model.curvature
+    return sign * t_comp[:, None] * s * t_comp[None, :]
+
+
+def distance_to_face_by_minors(
+    simplex: Simplex,
+    face: Sequence[int],
+    p,
+    tols: Tolerances = DEFAULT_TOLS,
+) -> float:
+    """Cross-check of ``distance_to_face`` through the paper's minors route.
+
+    Evaluates the closed-form radicand s2 = b' (G22)^-1 b, b_t = <p, e_t>,
+    with (G22)^-1 from ``complement_gram_inverse``, independently of the
+    face-block solve, and c2 = 1 - curvature * s2.  The CLI's
+    ``distance_paths`` residual compares the two routes.
+    """
+    pv = _require_on_manifold(simplex.model, p, tols.manifold, "point")
+    face0, comp0 = face_complement(simplex, face)
+    b = (simplex.normals[comp0] * simplex.model.signature) @ pv
+    s2 = float(b @ complement_gram_inverse(simplex, face0 + 1) @ b)
+    return _distance(simplex.model, s2, 1.0 - simplex.model.curvature * s2, tols)
+
+
+def identity_residuals(simplex: Simplex, tols: Tolerances = DEFAULT_TOLS) -> dict[str, float]:
+    """Max residual of each matrix identity on one simplex, keyed by ``check`` row.
+
+    Every row is bounded by ``tols.identity``.  T is rebuilt here from the
+    edge matrix's principal minors, so that the duality and agreement rows
+    test the production T (read from the vertex-normal pairing) against
+    an independent route instead of against itself.
+    """
+    m = simplex.vertex_count
+    M, G = simplex.edge_matrix, simplex.gram_matrix
+    res = {"inverse_identity": verify_inverse_identity(simplex, tols.identity).max_residual}
+    block_inverse = schur_paths = 0.0
+    for k in range(0, m - 1):
+        block_inverse = max(
+            block_inverse, verify_block_inverse_identities(simplex, k, tols.identity).max_residual
+        )
+        trail = tuple(range(k + 2, m + 1))
+        a = schur_complement(M, trail, tols.degenerate).values
+        b = schur_complement_via_minors(M, trail).values
+        schur_paths = max(schur_paths, float(np.abs(a - b).max()))
+    res["block_inverse"] = block_inverse
+    res["schur_paths"] = schur_paths
+
+    # signed minors: the identity pins the sign of G_jj, which T^2 drops
+    m_ii = _principal_deleted(M)
+    g_ii = _principal_deleted(G)
+    t = np.sqrt(np.abs(m_ii / simplex.edge_det))
+    # <e_i, p_j> = -delta_ij / T_i, for the minors T and for the production T
+    pairing = (simplex.vertices * simplex.model.signature) @ simplex.normals.T
+    res["vertex_normal_duality"] = max(
+        float(np.abs(pairing + np.diag(1.0 / tt)).max()) for tt in (t, simplex.scaling)
+    )
+    claim = simplex.model.curvature * simplex.gram_det * m_ii / simplex.edge_det
+    res["gram_minor_identity"] = float(
+        (np.abs(g_ii - claim) / np.maximum(np.abs(g_ii), 1e-300)).max()
+    )
+    # not scaling_matrix: it raises on disagreement, and this row must report it
+    t_gram = np.sqrt(np.abs(g_ii / simplex.gram_det))
+    res["scaling_agreement"] = float((np.abs(t - t_gram) / np.abs(t)).max())
+    return res

@@ -15,14 +15,15 @@ foot, by the block-inverse identity (M^11)^-1 = T S(G22) T.  Step 1 yields
 two radicands without cancellation: s2 = <p - p., p - p.> (sinh^2 or sin^2
 of the distance) and c2 = curvature * mu . w (cosh^2 or cos^2), so the
 distance is asinh(sqrt s2) in H^n and atan2(sqrt s2, sqrt c2) in S^n.  The
-normal coefficients need no minor: <e_s, p_t> = 0 for s != t, so
-lambda_t = <p. - p, p_t> / <e_t, p_t>.  When c2 is not safely positive in
-the spherical case the nearest point is not unique (p sits at distance
-pi/2 from the whole plane): the foot constructors raise ProjectionUndefined
-while the plain distance routines return pi/2.
+normal coefficients need no minor: <e_s, p_t> = -delta_st / T_s, so
+lambda_t = -T_t <p. - p, p_t> with T = Simplex.scaling.  When c2 is not
+safely positive in the spherical case the nearest point is not unique (p
+sits at distance pi/2 from the whole plane): the foot constructors raise
+ProjectionUndefined while the plain distance routines return pi/2.
 
-The paper's bordered-minor formula for (G22)^-1 is kept as the private
-cross-check _distance_to_face_by_minors; no production path calls it.
+The paper's bordered-minor formula for (G22)^-1 is kept as the
+cross-check ``crosscheck.distance_to_face_by_minors``; this module imports
+nothing from ``crosscheck``.
 
 Any face is accepted, not only the leading vertex block in which the
 closed forms are stated.  All indices are 1-based and pass the index rule
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import BadFace, DomainError, ProjectionUndefined
 from .forms import DEFAULT_TOLS, Model, Tolerances, _require_on_manifold, normalize_to_manifold
-from .simplex import Simplex, _index_positions, complement_gram_inverse, face_complement
+from .simplex import Simplex, _index_positions, face_complement
 
 __all__ = [
     "ProjectionResult",
@@ -82,10 +83,11 @@ def _face_solve(simplex: Simplex, face0: np.ndarray, pv: np.ndarray) -> tuple[np
 def _lambdas(simplex: Simplex, comp0: np.ndarray, displacement: np.ndarray) -> dict[int, float]:
     """Coefficients of ``displacement`` (p. - p) in the complement normals, keyed 1-based.
 
-    lambda_t = <displacement, p_t> / <e_t, p_t>, since <e_s, p_t> = 0 for s != t.
+    lambda_t = <displacement, p_t> / <e_t, p_t> = -T_t <displacement, p_t>,
+    since <e_s, p_t> = -delta_st / T_s.
     """
     comp_pts = simplex.vertices[comp0] * simplex.model.signature
-    lam = (comp_pts @ displacement) / np.einsum("ij,ij->i", comp_pts, simplex.normals[comp0])
+    lam = (comp_pts @ displacement) * -simplex.scaling[comp0]
     return dict(zip((comp0 + 1).tolist(), lam.tolist()))
 
 
@@ -163,27 +165,6 @@ def distance_to_face(
     face0, _ = face_complement(simplex, face)
     _, s2, c2 = _face_solve(simplex, face0, pv)
     return _distance(simplex.model, s2, c2, tols)
-
-
-def _distance_to_face_by_minors(
-    simplex: Simplex,
-    face: Sequence[int],
-    p,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> float:
-    """Cross-check of distance_to_face through the paper's minors route.
-
-    Evaluates the closed-form radicand s2 = b' (G22)^-1 b, b_t = <p, e_t>,
-    with (G22)^-1 assembled from bordered edge-matrix minors
-    (complement_gram_inverse), independently of the face-block solve, and
-    c2 = 1 - curvature * s2.  No production path calls it; the CLI's
-    ``distance_paths`` residual and the tests compare the two routes.
-    """
-    pv = _require_on_manifold(simplex.model, p, tols.manifold, "point")
-    face0, comp0 = face_complement(simplex, face)
-    b = (simplex.normals[comp0] * simplex.model.signature) @ pv
-    s2 = float(b @ complement_gram_inverse(simplex, face0 + 1) @ b)
-    return _distance(simplex.model, s2, 1.0 - simplex.model.curvature * s2, tols)
 
 
 def project_to_hyperplane(

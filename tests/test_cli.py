@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hsproj import Model, build_simplex, cli, project_to_face
-from hsproj import simplex as simplex_mod
+from hsproj import crosscheck
 from hsproj.cli import main
 
 from conftest import COSH1, SINH1
@@ -205,7 +205,7 @@ def test_altitudes_solve_one_face_block_per_target(tmp_path, capsys, monkeypatch
         raise AssertionError("altitudes computed a minor or a Schur block")
 
     for name in ("bordered_minor", "deleted_minor", "schur_complement"):
-        monkeypatch.setattr(simplex_mod, name, forbidden)
+        monkeypatch.setattr(crosscheck, name, forbidden)
     solve = np.linalg.solve
     calls = []
 

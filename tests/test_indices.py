@@ -29,7 +29,7 @@ from hsproj import (
     vertex_foot,
 )
 from hsproj.oracle import random_point, random_simplex
-from hsproj.projection import _distance_to_face_by_minors
+from hsproj.crosscheck import distance_to_face_by_minors
 
 S = random_simplex(Model.hyperbolic(4), 3, seed=7)  # m = 4 vertices
 P = random_point(S.model, 8)
@@ -41,7 +41,7 @@ ENTRIES = {
     "face_complement": (BadFace, True, 1, 4, (1, 3), lambda v: face_complement(S, v)),
     "project_to_face": (BadFace, True, 1, 4, (1, 3), lambda v: project_to_face(S, v, P)),
     "distance_to_face": (BadFace, True, 1, 4, (1, 3), lambda v: distance_to_face(S, v, P)),
-    "distance_by_minors": (BadFace, True, 1, 4, (1, 3), lambda v: _distance_to_face_by_minors(S, v, P)),
+    "distance_by_minors": (BadFace, True, 1, 4, (1, 3), lambda v: distance_to_face_by_minors(S, v, P)),
     "oracle_project": (BadFace, True, 1, 4, (1, 3), lambda v: oracle_project(S, v, P)),
     "complement_gram_inverse": (BadFace, True, 1, 4, (1, 3), lambda v: complement_gram_inverse(S, v)),
     "vertex_foot.face": (BadFace, True, 1, 4, (1, 3), lambda v: vertex_foot(S, v, 4)),

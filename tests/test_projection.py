@@ -22,11 +22,10 @@ from hsproj import (
     project_to_hyperplane,
     vertex_foot,
 )
-from hsproj import projection
-from hsproj import simplex as simplex_mod
+from hsproj import crosscheck, projection
 from hsproj.forms import normalize_to_manifold
 from hsproj.oracle import random_point, random_simplex
-from hsproj.projection import _distance_to_face_by_minors
+from hsproj.crosscheck import distance_to_face_by_minors
 
 from conftest import COSH1, SINH1, model_named
 
@@ -140,19 +139,19 @@ def test_distance_to_face_matches_projection(case):
     try:
         r = project_to_face(s, face, p)
     except ProjectionUndefined:
-        assert _distance_to_face_by_minors(s, face, p) == math.pi / 2
+        assert distance_to_face_by_minors(s, face, p) == math.pi / 2
         return
-    assert abs(_distance_to_face_by_minors(s, face, p) - r.distance) <= 1e-9
+    assert abs(distance_to_face_by_minors(s, face, p) - r.distance) <= 1e-9
 
 
 def test_distance_to_face_computes_no_minor(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("distance_to_face computed a minor")
 
-    monkeypatch.setattr(projection, "complement_gram_inverse", forbidden)
-    # projection imports no minor function: forbid them in simplex, where they live
+    assert not hasattr(projection, "complement_gram_inverse")
+    # projection imports no minor function: forbid them in crosscheck, where they live
     for name in ("bordered_minor", "deleted_minor"):
-        monkeypatch.setattr(simplex_mod, name, forbidden)
+        monkeypatch.setattr(crosscheck, name, forbidden)
     for _, s, face, p in _cases(2000, 10):
         try:
             expected = project_to_face(s, face, p).distance
@@ -260,9 +259,11 @@ def test_vertex_foot_matches_general_path(case):
         ratio = bordered_minor(M, face, j, j) / m_face
         expected = -1.0 - ratio if model.curvature == -1 else 1.0 - ratio
         assert inner(model, a.pre_foot, a.pre_foot) == pytest.approx(expected, abs=1e-9)
-        # the paper's vertex-specialized coefficients lambda_s = T_s m_j^s / m_face
+        # the paper's vertex-specialized coefficients lambda_s = T_s m_j^s / m_face,
+        # with the minors T = sqrt|M_ss / det M|, independent of the production T
         for t, lam in a.lambdas.items():
-            paper = s.scaling[t - 1] * bordered_minor(M, face, j, t) / m_face
+            t_minors = math.sqrt(abs(deleted_minor(M, t, t) / s.edge_det))
+            paper = t_minors * bordered_minor(M, face, j, t) / m_face
             assert lam == pytest.approx(paper, abs=1e-9)
 
 
@@ -273,7 +274,7 @@ def test_vertex_routes_compute_no_minor(monkeypatch):
         raise AssertionError("a vertex route computed a minor or a Schur block")
 
     for name in ("bordered_minor", "deleted_minor", "schur_complement"):
-        monkeypatch.setattr(simplex_mod, name, forbidden)
+        monkeypatch.setattr(crosscheck, name, forbidden)
     monkeypatch.setattr(np.linalg, "det", forbidden)
     solve = np.linalg.solve
     calls = []

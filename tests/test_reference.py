@@ -10,7 +10,7 @@ So each error below is the float route's own.
 
 Strata, both models: random points; every face and opposite vertex;
 points at a small distance d from the plane (relative error); spherical
-points at pi/2 - eps from it.  Each bound is at least ten times the worst
+points at pi/2 - eps from it; the scaling T = sqrt|diag M^-1|.  Each bound is at least ten times the worst
 error measured on these cases.
 """
 
@@ -51,6 +51,8 @@ NEAR_BOUND = 2e-15
 PI_HALF_BOUND = 3e-15
 # the foot p. / sqrt(c2) amplifies the error of p. by 1/sqrt(c2) = 1/sin(eps)
 PI_HALF_FOOT_BOUND = 2e-15
+# relative; T from the edge matrix's minors is off by up to 7.2e-13 here
+SCALING_BOUND = 1e-13
 
 
 class _Exact:
@@ -62,8 +64,9 @@ class _Exact:
             self.sig = [mpmath.mpf(float(x)) for x in simplex.model.signature]
             self.rows = [[mpmath.mpf(float(x)) for x in v] for v in simplex.vertices]
             minv = mpmath.matrix([[self.inner(a, b) for b in self.rows] for a in self.rows]) ** -1
-            # <e_t, p_t> = -1 / sqrt((M^-1)_tt) for the exact normals of these vertices
-            self.normal_pairing = [-1 / mpmath.sqrt(minv[t, t]) for t in range(len(self.rows))]
+            # T_t = sqrt|(M^-1)_tt|, and <e_t, p_t> = -1 / T_t for the exact normals of these vertices
+            self.scaling = [mpmath.sqrt(abs(minv[t, t])) for t in range(len(self.rows))]
+            self.normal_pairing = [-1 / t for t in self.scaling]
 
     def inner(self, a, b):
         return mpmath.fsum(s * x * y for s, x, y in zip(self.sig, a, b))
@@ -164,6 +167,16 @@ def _foot_error(result, foot):
 
 def _lambda_error(result, lambdas):
     return max(abs(result.lambdas[t] - v) for t, v in lambdas.items())
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_scaling(name):
+    # 54 simplices per model, n 2..7: T from the vertex-normal pairing
+    for n in range(2, 8):
+        for k in range(9):
+            s = random_simplex(model_named(name, n + 1), n, seed=7500 + 10 * n + k)
+            for got, exact in zip(s.scaling, _Exact(s).scaling):
+                assert abs(float((got - exact) / exact)) <= SCALING_BOUND
 
 
 @pytest.mark.parametrize("name", MODELS)

@@ -146,20 +146,20 @@ def test_scaling_matrix_positive_on_random():
 
 
 def test_scaling_minors_computed_once_per_simplex(monkeypatch):
-    import hsproj.simplex as simplex_mod
+    import hsproj.crosscheck as crosscheck
 
     s = random_simplex(Model.hyperbolic(5), 4, seed=5)
     t = s.scaling
     assert t is s.scaling and not t.flags.writeable
     edge_minors = []
-    real = simplex_mod.deleted_minor
+    real = crosscheck.deleted_minor
 
     def counting(matrix, i, j):
         if matrix is s.edge_matrix:
             edge_minors.append((i, j))
         return real(matrix, i, j)
 
-    monkeypatch.setattr(simplex_mod, "deleted_minor", counting)
+    monkeypatch.setattr(crosscheck, "deleted_minor", counting)
     verify_inverse_identity(s)
     for k in range(4):
         verify_block_inverse_identities(s, k)
