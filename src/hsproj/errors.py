@@ -23,7 +23,7 @@ class WrongSheet(OffManifold):
 
 
 class DomainError(GeometryError):
-    """arccos/arccosh argument out of range by more than the domain tolerance."""
+    """A projection's cosh^2/cos^2 radicand is past 1 by more than the domain tolerance."""
 
 
 class NotNormalizable(GeometryError):

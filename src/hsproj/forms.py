@@ -16,6 +16,11 @@ This module owns the membership rule every closed form assumes (right
 length, |<x,x> - curvature| <= tol so that NaN and inf fail, upper sheet in
 H^n): every entry point checks its points and vertices through
 ``_require_on_manifold``, and every reported residual is ``_membership_residual``.
+
+It also owns the angle rule: every distance in the package is ``_angle``
+of two radicands, sinh^2/sin^2 and cosh^2/cos^2 of the distance, read as
+asinh in H^n and atan2 in S^n.  ``distance`` feeds it the half-chords
+p -/+ q; the projection feeds it the radicands of its face-block solve.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NotNormalizable, OffManifold, WrongSheet
+from .errors import DimensionMismatch, NotNormalizable, OffManifold, WrongSheet
 
 __all__ = [
     "Model",
@@ -44,7 +49,8 @@ class Tolerances:
     """Default numerical tolerances, overridable per call.
 
     manifold    membership test |<x,x> - curvature| (absolute)
-    domain      allowed overshoot of arccos/arccosh arguments before erroring
+    domain      slack on a projection's cosh^2/cos^2 radicand c2: how far it
+                may fall below 1 (H^n) or rise above 1 (S^n) before DomainError
     degenerate  determinant floor relative to entry scale
     norm        radicand floor below which a normalization/foot is undefined
     identity    residual bound for the matrix identity checks
@@ -159,31 +165,33 @@ def on_manifold(model: Model, x, tol: float = DEFAULT_TOLS.manifold) -> bool:
     return True
 
 
-def _clamped_arccosh(arg: float, tol_domain: float) -> float:
-    if arg < 1.0 - tol_domain:
-        raise DomainError(f"arccosh argument {arg!r} below 1 by more than {tol_domain}")
-    return math.acosh(max(arg, 1.0))
+def _angle(model: Model, s2: float, c2: float) -> float:
+    """The angle whose sinh^2 (H^n) or sin^2 (S^n) is s2 and cosh^2/cos^2 is c2.
 
-
-def _clamped_arccos(arg: float, tol_domain: float) -> float:
-    if abs(arg) > 1.0 + tol_domain:
-        raise DomainError(f"arccos argument {arg!r} outside [-1,1] by more than {tol_domain}")
-    return math.acos(min(max(arg, -1.0), 1.0))
+    asinh(sqrt s2) in H^n, atan2(sqrt s2, sqrt c2) in S^n: neither cancels
+    at 0, and the spherical one does not cancel at pi/2 either.  Rounding
+    below 0 in s2 or c2 reads as 0; range checks are the caller's.
+    """
+    sine = math.sqrt(max(s2, 0.0))
+    if model.curvature == -1:
+        return math.asinh(sine)
+    return math.atan2(sine, math.sqrt(max(c2, 0.0)))
 
 
 def distance(model: Model, p, q, tols: Tolerances = DEFAULT_TOLS) -> float:
-    """Geodesic distance: arccosh(-<p,q>) on H^n, arccos(<p,q>) on S^n.
+    """Geodesic distance: twice the half-angle of the chords p - q and p + q.
 
-    Rounding routinely yields <p,p> = 1 + 1e-16 for p = q, so the argument
-    is clamped into its legal range when the violation is within
-    ``tols.domain`` and rejected beyond that.
+    <p-q, p-q> / 4 is sinh^2(d/2) or sin^2(d/2) and curvature * <p+q, p+q> / 4
+    is cosh^2(d/2) or cos^2(d/2), so the distance keeps its digits at 0 and,
+    in S^n, at pi, where arccosh(-<p,q>) and arccos(<p,q>) lose them.
     """
     pv = _require_on_manifold(model, p, tols.manifold, "p")
     qv = _require_on_manifold(model, q, tols.manifold, "q")
-    ip = float((pv * model.signature) @ qv)
-    if model.curvature == -1:
-        return _clamped_arccosh(-ip, tols.domain)
-    return _clamped_arccos(ip, tols.domain)
+    sig = model.signature
+    chord, cochord = pv - qv, pv + qv
+    s2 = float((chord * sig) @ chord) / 4.0
+    c2 = model.curvature * float((cochord * sig) @ cochord) / 4.0
+    return 2.0 * _angle(model, s2, c2)
 
 
 def normalize_to_manifold(model: Model, v, tol_norm: float = DEFAULT_TOLS.norm) -> np.ndarray:

@@ -2,30 +2,26 @@
 
 Candidates are parametrized projectively: a direction mu on the unit
 sphere of face-coefficient space names the manifold point
-normalize(sum mu_i * face_i), so the search domain is compact and
+v = normalize(sum mu_i * face_i), so the search domain is compact and
 sheet/scale bookkeeping is delegated to the normalization.  The search
 scores a batch of seeded random probe directions (just +-1 for a
 one-vertex face) and refines the best one with derivative-free
 Nelder-Mead restarts in its tangent space.  Derivative-free on purpose:
-d(arccosh)/dx blows up at distance 0, exactly where the oracle is
-queried most.  The Nelder-Mead is this module's own ``_nelder_mead``, a
-bit-identical port of the branch of scipy's that the refinement uses, so
-the package needs numpy alone (and ``import hsproj`` loads no scipy).
+the score is +inf wherever a candidate is not normalizable.  The
+Nelder-Mead is this module's own ``_nelder_mead``, a bit-identical port
+of the branch of scipy's that the refinement uses, so the package needs
+numpy alone (and ``import hsproj`` loads no scipy).
 
-No dense grid is needed because the cost has no spurious local minima on
-the plane: in H^n the distance to a point is convex along geodesics
-(CAT(-1); Bridson & Haefliger II.2), so it has a single minimum on a
-totally geodesic k-plane; in S^n the cost -<p, v> on a great k-sphere
-has just two critical points, the foot and its antipode.
-
-Scoring works on reduced data only: with Q = the face block of the edge
-matrix, w_i = <p, face_i> and f_i = first coordinate of face_i, a
-direction mu gives a candidate v = sum mu_i face_i with
-
-    <v,v> = mu' Q mu,   <p,v> = mu . w,   v_1 = mu . f,
-
-so the cost (cosh of hyperbolic distance, -cos of spherical distance) is
-computed in O(d^2) per direction without touching ambient coordinates.
+The score of a candidate is its squared chord <p - v, p - v>, computed
+from ambient coordinates: 4 sinh^2(d/2) in H^n and 4 sin^2(d/2) in S^n,
+so it rises with the distance d and keeps its digits as d -> 0, where
+cosh d and cos d lose them.  No dense grid is needed because it has no
+spurious local minima on the plane: in H^n the distance to a point is
+convex along geodesics (CAT(-1); Bridson & Haefliger II.2), so it has a
+single minimum on a totally geodesic k-plane; in S^n the chord
+2 - 2 <p, v> on a great k-sphere has just two critical points, the foot
+and its antipode.  The reported distance is ``forms.distance`` from p to
+the foot found.
 
 This module is the independent check of the closed-form projection: its
 search never touches Gram matrices, minors or the normal frame.  It is
@@ -72,35 +68,21 @@ class OracleOptions:
     seed: int = 0
 
 
-def _score_block(
-    mu: np.ndarray,
-    Q: np.ndarray,
-    w: np.ndarray,
-    f: np.ndarray,
-    hyperbolic: bool,
-) -> np.ndarray:
-    """Cost of each direction row of mu; +inf where the candidate is not
-    normalizable (space-like or near-null in the Lorentzian case)."""
-    q = np.einsum("nd,de,ne->n", mu, Q, mu)
-    vp = mu @ w
-    cost = np.full(mu.shape[0], np.inf)
-    if hyperbolic:
-        ok = q < -_LIGHT_TOL
-        if np.any(ok):
-            sheet = np.where(mu[ok] @ f < 0.0, -1.0, 1.0)
-            cost[ok] = -sheet * vp[ok] / np.sqrt(-q[ok])
-    else:
-        ok = q > _LIGHT_TOL
-        if np.any(ok):
-            cost[ok] = -vp[ok] / np.sqrt(q[ok])
-    return cost
-
-
-def _cost_to_distance(model: Model, cost: float) -> float:
-    # cost is cosh(dist) for H^n and -cos(dist) for S^n
-    if model.curvature == -1:
-        return math.acosh(max(cost, 1.0))
-    return math.acos(min(max(-cost, -1.0), 1.0))
+def _score_block(mu: np.ndarray, F: np.ndarray, pv: np.ndarray, model: Model) -> np.ndarray:
+    """Squared chord <p - v, p - v> of the candidate v = normalize(mu . F) of
+    each direction row of mu; +inf where the candidate is not normalizable
+    (space-like or near-null in the Lorentzian case)."""
+    V = mu @ F
+    q = model.curvature * np.einsum("ni,i,ni->n", V, model.signature, V)
+    score = np.full(mu.shape[0], np.inf)
+    ok = q > _LIGHT_TOL
+    if np.any(ok):
+        v = V[ok] / np.sqrt(q[ok])[:, None]
+        if model.curvature == -1:
+            v[v[:, 0] < 0.0] *= -1.0
+        r = pv - v
+        score[ok] = np.einsum("ni,i,ni->n", r, model.signature, r)
+    return score
 
 
 def _tangent_basis(mu: np.ndarray) -> np.ndarray:
@@ -187,13 +169,8 @@ def oracle_project(
     face0, comp0 = face_complement(simplex, face)
     model = simplex.model
     hyper = model.curvature == -1
-    sig = model.signature
     face_pts = simplex.vertices[face0]
     d = face_pts.shape[0]
-
-    Q = simplex.edge_matrix[np.ix_(face0, face0)]
-    w = (face_pts * sig) @ pv
-    f = face_pts[:, 0]
 
     # probe stage: the best of a batch of seeded directions
     if d == 1:
@@ -201,17 +178,14 @@ def oracle_project(
     else:
         probes = np.random.default_rng(opts.seed).normal(size=(PROBE_DIRECTIONS, d))
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-    costs = _score_block(probes, Q, w, f, hyper)
-    i = int(np.argmin(costs))
-    best_cost, best_mu = float(costs[i]), probes[i]
-    if not np.isfinite(best_cost):
+    scores = _score_block(probes, face_pts, pv, model)
+    i = int(np.argmin(scores))
+    best, mu = float(scores[i]), probes[i] / np.linalg.norm(probes[i])
+    if not np.isfinite(best):
         raise OracleFailure("no normalizable candidate direction among the probes")
-    probe_distance = _cost_to_distance(model, best_cost)
 
     # refinement stage: Nelder-Mead in the tangent space of the best
     # direction, restarted with shrinking initial steps
-    best_dist = probe_distance
-    mu = best_mu / np.linalg.norm(best_mu)
     if d > 1:
         def objective_at(center, basis):
             def g(delta):
@@ -219,10 +193,7 @@ def oracle_project(
                 nv = np.linalg.norm(v)
                 if nv < 1e-12:
                     return np.inf
-                c = _score_block((v / nv)[None, :], Q, w, f, hyper)[0]
-                if not np.isfinite(c):
-                    return np.inf
-                return _cost_to_distance(model, float(c))
+                return float(_score_block((v / nv)[None, :], face_pts, pv, model)[0])
 
             return g
 
@@ -230,14 +201,10 @@ def oracle_project(
             basis = _tangent_basis(mu)
             init = np.vstack([np.zeros(d - 1), np.eye(d - 1) * h])
             x, fx = _nelder_mead(objective_at(mu, basis), init)
-            if math.isfinite(fx) and fx <= best_dist:
-                best_dist = fx
+            if math.isfinite(fx) and fx <= best:
+                best = fx
                 v = mu + basis @ x
                 mu = v / np.linalg.norm(v)
-        if best_dist > probe_distance + CONVERGENCE_TOL:
-            raise OracleFailure(
-                f"refinement regressed: {best_dist!r} above best probe {probe_distance!r}"
-            )
 
     foot = normalize_to_manifold(model, mu @ face_pts, tols.norm)
     dist = distance(model, pv, foot, tols)

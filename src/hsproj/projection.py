@@ -13,13 +13,14 @@ in both geometries:
 The paper's route through the complement Gram block G22 gives the same
 foot, by the block-inverse identity (M^11)^-1 = T S(G22) T.  Step 1 yields
 two radicands without cancellation: s2 = <p - p., p - p.> (sinh^2 or sin^2
-of the distance) and c2 = curvature * mu . w (cosh^2 or cos^2), so the
-distance is asinh(sqrt s2) in H^n and atan2(sqrt s2, sqrt c2) in S^n.  The
-normal coefficients need no minor: <e_s, p_t> = -delta_st / T_s, so
-lambda_t = -T_t <p. - p, p_t> with T = Simplex.scaling.  When c2 is not
-safely positive in the spherical case the nearest point is not unique (p
-sits at distance pi/2 from the whole plane): the foot constructors raise
-ProjectionUndefined while the plain distance routines return pi/2.
+of the distance) and c2 = curvature * mu . w (cosh^2 or cos^2), and
+``forms._angle`` reads the distance off them: asinh(sqrt s2) in H^n,
+atan2(sqrt s2, sqrt c2) in S^n.  The normal coefficients need no minor:
+<e_s, p_t> = -delta_st / T_s, so lambda_t = -T_t <p. - p, p_t> with
+T = Simplex.scaling.  When c2 is not safely positive in the spherical case
+the nearest point is not unique (p sits at distance pi/2 from the whole
+plane): the foot constructors raise ProjectionUndefined while the plain
+distance routines return pi/2.
 
 The paper's bordered-minor formula for (G22)^-1 is kept as the
 cross-check ``crosscheck.distance_to_face_by_minors``; this module imports
@@ -40,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadFace, DomainError, ProjectionUndefined
-from .forms import DEFAULT_TOLS, Model, Tolerances, _require_on_manifold, normalize_to_manifold
+from .forms import DEFAULT_TOLS, Model, Tolerances, _angle, _require_on_manifold, normalize_to_manifold
 from .simplex import Simplex, _index_positions, face_complement
 
 __all__ = [
@@ -92,21 +93,20 @@ def _lambdas(simplex: Simplex, comp0: np.ndarray, displacement: np.ndarray) -> d
 
 
 def _distance(model: Model, s2: float, c2: float, tols: Tolerances) -> float:
-    """Distance whose sinh^2/sin^2 is s2 and cosh^2/cos^2 is c2.
+    """``forms._angle`` of the radicands, after their range checks.
 
-    A spherical c2 within ``tols.norm`` of 0 gives exactly pi/2: the
-    distance is well-defined there even though the foot is not.
+    A c2 off its range by more than ``tols.domain`` raises DomainError.  A
+    spherical c2 within ``tols.norm`` of 0 gives exactly pi/2: the distance
+    is well-defined there even though the foot is not.
     """
-    sine = math.sqrt(max(s2, 0.0))
     if model.curvature == -1:
         if c2 < 1.0 - tols.domain:
             raise DomainError(f"hyperbolic radicand {c2!r} fell below 1")
-        return math.asinh(sine)
-    if c2 <= tols.norm:
+    elif c2 <= tols.norm:
         return math.pi / 2
-    if c2 > 1.0 + tols.domain:
+    elif c2 > 1.0 + tols.domain:
         raise DomainError(f"spherical radicand {c2!r} exceeds 1")
-    return math.atan2(sine, math.sqrt(c2))
+    return _angle(model, s2, c2)
 
 
 def _finish(

@@ -10,8 +10,10 @@ So each error below is the float route's own.
 
 Strata, both models: random points; every face and opposite vertex;
 points at a small distance d from the plane (relative error); spherical
-points at pi/2 - eps from it; the scaling T = sqrt|diag M^-1|.  Each bound is at least ten times the worst
-error measured on these cases.
+points at pi/2 - eps from it; the scaling T = sqrt|diag M^-1|; the
+point-to-point ``distance`` from 1e-9 to 3, and in S^n to within 1e-7 of
+pi (relative error, against arccosh/arccos of the renormalized inputs).
+Each bound is at least ten times the worst error measured on these cases.
 """
 
 import math
@@ -25,6 +27,7 @@ from hsproj import (  # noqa: E402
     Model,
     ProjectionUndefined,
     altitude,
+    distance,
     distance_to_face,
     project_to_face,
     vertex_foot,
@@ -37,6 +40,8 @@ DIGITS = 50
 MODELS = ("hyperbolic", "spherical")
 NEAR_DISTANCES = (1e-12, 1e-9, 1e-7, 1e-5, 1e-3)
 PI_HALF_GAPS = (1e-4, 1e-3, 1e-2)
+PAIR_DISTANCES = (1e-9, 1e-6, 1e-3, 1.0, 3.0)
+ANTIPODE_GAPS = (1e-4, 1e-7)
 
 # Bounds: at least ten times the worst error of the face-block routes on
 # these cases (absolute unless said otherwise).
@@ -53,6 +58,10 @@ PI_HALF_BOUND = 3e-15
 PI_HALF_FOOT_BOUND = 2e-15
 # relative; T from the edge matrix's minors is off by up to 7.2e-13 here
 SCALING_BOUND = 1e-13
+# relative.  Hyperbolic pairs lose the most at d = 1e-9, where the float
+# inputs' ~1e-16 distance from the hyperboloid moves d by ~3e-13, and at
+# d = 3, where q lies at radius up to 5
+PAIR_BOUND = {"hyperbolic": 3e-12, "spherical": 3e-14}
 
 
 class _Exact:
@@ -161,6 +170,48 @@ def pi_half_cases(eps):
     return _offset_cases(Model.spherical, 7400, rng, lambda q, u: math.sin(eps) * q + math.cos(eps) * u)
 
 
+def distance_pairs(name, d, seed):
+    """Twenty float pairs (model, p, q) at distance d, n 2..6; hyperbolic p at radius <= 2."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for n in range(2, 7):
+        model = model_named(name, n + 1)
+        sig = model.signature
+        for _ in range(4):
+            if model.curvature == -1:
+                r, x = rng.uniform(0.0, 2.0), rng.normal(size=n)
+                p = np.concatenate([[math.cosh(r)], math.sinh(r) * x / np.linalg.norm(x)])
+            else:
+                p = rng.normal(size=n + 1)
+                p /= np.linalg.norm(p)
+            u = rng.normal(size=n + 1)
+            u -= model.curvature * float((u * sig) @ p) * p
+            u /= math.sqrt(float((u * sig) @ u))
+            if model.curvature == -1:
+                q = math.cosh(d) * p + math.sinh(d) * u
+            else:
+                q = math.cos(d) * p + math.sin(d) * u
+            pairs.append((model, p, q))
+    return pairs
+
+
+def _exact_distance(model, p, q):
+    """arccosh(-<p,q>) or arccos(<p,q>) at DIGITS digits, of p and q renormalized onto the manifold."""
+    with mpmath.workdps(DIGITS):
+        sig = [mpmath.mpf(float(x)) for x in model.signature]
+
+        def inner(a, b):
+            return mpmath.fsum(s * x * y for s, x, y in zip(sig, a, b))
+
+        def unit(x):
+            x = [mpmath.mpf(float(c)) for c in x]
+            scale = mpmath.sqrt(model.curvature * inner(x, x))
+            return [c / scale for c in x]
+
+        ip = inner(unit(p), unit(q))
+        return mpmath.acosh(-ip) if model.curvature == -1 else mpmath.acos(ip)
+
+
 def _foot_error(result, foot):
     return float(np.abs(result.foot - foot).max())
 
@@ -233,6 +284,21 @@ def test_spherical_points_near_pi_half(eps):
             assert abs(r.distance - dist) <= PI_HALF_BOUND
             assert _foot_error(r, foot) <= PI_HALF_FOOT_BOUND / eps
             assert _lambda_error(r, lambdas) <= LAMBDA_BOUND
+
+
+@pytest.mark.parametrize("d", PAIR_DISTANCES)
+@pytest.mark.parametrize("name", MODELS)
+def test_point_distance(name, d):
+    for model, p, q in distance_pairs(name, d, [75, len(name), PAIR_DISTANCES.index(d)]):
+        exact = _exact_distance(model, p, q)
+        assert float(abs(distance(model, p, q) - exact) / exact) <= PAIR_BOUND[name]
+
+
+@pytest.mark.parametrize("gap", ANTIPODE_GAPS)
+def test_spherical_point_distance_near_antipode(gap):
+    for model, p, q in distance_pairs("spherical", math.pi - gap, [76, ANTIPODE_GAPS.index(gap)]):
+        exact = _exact_distance(model, p, q)
+        assert float(abs(distance(model, p, q) - exact) / exact) <= PAIR_BOUND["spherical"]
 
 
 def test_query_seed_21_vertex_near_pi_half():
