@@ -6,8 +6,11 @@ v = normalize(sum mu_i * face_i), so the search domain is compact and
 sheet/scale bookkeeping is delegated to the normalization.  The search
 scores a batch of seeded random probe directions (just +-1 for a
 one-vertex face) and refines the best one with derivative-free
-Nelder-Mead restarts in its tangent space.  Derivative-free on purpose:
-the score is +inf wherever a candidate is not normalizable.  The
+Nelder-Mead restarts in its tangent space.  Both stages score ambient
+pre-points by one chord rule, ``_score_block``: a probe is mu . F, a
+refinement step delta the affine pre-point (mu + basis . delta) . F, not
+normalized first.  Derivative-free on purpose: the score is +inf
+wherever a candidate is not normalizable.  The
 Nelder-Mead is this module's own ``_nelder_mead``, a bit-identical port
 of the branch of scipy's that the refinement uses, so the package needs
 numpy alone (and ``import hsproj`` loads no scipy).
@@ -68,21 +71,19 @@ class OracleOptions:
     seed: int = 0
 
 
-def _score_block(mu: np.ndarray, F: np.ndarray, pv: np.ndarray, model: Model) -> np.ndarray:
-    """Squared chord <p - v, p - v> of the candidate v = normalize(mu . F) of
-    each direction row of mu; +inf where the candidate is not normalizable
-    (space-like or near-null in the Lorentzian case)."""
-    V = mu @ F
+def _score_block(V: np.ndarray, pv: np.ndarray, model: Model) -> np.ndarray:
+    """Squared chord <p - v, p - v> of the candidate v = normalize(V_i) of
+    each ambient pre-point row V_i (any positive scale); +inf where it is
+    not normalizable (space-like or near-null in the Lorentzian case).
+    Probes and refinement steps alike: one candidate is a batch of one."""
     q = model.curvature * np.einsum("ni,i,ni->n", V, model.signature, V)
-    score = np.full(mu.shape[0], np.inf)
     ok = q > _LIGHT_TOL
-    if np.any(ok):
-        v = V[ok] / np.sqrt(q[ok])[:, None]
-        if model.curvature == -1:
-            v[v[:, 0] < 0.0] *= -1.0
-        r = pv - v
-        score[ok] = np.einsum("ni,i,ni->n", r, model.signature, r)
-    return score
+    root = np.sqrt(np.where(ok, q, 1.0))
+    if model.curvature == -1:
+        # upper sheet: a time-like row has V_0 != 0
+        root = np.copysign(root, V[:, 0])
+    r = pv - V / root[:, None]
+    return np.where(ok, np.einsum("ni,i,ni->n", r, model.signature, r), np.inf)
 
 
 def _tangent_basis(mu: np.ndarray) -> np.ndarray:
@@ -178,29 +179,26 @@ def oracle_project(
     else:
         probes = np.random.default_rng(opts.seed).normal(size=(PROBE_DIRECTIONS, d))
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-    scores = _score_block(probes, face_pts, pv, model)
+    scores = _score_block(probes @ face_pts, pv, model)
     i = int(np.argmin(scores))
     best, mu = float(scores[i]), probes[i] / np.linalg.norm(probes[i])
     if not np.isfinite(best):
         raise OracleFailure("no normalizable candidate direction among the probes")
 
     # refinement stage: Nelder-Mead in the tangent space of the best
-    # direction, restarted with shrinking initial steps
+    # direction, restarted with shrinking initial steps; the offset delta
+    # is scored at its pre-point (mu + basis . delta) . F
     if d > 1:
-        def objective_at(center, basis):
+        def objective_at(origin, steps):
             def g(delta):
-                v = center + basis @ delta
-                nv = np.linalg.norm(v)
-                if nv < 1e-12:
-                    return np.inf
-                return float(_score_block((v / nv)[None, :], face_pts, pv, model)[0])
+                return float(_score_block((origin + delta @ steps)[None, :], pv, model)[0])
 
             return g
 
         for h in (FIRST_REFINE_STEP, 1e-3, 1e-6):
             basis = _tangent_basis(mu)
             init = np.vstack([np.zeros(d - 1), np.eye(d - 1) * h])
-            x, fx = _nelder_mead(objective_at(mu, basis), init)
+            x, fx = _nelder_mead(objective_at(mu @ face_pts, basis.T @ face_pts), init)
             if math.isfinite(fx) and fx <= best:
                 best = fx
                 v = mu + basis @ x

@@ -103,8 +103,50 @@ def test_score_block_invalid_directions_are_inf():
     # hyperbolic: a direction whose combination is space-like must score inf
     F = np.array([[0.0, 1.0]])  # <v,v> = mu^2 > 0, never time-like
     p = np.array([1.0, 0.0])
-    out = _score_block(np.array([[1.0], [-1.0]]), F, p, Model.hyperbolic(2))
+    out = _score_block(np.array([[1.0], [-1.0]]) @ F, p, Model.hyperbolic(2))
     assert np.all(np.isinf(out))
+
+
+def _pre_point_blocks(model_name):
+    """(model, 1024 ambient pre-points P @ F, point) for every face size of
+    seeded simplices, n 2..6: the rows the probe stage scores."""
+    rng = np.random.default_rng(47)
+    for n in range(2, 7):
+        model = model_named(model_name, n + 1)
+        s = random_simplex(model, n, seed=1300 + n)
+        for size in range(1, n + 1):
+            face = rng.choice(n + 1, size=size, replace=False)
+            V = rng.normal(size=(1024, size)) @ s.vertices[face]
+            yield model, V, random_point(model, rng)
+
+
+@pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
+def test_score_block_one_row_is_its_row_of_the_batch(model_name):
+    # the refinement scores one pre-point per call; it must get exactly the
+    # score the probe stage would give that row
+    for model, V, p in _pre_point_blocks(model_name):
+        batch = _score_block(V, p, model)
+        for i in range(V.shape[0]):
+            assert _bits(_score_block(V[i : i + 1], p, model)) == _bits(batch[i : i + 1])
+
+
+def test_score_block_ignores_the_sign_of_a_hyperbolic_pre_point():
+    # -V names the same upper-sheet candidate as V
+    for model, V, p in _pre_point_blocks("hyperbolic"):
+        assert _bits(_score_block(-V, p, model)) == _bits(_score_block(V, p, model))
+
+
+@pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
+@pytest.mark.parametrize("factor", [2.5, 1e3])
+def test_score_block_ignores_positive_scale(model_name, factor):
+    # the refinement scores unnormalized pre-points, so a positive scale may
+    # move a score by rounding only and never flip it to or from inf
+    for model, V, p in _pre_point_blocks(model_name):
+        ref = _score_block(V, p, model)
+        got = _score_block(factor * V, p, model)
+        finite = np.isfinite(ref)
+        assert np.array_equal(np.isfinite(got), finite)
+        assert np.all(np.abs(got[finite] - ref[finite]) <= 2e-11 * (1.0 + ref[finite]))
 
 
 @pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
