@@ -1,8 +1,8 @@
 """Cross-checks: the paper's independent routes, kept as verification only.
 
 Production computes every foot and distance with one solve of the face
-block of the edge matrix (``projection``) and T from the vertex-normal
-pairing (``Simplex.scaling``).  The paper's determinant routes to the same
+block of the edge matrix (``projection``) and T from the normal solve
+(``Simplex.scaling``).  The paper's determinant routes to the same
 numbers live here: deleted and bordered minors, T = diag(sqrt|M_ii/det M|)
 = diag(sqrt|G_ii/det G|), the inverse and block-inverse identities, Schur
 blocks as bordered-minor ratios, (G22)^-1 from them and the distance
@@ -84,7 +84,7 @@ class ScalingMatrix:
 
 
 def scaling_matrix(simplex: Simplex, tols: Tolerances = DEFAULT_TOLS) -> ScalingMatrix:
-    """The cached T of ``simplex.scaling``, cross-checked against the Gram side.
+    """The stored T of ``simplex.scaling``, cross-checked against the Gram side.
 
     Raises DegenerateSimplex when sqrt|G_ii / det G| disagrees with it by
     more than ``tols.identity`` (relative).
@@ -272,8 +272,8 @@ def identity_residuals(simplex: Simplex, tols: Tolerances = DEFAULT_TOLS) -> dic
 
     Every row is bounded by ``tols.identity``.  T is rebuilt here from the
     edge matrix's principal minors, so that the duality and agreement rows
-    test the production T (read from the vertex-normal pairing) against
-    an independent route instead of against itself.
+    test the production T (the norms of the normal solve's dual vectors)
+    against an independent route instead of against itself.
     """
     m = simplex.vertex_count
     M, G = simplex.edge_matrix, simplex.gram_matrix

@@ -13,8 +13,9 @@ are spoken of 1-based in documentation and error messages (x1 is the
 time-like one); array storage is 0-based as usual.
 
 This module owns the membership rule every closed form assumes (right
-length, |<x,x> - curvature| <= tol so that NaN and inf fail, upper sheet in
-H^n): every entry point checks its points and vertices through
+length, |<x,x> - curvature| <= tol so that NaN, inf and an overflowing
+<x,x> fail without a numpy warning, upper sheet in H^n): every entry
+point checks its points and vertices through
 ``_require_on_manifold``, and every reported residual is ``_membership_residual``.
 
 It also owns the angle rule: every distance in the package is ``_angle``
@@ -135,9 +136,28 @@ def inner(model: Model, x, y) -> float:
     return float((xv * model.signature) @ yv)
 
 
+# |x_i| <= 1e150 keeps <x,x> finite over any length below 1e8
+_SQUARE_SAFE = 1e150
+
+
+def _self_product(model: Model, x: np.ndarray) -> float:
+    """<x,x> of a float vector of the right length; inf or NaN once it overflows.
+
+    Never warns.  The common path adds a plain-Python min and max of x; a
+    coordinate beyond _SQUARE_SAFE, an inf, or a NaN that min or max lands
+    on takes the errstate path.
+    """
+    coords = x.tolist()
+    if not (-_SQUARE_SAFE <= min(coords) and max(coords) <= _SQUARE_SAFE):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float((x * model.signature).dot(x))
+    # .dot, not @: the same ddot, bit for bit, without matmul's dispatch
+    return float((x * model.signature).dot(x))
+
+
 def _membership_residual(model: Model, x: np.ndarray) -> float:
     """|<x,x> - curvature| of a float vector of the right length."""
-    return abs(float((x * model.signature) @ x) - model.curvature)
+    return abs(_self_product(model, x) - model.curvature)
 
 
 def _require_on_manifold(model: Model, x, tol: float, what: str) -> np.ndarray:
@@ -198,16 +218,18 @@ def normalize_to_manifold(model: Model, v, tol_norm: float = DEFAULT_TOLS.norm) 
     """Scale v onto the manifold: v / sqrt(curvature * <v,v>).
 
     The hyperbolic sign is chosen so the first coordinate is positive
-    (upper sheet).  Raises NotNormalizable when curvature * <v,v| is not
-    safely positive, which signals a degenerate/undefined projection
-    upstream (space-like or near-light-like input in the Lorentzian case,
-    near-zero input in the spherical case).
+    (upper sheet).  Raises NotNormalizable when curvature * <v,v> is not
+    finite and safely positive, which signals a degenerate/undefined
+    projection upstream (space-like or near-light-like input in the
+    Lorentzian case, near-zero input in the spherical case) or an input
+    too large for float64.
     """
     vv = _as_vector(model, v)
-    q = model.curvature * float((vv * model.signature) @ vv)
-    if not q > tol_norm:
+    q = model.curvature * _self_product(model, vv)
+    if not tol_norm < q < math.inf:
         raise NotNormalizable(
-            f"curvature*<v,v> = {q!r} is not positive; cannot normalize onto {model.name} manifold"
+            f"curvature*<v,v> = {q!r} is not finite and positive; "
+            f"cannot normalize onto {model.name} manifold"
         )
     out = vv / math.sqrt(q)
     if model.curvature == -1 and out[0] < 0.0:

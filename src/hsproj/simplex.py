@@ -9,12 +9,12 @@ its metric data:
 
 where e_i is the unit vector orthogonal to every vertex except p_i, signed
 so that <e_i, p_i> < 0 (outward).  M and G are mutually inverse up to the
-diagonal scaling T = diag(sqrt|M_ii / det M|).  By the vertex-normal
-duality <e_i, p_j> = -delta_ij / T_i, ``Simplex.scaling`` reads T off the
-pairing of each vertex with its own normal, with no determinant.  The
-paper's minors, Schur blocks and inverse identities are the independent
-routes to the same numbers; they live in ``crosscheck``, which nothing in
-the production path imports.
+diagonal scaling T = diag(sqrt|M_ii / det M|).  Production reads M, the
+normals and T, so a ``Simplex`` stores those, with det M from the
+degeneracy floor and T from the normal solve; G and det G, read only by
+the identities, are built on first use.  The paper's minors, Schur blocks
+and inverse identities are the independent routes to the same numbers;
+they live in ``crosscheck``, which nothing in the production path imports.
 
 All user-facing indices (vertices, faces, minor row/column sets, block
 splits) are 1-based, matching the mathematical notation; storage is
@@ -46,17 +46,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Simplex:
-    """Validated n-simplex with eagerly cached metric data.
+    """Validated n-simplex: stored vertices, M, normals, T and det M; lazy G, det G.
 
-    Immutable after construction (arrays are read-only); build via
-    :func:`build_simplex`.
+    Immutable (arrays are read-only); build via :func:`build_simplex`.
     """
 
     model: Model
     vertices: np.ndarray      # (n+1, n+1), rows are points
     edge_matrix: np.ndarray   # M, symmetric, diagonal = curvature
-    gram_matrix: np.ndarray   # G, symmetric, unit diagonal
     normals: np.ndarray       # rows e_1 .. e_{n+1}
+    scaling: np.ndarray       # diagonal of T; <e_i, p_i> = -1 / T_i
+    edge_det: float           # det M
 
     @property
     def n(self) -> int:
@@ -67,18 +67,14 @@ class Simplex:
         return self.model.ambient_dim
 
     @cached_property
-    def edge_det(self) -> float:
-        return float(np.linalg.det(self.edge_matrix))
+    def gram_matrix(self) -> np.ndarray:
+        """G, symmetric, unit diagonal."""
+        G = (self.normals * self.model.signature) @ self.normals.T
+        return _frozen((G + G.T) / 2.0)
 
     @cached_property
     def gram_det(self) -> float:
         return float(np.linalg.det(self.gram_matrix))
-
-    @cached_property
-    def scaling(self) -> np.ndarray:
-        """Diagonal of T = diag(sqrt|M_ii / det M|), as T_i = -1 / <e_i, p_i>."""
-        pairing = np.einsum("ij,ij->i", self.vertices * self.model.signature, self.normals)
-        return _frozen(-1.0 / pairing)
 
 
 def build_simplex(
@@ -86,7 +82,7 @@ def build_simplex(
     vertices: Sequence[Sequence[float]] | np.ndarray,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> Simplex:
-    """Validate vertices and assemble the cached edge/Gram/normal data.
+    """Validate vertices and assemble the stored edge/normal/scaling data.
 
     Raises OffManifold / WrongSheet for bad points, DimensionMismatch for a
     wrong vertex count or coordinate length, and DegenerateSimplex when the
@@ -120,17 +116,17 @@ def build_simplex(
             )
 
     # Normals from the orthogonality system: the columns u_i of (P*sig)^-1
-    # satisfy <u_i, p_j> = delta_ij, so e_i = -u_i / sqrt(<u_i,u_i>) is unit,
-    # orthogonal to the other vertices and pairs negatively with p_i.
+    # satisfy <u_i, p_j> = delta_ij, so <u_i, u_i> = (M^-1)_ii = T_i^2 and
+    # e_i = -u_i / T_i is unit, orthogonal to the other vertices and pairs
+    # with p_i as -1 / T_i.
     U = np.linalg.solve(P * sig, np.eye(m))
     sq = np.einsum("ji,j,ji->i", U, sig, U)
     if np.any(sq <= tols.norm):
         raise DegenerateSimplex("facet normal is not space-like; simplex is degenerate")
-    E = -(U / np.sqrt(sq)).T
-    G = (E * sig) @ E.T
-    G = (G + G.T) / 2.0
+    T = np.sqrt(sq)
+    E = -(U / T).T
 
-    return Simplex(model, _frozen(P.copy()), _frozen(M), _frozen(G), _frozen(E))
+    return Simplex(model, _frozen(P.copy()), _frozen(M), _frozen(E), _frozen(T), det_m)
 
 
 def _index_positions(

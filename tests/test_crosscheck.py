@@ -57,5 +57,5 @@ def test_duality_row_catches_a_wrong_production_scaling():
     s.__dict__["scaling"] = s.scaling * (1 + 1e-6)
     after = identity_residuals(s)
     assert after["vertex_normal_duality"] > DEFAULT_TOLS.identity
-    # the minors T, not the cached one, feeds the agreement with the Gram side
+    # the minors T, not the stored one, feeds the agreement with the Gram side
     assert after["scaling_agreement"] == before["scaling_agreement"]

@@ -108,6 +108,8 @@ def test_normalize_examples():
     assert_allclose(normalize_to_manifold(S3, (3.0, 4.0, 0.0)), [0.6, 0.8, 0.0], atol=1e-15)
     assert_allclose(normalize_to_manifold(Model.hyperbolic(2), (-2.0, 0.0)), [1.0, 0.0], atol=1e-15)
     assert_allclose(normalize_to_manifold(Model.hyperbolic(2), (COSH1, 0.0)), [1.0, 0.0], atol=1e-15)
+    # <v,v> = 2e302 is still finite, so the overflow guard must not refuse it
+    assert_allclose(normalize_to_manifold(S3, (1e151, 1e151, 0.0)), [2**-0.5, 2**-0.5, 0.0])
 
 
 def test_normalize_rejects_bad_vectors():
@@ -119,6 +121,29 @@ def test_normalize_rejects_bad_vectors():
         normalize_to_manifold(H3, (1.0, 1.0, 0.0))  # light-like
     with pytest.raises(NotNormalizable):
         normalize_to_manifold(H3, (math.nan, 0.0, 0.0))
+
+
+# coordinates whose <x,x> overflows: cosh 400 squares past the float range
+OVERFLOWING = [
+    (1e200, 1e200, 0.0),
+    (1e155, 0.0, 0.0),
+    (math.cosh(400.0), math.sinh(400.0), 0.0),
+    (math.inf, math.inf, 0.0),
+    (math.inf, 0.0, 0.0),
+    (math.nan, 1e200, 0.0),
+]
+
+
+@pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
+@pytest.mark.parametrize("x", OVERFLOWING)
+def test_overflowing_vectors_fail_without_a_warning(model_name, x):
+    # tier 1 turns a numpy RuntimeWarning into an error
+    model = model_named(model_name, 3)
+    assert not on_manifold(model, x)
+    with pytest.raises(OffManifold):
+        distance(model, x, (1.0, 0.0, 0.0))
+    with pytest.raises(NotNormalizable):
+        normalize_to_manifold(model, x)
 
 
 @pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])

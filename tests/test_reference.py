@@ -56,7 +56,8 @@ NEAR_BOUND = 2e-15
 PI_HALF_BOUND = 3e-15
 # the foot p. / sqrt(c2) amplifies the error of p. by 1/sqrt(c2) = 1/sin(eps)
 PI_HALF_FOOT_BOUND = 2e-15
-# relative; T from the edge matrix's minors is off by up to 7.2e-13 here
+# relative; the stored T (sqrt <u_t, u_t> of the normal solve) is off by up
+# to 4.3e-15 here, T from the edge matrix's minors by up to 7.2e-13
 SCALING_BOUND = 1e-13
 # relative.  Hyperbolic pairs lose the most at d = 1e-9, where the float
 # inputs' ~1e-16 distance from the hyperboloid moves d by ~3e-13, and at
@@ -222,7 +223,7 @@ def _lambda_error(result, lambdas):
 
 @pytest.mark.parametrize("name", MODELS)
 def test_scaling(name):
-    # 54 simplices per model, n 2..7: T from the vertex-normal pairing
+    # 54 simplices per model, n 2..7: T from the normal solve
     for n in range(2, 8):
         for k in range(9):
             s = random_simplex(model_named(name, n + 1), n, seed=7500 + 10 * n + k)

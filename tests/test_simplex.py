@@ -10,18 +10,23 @@ from hsproj import (
     OffManifold,
     SingularBlock,
     WrongSheet,
+    altitude,
     bordered_minor,
     build_simplex,
     complement_gram_inverse,
     deleted_minor,
+    distance_to_face,
     inner,
+    project_to_face,
+    project_to_hyperplane,
     scaling_matrix,
     schur_complement,
     schur_complement_via_minors,
     verify_inverse_identity,
     verify_block_inverse_identities,
+    vertex_foot,
 )
-from hsproj.oracle import random_simplex
+from hsproj.oracle import random_point, random_simplex
 
 from conftest import COSH1, SINH1, model_named
 
@@ -66,6 +71,45 @@ def test_simplex_is_immutable(octant):
         octant.vertices[0, 0] = 2.0
     with pytest.raises(ValueError):
         octant.edge_matrix[0, 1] = 5.0
+    with pytest.raises(ValueError):
+        octant.normals[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        octant.scaling[0] = 2.0
+    # built on first use, and frozen like the stored arrays
+    with pytest.raises(ValueError):
+        octant.gram_matrix[0, 1] = 5.0
+    assert octant.gram_matrix is octant.gram_matrix
+
+
+@pytest.mark.parametrize("name", ["hyperbolic", "spherical"])
+def test_build_takes_one_determinant_and_keeps_it(name, monkeypatch):
+    model = model_named(name, 5)
+    vertices = random_simplex(model, 4, seed=11).vertices
+    dets = []
+    real = np.linalg.det
+
+    def spy(a):
+        dets.append(real(a))
+        return dets[-1]
+
+    monkeypatch.setattr(np.linalg, "det", spy)
+    s = build_simplex(model, vertices)
+    # the floor check's det M is the stored one: reading it takes no second
+    assert s.edge_det == dets[0]
+    assert len(dets) == 1
+
+
+@pytest.mark.parametrize("name", ["hyperbolic", "spherical"])
+def test_production_leaves_the_gram_side_unbuilt(name):
+    model = model_named(name, 5)
+    s = build_simplex(model, random_simplex(model, 4, seed=11).vertices)
+    p = random_point(model, 12)
+    project_to_face(s, (1, 3), p)
+    distance_to_face(s, (1, 3), p)
+    project_to_hyperplane(s, 2, p)
+    vertex_foot(s, (1, 3), 2)
+    altitude(s, (1, 3), 2)
+    assert "gram_matrix" not in vars(s) and "gram_det" not in vars(s)
 
 
 # ---------------------------------------------------------------- minors
