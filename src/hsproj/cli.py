@@ -25,7 +25,7 @@ from .forms import distance as geodesic
 from .oracle import OracleOptions, oracle_project, random_point, random_simplex
 from .projection import altitude, face_complement, project_to_face, vertex_foot
 from .simplex import Simplex, build_simplex
-from .crosscheck import bordered_minor, distance_to_face_by_minors, identity_residuals
+from .crosscheck import _bordered, _minors, distance_to_face_by_minors, identity_residuals
 
 # check-suite bounds on the closed form vs oracle comparison
 ORACLE_DISTANCE_TOL = 1e-6
@@ -110,7 +110,7 @@ def cmd_validate(args, tols: Tolerances) -> dict:
 def _projection_block(simplex: Simplex, face, p, result, tols: Tolerances) -> tuple[dict, dict]:
     face0, comp0 = face_complement(simplex, face)
     M = simplex.edge_matrix
-    base = (face0 + 1).tolist()
+    border = _bordered(face0, comp0)
     results = {
         "foot": _vec(result.foot),
         "distance": result.distance,
@@ -118,10 +118,10 @@ def _projection_block(simplex: Simplex, face, p, result, tols: Tolerances) -> tu
         "pre_foot": _vec(result.pre_foot),
         "minors": {
             "det_edge_matrix": simplex.edge_det,
-            "face_minor": float(np.linalg.det(M[np.ix_(face0, face0)])),
-            "bordered_diagonal": {
-                str(t): bordered_minor(M, base, t, t) for t in (comp0 + 1).tolist()
-            },
+            "face_minor": float(_minors(M, face0, face0)),
+            "bordered_diagonal": dict(
+                zip(map(str, (comp0 + 1).tolist()), _minors(M, border, border).tolist())
+            ),
         },
     }
     sig = simplex.model.signature

@@ -6,9 +6,16 @@ block of the edge matrix (``projection``) and T from the normal solve
 numbers live here: deleted and bordered minors, T = diag(sqrt|M_ii/det M|)
 = diag(sqrt|G_ii/det G|), the inverse and block-inverse identities, Schur
 blocks as bordered-minor ratios, (G22)^-1 from them and the distance
-through it.  Nothing in ``simplex``, ``projection`` or ``oracle`` imports
-this module; the CLI's ``check`` and ``project`` residuals, the tests and
-the benchmark compare the two routes.
+through it, the vertex coefficients lambda_s = T_s m_j^s / m_face, the
+Schur altitude and the facet determinant ratio.  Nothing in ``simplex``,
+``projection`` or ``oracle`` imports this module; the CLI's ``check`` and
+``project`` residuals, the tests and the benchmark compare the two routes.
+
+Minors are computed in stacked determinants (``_minors``): a Schur block
+takes det M(A,A) and one det call over all its bordered minors, T all its
+principal minors in one call.  numpy runs the same LU on each stacked
+matrix as on that matrix alone, so each minor is bit-identical to its own
+det call, and none of them reuses the face-block solve of production.
 
 Sign policy: in the Lorentzian signature det M, the minors M_ii and det G
 are negative, so every radical of a ratio or product of them is taken of
@@ -26,13 +33,14 @@ import numpy as np
 
 from .errors import BadIndexSet, DegenerateSimplex, SingularBlock
 from .forms import DEFAULT_TOLS, Tolerances, _require_on_manifold
-from .projection import _distance
+from .projection import _distance, _opposite_vertex
 from .simplex import Simplex, _complement, _frozen, _index_positions, face_complement
 
 __all__ = [
     "ScalingMatrix", "SchurBlock", "IdentityReport", "deleted_minor", "bordered_minor",
     "scaling_matrix", "verify_inverse_identity", "schur_complement", "schur_complement_via_minors",
     "verify_block_inverse_identities", "complement_gram_inverse", "distance_to_face_by_minors",
+    "vertex_lambdas_by_minors", "altitude_by_minors", "facet_altitude_by_determinants",
     "identity_residuals",
 ]
 
@@ -44,15 +52,35 @@ def _check_square(matrix) -> np.ndarray:
     return A
 
 
+def _minors(A: np.ndarray, rows, cols) -> np.ndarray:
+    """det A[rows[..., :], cols[..., :]] for every pair of index rows, in one det call.
+
+    The last axis of ``rows`` and of ``cols`` lists one minor's 0-based rows
+    and columns; the leading axes broadcast, so (k, 1, b) rows against
+    (1, k, b) columns give a k x k table of minors, and two (m, b) arrays
+    give m minors.  numpy's stacked det runs the same LU on each matrix as
+    a det of that matrix alone, so every entry is bit-identical to it.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    return np.linalg.det(A[rows[..., :, None], cols[..., None, :]])
+
+
+def _bordered(base: np.ndarray, borders: np.ndarray) -> np.ndarray:
+    """Index rows (base, b), one for each border b: shape (len(borders), len(base) + 1)."""
+    out = np.empty((borders.size, base.size + 1), dtype=np.intp)
+    out[:, :-1] = base
+    out[:, -1] = borders
+    return out
+
+
 def deleted_minor(matrix, i: int, j: int) -> float:
     """The ij-th minor: determinant after deleting row i and column j (1-based)."""
     A = _check_square(matrix)
     m = A.shape[0]
     (i0,) = _index_positions((i,), m, BadIndexSet, "minor row")
     (j0,) = _index_positions((j,), m, BadIndexSet, "minor column")
-    if m == 1:
-        return 1.0
-    return float(np.linalg.det(A[np.ix_(_complement(m, [i0]), _complement(m, [j0]))]))
+    return float(_minors(A, [_complement(m, [i0])], [_complement(m, [j0])])[0])
 
 
 def bordered_minor(matrix, base: Sequence[int], s: int, t: int) -> float:
@@ -68,12 +96,14 @@ def bordered_minor(matrix, base: Sequence[int], s: int, t: int) -> float:
     (t0,) = _index_positions((t,), m, BadIndexSet, "bordered minor column")
     if s0 in base0 or t0 in base0:
         raise BadIndexSet("border indices must lie outside the base set")
-    return float(np.linalg.det(A[np.ix_(base0 + [s0], base0 + [t0])]))
+    return float(_minors(A, [base0 + [s0]], [base0 + [t0]])[0])
 
 
 def _principal_deleted(A: np.ndarray) -> np.ndarray:
+    """The m principal minors M_ii of an m x m matrix, in one stacked det."""
     m = A.shape[0]
-    return np.array([deleted_minor(A, i, i) for i in range(1, m + 1)])
+    rows = np.nonzero(~np.eye(m, dtype=bool))[1].reshape(m, m - 1)
+    return _minors(A, rows, rows)
 
 
 @dataclass(frozen=True)
@@ -139,11 +169,11 @@ class SchurBlock:
     values: np.ndarray
 
 
-def _split_indices(m: int, retained: Sequence[int]) -> tuple[list[int], list[int]]:
+def _split_indices(m: int, retained: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     keep0 = _index_positions(retained, m, BadIndexSet, "retained set")
     if not keep0:
         raise BadIndexSet("retained set must be nonempty")
-    return keep0, _complement(m, keep0)
+    return np.array(keep0, dtype=np.intp), np.array(_complement(m, keep0), dtype=np.intp)
 
 
 def schur_complement(
@@ -157,18 +187,18 @@ def schur_complement(
     Raises SingularBlock when M[A,A] is not safely invertible.
     """
     A = _check_square(matrix)
-    keep0, elim0 = _split_indices(A.shape[0], retained)
-    rows = tuple(i + 1 for i in keep0)
-    if not elim0:
-        return SchurBlock(rows, _frozen(A[np.ix_(keep0, keep0)].copy()))
-    block_a = A[np.ix_(elim0, elim0)]
+    keep, elim = _split_indices(A.shape[0], retained)
+    rows = tuple((keep + 1).tolist())
+    if not elim.size:
+        return SchurBlock(rows, _frozen(A[keep[:, None], keep]))
+    block_a = A[elim[:, None], elim]
     # gate on the spectrum, not on det vs entry-scale^k: that floor grows
     # far faster than determinants of honest blocks do
     svals = np.linalg.svd(block_a, compute_uv=False)
     if svals[-1] <= tol_degenerate * svals[0] or svals[0] == 0.0:
-        raise SingularBlock(f"eliminated block {tuple(i + 1 for i in elim0)} is singular")
-    s = A[np.ix_(keep0, keep0)] - A[np.ix_(keep0, elim0)] @ np.linalg.solve(
-        block_a, A[np.ix_(elim0, keep0)]
+        raise SingularBlock(f"eliminated block {tuple((elim + 1).tolist())} is singular")
+    s = A[keep[:, None], keep] - A[keep[:, None], elim] @ np.linalg.solve(
+        block_a, A[elim[:, None], keep]
     )
     return SchurBlock(rows, _frozen(s))
 
@@ -178,21 +208,19 @@ def schur_complement_via_minors(matrix, retained: Sequence[int]) -> SchurBlock:
 
     S[s,t] = det M(A,s; A,t) / det M(A,A) by the Schur determinant identity;
     this is the independent route used to cross-check the block algebra.
+    Two det calls whatever the block size: det M(A,A), then every bordered
+    minor in one stack.
     """
     A = _check_square(matrix)
-    keep0, elim0 = _split_indices(A.shape[0], retained)
-    rows = tuple(i + 1 for i in keep0)
-    if not elim0:
-        return SchurBlock(rows, _frozen(A[np.ix_(keep0, keep0)].copy()))
-    base = [i + 1 for i in elim0]
-    denom = float(np.linalg.det(A[np.ix_(elim0, elim0)]))
+    keep, elim = _split_indices(A.shape[0], retained)
+    rows = tuple((keep + 1).tolist())
+    if not elim.size:
+        return SchurBlock(rows, _frozen(A[keep[:, None], keep]))
+    denom = float(_minors(A, elim, elim))
     if denom == 0.0:
-        raise SingularBlock(f"eliminated block {tuple(base)} is singular")
-    out = np.empty((len(rows), len(rows)))
-    for a, s in enumerate(rows):
-        for b, t in enumerate(rows):
-            out[a, b] = bordered_minor(A, base, s, t) / denom
-    return SchurBlock(rows, _frozen(out))
+        raise SingularBlock(f"eliminated block {tuple((elim + 1).tolist())} is singular")
+    border = _bordered(elim, keep)
+    return SchurBlock(rows, _frozen(_minors(A, border[:, None], border[None, :]) / denom))
 
 
 def verify_block_inverse_identities(
@@ -214,7 +242,7 @@ def verify_block_inverse_identities(
 
     def residual(block_of, idx, schur_of_other):
         i0 = np.array(idx) - 1
-        blk = block_of[np.ix_(i0, i0)]
+        blk = block_of[i0[:, None], i0]
         s = schur_of_other.values
         ts = t[i0]
         claimed_inv = ts[:, None] * s * ts[None, :]
@@ -264,6 +292,55 @@ def distance_to_face_by_minors(
     face0, comp0 = face_complement(simplex, face)
     b = (simplex.normals[comp0] * simplex.model.signature) @ pv
     s2 = float(b @ complement_gram_inverse(simplex, face0 + 1) @ b)
+    return _distance(simplex.model, s2, 1.0 - simplex.model.curvature * s2, tols)
+
+
+def _vertex_minor_row(simplex: Simplex, face: Sequence[int], j: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The complement, row j of the face block's Schur complement by minors, and j's place in it.
+
+    S[j,s] = m_j^s / m_face: the bordered minor over rows (face, j) and
+    columns (face, s), over det M[face,face].
+    """
+    _, comp0, j0 = _opposite_vertex(simplex, face, j)
+    s = schur_complement_via_minors(simplex.edge_matrix, comp0 + 1).values
+    a = int(np.searchsorted(comp0, j0))
+    return comp0, s[a], a
+
+
+def vertex_lambdas_by_minors(simplex: Simplex, face: Sequence[int], j: int) -> dict[int, float]:
+    """The paper's lambda_s = T_s m_j^s / m_face of ``vertex_foot``, keyed 1-based.
+
+    T_s = sqrt|M_ss / det M| comes from the principal minors, not from
+    ``simplex.scaling``: production lambda is -T_s <p. - p_j, p_s> with the
+    stored T, so comparing with it would test T against itself.
+    """
+    comp0, row, _ = _vertex_minor_row(simplex, face, j)
+    t = np.sqrt(np.abs(_principal_deleted(simplex.edge_matrix)[comp0] / simplex.edge_det))
+    return dict(zip((comp0 + 1).tolist(), (t * row).tolist()))
+
+
+def altitude_by_minors(
+    simplex: Simplex, face: Sequence[int], j: int, tols: Tolerances = DEFAULT_TOLS
+) -> float:
+    """The Schur altitude: ``altitude`` from the radicand c2 = 1 - curvature * m_j^j / m_face.
+
+    sinh^2/sin^2 of the altitude is s2 = m_j^j / m_face, the j-th diagonal
+    entry of the face block's Schur complement as a bordered-minor ratio.
+    """
+    _, row, a = _vertex_minor_row(simplex, face, j)
+    s2 = float(row[a])
+    return _distance(simplex.model, s2, 1.0 - simplex.model.curvature * s2, tols)
+
+
+def facet_altitude_by_determinants(
+    simplex: Simplex, j: int, tols: Tolerances = DEFAULT_TOLS
+) -> float:
+    """Altitude from p_j to its opposite facet: c2 = 1 - curvature * det M / M_jj.
+
+    For the facet, m_face = M_jj and m_j^j = det M, so this is the Schur
+    altitude with the stored det M and one deleted minor.
+    """
+    s2 = simplex.edge_det / deleted_minor(simplex.edge_matrix, j, j)
     return _distance(simplex.model, s2, 1.0 - simplex.model.curvature * s2, tols)
 
 

@@ -129,26 +129,39 @@ def _as_vector(model: Model, x, name: str = "vector") -> np.ndarray:
     return v
 
 
+# |x_i|, |y_i| <= 1e150 keeps <x,y> finite over any length below 1e8
+_SQUARE_SAFE = 1e150
+
+
+def _square_safe(x: np.ndarray) -> bool:
+    """False for a coordinate beyond _SQUARE_SAFE, an inf, or a NaN that min or max lands on.
+
+    A product of vectors that pass cannot overflow, so it runs without
+    ``np.errstate``; the check is a plain-Python min and max of x.
+    """
+    coords = x.tolist()
+    return -_SQUARE_SAFE <= min(coords) and max(coords) <= _SQUARE_SAFE
+
+
 def inner(model: Model, x, y) -> float:
-    """Curvature-signed scalar product: Lorentzian for H^n, Euclidean for S^n."""
+    """Curvature-signed scalar product: Lorentzian for H^n, Euclidean for S^n.
+
+    inf or NaN once it overflows, without a numpy warning.
+    """
     xv = _as_vector(model, x, "x")
     yv = _as_vector(model, y, "y")
+    if not (_square_safe(xv) and _square_safe(yv)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float((xv * model.signature) @ yv)
     return float((xv * model.signature) @ yv)
-
-
-# |x_i| <= 1e150 keeps <x,x> finite over any length below 1e8
-_SQUARE_SAFE = 1e150
 
 
 def _self_product(model: Model, x: np.ndarray) -> float:
     """<x,x> of a float vector of the right length; inf or NaN once it overflows.
 
-    Never warns.  The common path adds a plain-Python min and max of x; a
-    coordinate beyond _SQUARE_SAFE, an inf, or a NaN that min or max lands
-    on takes the errstate path.
+    Never warns: a vector that fails ``_square_safe`` takes the errstate path.
     """
-    coords = x.tolist()
-    if not (-_SQUARE_SAFE <= min(coords) and max(coords) <= _SQUARE_SAFE):
+    if not _square_safe(x):
         with np.errstate(over="ignore", invalid="ignore"):
             return float((x * model.signature).dot(x))
     # .dot, not @: the same ddot, bit for bit, without matmul's dispatch

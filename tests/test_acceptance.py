@@ -18,18 +18,15 @@ from hsproj import (
     OracleOptions,
     ProjectionUndefined,
     altitude,
-    deleted_minor,
     distance,
     distance_to_face,
     oracle_project,
     project_to_face,
     project_to_hyperplane,
-    schur_complement,
-    schur_complement_via_minors,
     verify_inverse_identity,
-    verify_block_inverse_identities,
     vertex_foot,
 )
+from hsproj.crosscheck import facet_altitude_by_determinants, identity_residuals
 from hsproj.documents import dumps
 from hsproj.oracle import random_point, random_simplex
 
@@ -104,16 +101,10 @@ def test_criterion_1_inverse_identity_suite(identity_population):
 def test_criterion_2_block_inverse_suite(identity_population):
     pop, _ = identity_population
     t0 = time.perf_counter()
-    worst_blocks = 0.0
-    worst_paths = 0.0
-    for s in pop:
-        m = s.vertex_count
-        for k in range(m - 1):
-            worst_blocks = max(worst_blocks, verify_block_inverse_identities(s, k).max_residual)
-            trail = tuple(range(k + 2, m + 1))
-            a = schur_complement(s.edge_matrix, trail).values
-            b = schur_complement_via_minors(s.edge_matrix, trail).values
-            worst_paths = max(worst_paths, float(np.abs(a - b).max()))
+    # identity_residuals runs both rows at every split of each simplex
+    rows = [identity_residuals(s) for s in pop]
+    worst_blocks = max(r["block_inverse"] for r in rows)
+    worst_paths = max(r["schur_paths"] for r in rows)
     elapsed = time.perf_counter() - t0
     _report(
         2, "block-inverse identities and schur paths, all splits",
@@ -205,13 +196,7 @@ def test_criterion_5_specialization_coherence():
             # facet altitude: schur-diagonal path vs the determinant-ratio form
             jf = int(rng.integers(1, m + 1))
             facet = tuple(v for v in range(1, m + 1) if v != jf)
-            radicand = 1.0 - model.curvature * s.edge_det / deleted_minor(s.edge_matrix, jf, jf)
-            if model.curvature == 1 and radicand <= 1e-9:
-                direct = math.pi / 2
-            elif model.curvature == -1:
-                direct = math.acosh(math.sqrt(max(radicand, 1.0)))
-            else:
-                direct = math.acos(math.sqrt(min(max(radicand, 0.0), 1.0)))
+            direct = facet_altitude_by_determinants(s, jf)
             worst["facet"] = max(worst["facet"], abs(altitude(s, facet, jf) - direct))
 
     passed = all(v <= 1e-9 for v in worst.values())

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from hsproj import Model, build_simplex, cli, project_to_face
 from hsproj import crosscheck
 from hsproj.cli import main
+from hsproj.oracle import random_point, random_simplex
 
 from conftest import COSH1, SINH1
 
@@ -107,6 +108,20 @@ def test_project_octant(tmp_path, capsys):
     assert report["residuals"]["foot_manifold"] <= 1e-12
     assert report["residuals"]["orthogonality"] <= 1e-12
     assert report["residuals"]["distance_paths"] <= 1e-12
+
+
+def test_project_minors_match_one_det_per_minor(tmp_path, capsys):
+    s = random_simplex(Model.hyperbolic(5), 4, seed=8)
+    path = write_doc(tmp_path, {"model": "hyperbolic", "vertices": s.vertices.tolist()})
+    point = ",".join(repr(float(x)) for x in random_point(s.model, 9))
+    code, report, _ = run_json(capsys, "project", path, "--face", "1,3", f"--point={point}")
+    assert code == 0
+    M, face = s.edge_matrix, [0, 2]
+    minors = report["results"]["minors"]
+    assert minors["face_minor"] == float(np.linalg.det(M[np.ix_(face, face)]))
+    assert minors["bordered_diagonal"] == {
+        str(t + 1): float(np.linalg.det(M[np.ix_(face + [t], face + [t])])) for t in (1, 3, 4)
+    }
 
 
 def test_project_with_oracle_check(tmp_path, capsys):

@@ -147,6 +147,23 @@ def test_overflowing_vectors_fail_without_a_warning(model_name, x):
 
 
 @pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
+@pytest.mark.parametrize("big", [1e200, math.inf, math.nan])
+def test_inner_overflows_without_a_warning(model_name, big):
+    # tier 1 turns a numpy RuntimeWarning into an error
+    model = model_named(model_name, 3)
+    square = inner(model, (big, 0.0, 0.0), (big, 0.0, 0.0))
+    crossed = inner(model, (big, 0.0, 0.0), (0.0, 1.0, 0.0))  # inf * 0 is NaN
+    if math.isnan(big):
+        assert math.isnan(square) and math.isnan(crossed)
+    elif math.isinf(big):
+        assert square == model.curvature * math.inf and math.isnan(crossed)
+    else:
+        assert square == model.curvature * math.inf and crossed == 0.0
+    # the largest coordinates that skip the guard still give the plain product
+    assert inner(model, (0.0, 1e150, 0.0), (0.0, 1e150, 0.0)) == 1e150 * 1e150
+
+
+@pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
 def test_normalize_lands_on_manifold(model_name):
     model = model_named(model_name, 4)
     rng = np.random.default_rng(23)

@@ -13,8 +13,6 @@ from hsproj import (
     ProjectionUndefined,
     WrongSheet,
     altitude,
-    bordered_minor,
-    deleted_minor,
     distance,
     distance_to_face,
     inner,
@@ -26,7 +24,12 @@ from hsproj import (
 from hsproj import crosscheck, projection
 from hsproj.forms import normalize_to_manifold
 from hsproj.oracle import random_point, random_simplex
-from hsproj.crosscheck import distance_to_face_by_minors
+from hsproj.crosscheck import (
+    altitude_by_minors,
+    distance_to_face_by_minors,
+    facet_altitude_by_determinants,
+    vertex_lambdas_by_minors,
+)
 
 from conftest import COSH1, SINH1, model_named
 
@@ -151,7 +154,7 @@ def test_distance_to_face_computes_no_minor(monkeypatch):
 
     assert not hasattr(projection, "complement_gram_inverse")
     # projection imports no minor function: forbid them in crosscheck, where they live
-    for name in ("bordered_minor", "deleted_minor"):
+    for name in ("_minors", "bordered_minor", "deleted_minor"):
         monkeypatch.setattr(crosscheck, name, forbidden)
     for _, s, face, p in _cases(2000, 10):
         try:
@@ -252,20 +255,17 @@ def test_vertex_foot_matches_general_path(case):
         b = project_to_face(s, face, s.vertices[j - 1])
         assert np.abs(a.foot - b.foot).max() <= 1e-9
         assert abs(a.distance - b.distance) <= 1e-9
-        # pre-foot norm identity: <p.,p.> = -1 - m_j^j/m_face (hyperbolic)
-        # and 1 - m_j^j/m_face (spherical)
-        M = s.edge_matrix
-        face0 = [i - 1 for i in face]
-        m_face = np.linalg.det(M[np.ix_(face0, face0)])
-        ratio = bordered_minor(M, face, j, j) / m_face
-        expected = -1.0 - ratio if model.curvature == -1 else 1.0 - ratio
-        assert inner(model, a.pre_foot, a.pre_foot) == pytest.approx(expected, abs=1e-9)
+        # pre-foot norm identity: <p.,p.> = curvature * c2, with c2 = cosh^2/cos^2
+        # of the paper's altitude from the radicand 1 - curvature * m_j^j / m_face
+        alt = altitude_by_minors(s, face, j)
+        c = math.cosh(alt) if model.curvature == -1 else math.cos(alt)
+        assert inner(model, a.pre_foot, a.pre_foot) == pytest.approx(model.curvature * c * c, abs=1e-9)
         # the paper's vertex-specialized coefficients lambda_s = T_s m_j^s / m_face,
         # with the minors T = sqrt|M_ss / det M|, independent of the production T
+        paper = vertex_lambdas_by_minors(s, face, j)
+        assert paper.keys() == a.lambdas.keys()
         for t, lam in a.lambdas.items():
-            t_minors = math.sqrt(abs(deleted_minor(M, t, t) / s.edge_det))
-            paper = t_minors * bordered_minor(M, face, j, t) / m_face
-            assert lam == pytest.approx(paper, abs=1e-9)
+            assert lam == pytest.approx(paper[t], abs=1e-9)
 
 
 def test_vertex_routes_compute_no_minor(monkeypatch):
@@ -342,14 +342,11 @@ def test_altitude_three_paths_agree(case):
     for j in comp:
         alt = altitude(s, face, j)
         assert abs(alt - distance_to_face(s, face, s.vertices[j - 1])) <= 1e-9
+        # the Schur altitude: radicand 1 - curvature * m_j^j / m_face
+        assert abs(alt - altitude_by_minors(s, face, j)) <= 1e-9
         if len(face) == s.n:
             # facet: the determinant-ratio closed form 1 - curvature * det M / M_jj
-            c2 = 1.0 - model.curvature * s.edge_det / deleted_minor(s.edge_matrix, j, j)
-            if model.curvature == -1:
-                direct = math.acosh(math.sqrt(max(c2, 1.0)))
-            else:
-                direct = math.pi / 2 if c2 <= 1e-9 else math.acos(math.sqrt(min(c2, 1.0)))
-            assert abs(alt - direct) <= 1e-9
+            assert abs(alt - facet_altitude_by_determinants(s, j)) <= 1e-9
         try:
             foot = vertex_foot(s, face, j)
         except ProjectionUndefined:

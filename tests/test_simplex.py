@@ -196,14 +196,20 @@ def test_scaling_minors_computed_once_per_simplex(monkeypatch):
     t = s.scaling
     assert t is s.scaling and not t.flags.writeable
     edge_minors = []
-    real = crosscheck.deleted_minor
 
-    def counting(matrix, i, j):
-        if matrix is s.edge_matrix:
-            edge_minors.append((i, j))
-        return real(matrix, i, j)
+    def counting(name):
+        real = getattr(crosscheck, name)
 
-    monkeypatch.setattr(crosscheck, "deleted_minor", counting)
+        def counted(matrix, *args):
+            if matrix is s.edge_matrix:
+                edge_minors.append((name, args))
+            return real(matrix, *args)
+
+        return counted
+
+    # the principal minors of M are T's route: one minor or a stack of all
+    for name in ("deleted_minor", "_principal_deleted"):
+        monkeypatch.setattr(crosscheck, name, counting(name))
     verify_inverse_identity(s)
     for k in range(4):
         verify_block_inverse_identities(s, k)
