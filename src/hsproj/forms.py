@@ -131,6 +131,8 @@ def _as_vector(model: Model, x, name: str = "vector") -> np.ndarray:
 
 # |x_i|, |y_i| <= 1e150 keeps <x,y> finite over any length below 1e8
 _SQUARE_SAFE = 1e150
+# unit roundoff of float64
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _square_safe(x: np.ndarray) -> bool:
@@ -235,7 +237,11 @@ def normalize_to_manifold(model: Model, v, tol_norm: float = DEFAULT_TOLS.norm) 
     finite and safely positive, which signals a degenerate/undefined
     projection upstream (space-like or near-light-like input in the
     Lorentzian case, near-zero input in the spherical case) or an input
-    too large for float64.
+    too large for float64.  Safely positive means above ``tol_norm`` and
+    above gamma_m * sum(v_i^2), gamma_m = m u / (1 - m u) for unit roundoff
+    u and m = ambient_dim: the bound on the rounding error of the m-term
+    sum that computes <v,v> (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3).
     """
     vv = _as_vector(model, v)
     q = model.curvature * _self_product(model, vv)
@@ -244,6 +250,20 @@ def normalize_to_manifold(model: Model, v, tol_norm: float = DEFAULT_TOLS.norm) 
             f"curvature*<v,v> = {q!r} is not finite and positive; "
             f"cannot normalize onto {model.name} manifold"
         )
+    if model.curvature == -1:
+        # a q within gamma_m <v,v>_E, the rounding bound of the sum that
+        # made it, is residue of a light-like v, not a length.  In H^n
+        # <v,v>_E = 2 v_1^2 - q, so q <= gamma_m <v,v>_E reads as below,
+        # which stays finite wherever q is; in S^n <v,v>_E is q itself and
+        # the bound never binds.
+        m = model.ambient_dim
+        gamma = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+        x1 = float(vv[0])
+        if q * (1.0 + gamma) <= 2.0 * gamma * x1 * x1:
+            raise NotNormalizable(
+                f"-<v,v> = {q!r} is within rounding of 0 (light-like); "
+                f"cannot normalize onto {model.name} manifold"
+            )
     out = vv / math.sqrt(q)
     if model.curvature == -1 and out[0] < 0.0:
         out = -out

@@ -32,12 +32,17 @@ allowed to be orders of magnitude slower.
 
 Also hosts the reproducible random generators used by the property and
 acceptance tests.  All randomness uses numpy's Generator with the PCG64
-bit generator, explicitly seeded, so runs reproduce exactly.
+bit generator, explicitly seeded, so runs reproduce exactly.  The
+spherical ``random_simplex`` draws and screens its candidate vertex sets
+in blocks with stacked numpy calls; it returns the same simplex per seed
+as the one-draw-per-try loop that defines it (``tests/test_oracle.py``
+keeps that loop as the reference).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +69,9 @@ _LIGHT_TOL = 1e-12
 # measured against; 1e5 keeps residuals ~1e-10 and costs < ~6% retries.
 GENERATOR_CONDITION_LIMIT = 1e5
 GENERATOR_MAX_TRIES = 1000
+# spherical candidate vertex sets drawn and screened per numpy call; at
+# n = 8 a simplex takes ~60 draws, at n = 2 a handful
+_SCREEN_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -228,6 +236,24 @@ def random_point(model: Model, rng) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
+def _spherical_draws(rng: np.random.Generator, m: int) -> Iterator[np.ndarray]:
+    """The spherical draws whose pairwise distances all lie in [0.2, 2.0], in draw order.
+
+    GENERATOR_MAX_TRIES draws of m unit vertices in all, screened
+    _SCREEN_BATCH at a time (the last block cut to the tries left).  A
+    Generator's normal stream over (k, m, m) is k successive (m, m) draws,
+    and the stacked norm, matmul and arccos give each draw's figures bit
+    for bit, so the draws that pass are those of one draw per try.
+    """
+    rows, cols = np.triu_indices(m, 1)
+    for start in range(0, GENERATOR_MAX_TRIES, _SCREEN_BATCH):
+        block = rng.normal(size=(min(_SCREEN_BATCH, GENERATOR_MAX_TRIES - start), m, m))
+        block /= np.linalg.norm(block, axis=2, keepdims=True)
+        gram = np.clip(block @ block.transpose(0, 2, 1), -1.0, 1.0)
+        pair = np.arccos(gram[:, rows, cols])
+        yield from block[~((pair.min(axis=1) < 0.2) | (pair.max(axis=1) > 2.0))]
+
+
 def random_simplex(
     model: Model,
     n: int,
@@ -241,7 +267,11 @@ def random_simplex(
     the sphere, resampled until all pairwise distances lie in [0.2, 2.0]
     (which also rules out near-antipodal pairs).  Draws are retried until
     build_simplex accepts and the edge matrix is well conditioned
-    (GENERATOR_CONDITION_LIMIT), up to GENERATOR_MAX_TRIES times.
+    (GENERATOR_CONDITION_LIMIT), up to GENERATOR_MAX_TRIES draws.
+
+    Spherical draws are made and screened against the distance window in
+    blocks (``_spherical_draws``), which yields the same simplex per seed
+    as drawing and screening one vertex set per try.
     """
     if n < 1:
         raise ValueError(f"simplex dimension must be >= 1, got {n}")
@@ -251,16 +281,14 @@ def random_simplex(
         )
     rng = np.random.default_rng(seed)
     m = n + 1
-    for _ in range(GENERATOR_MAX_TRIES):
-        if model.curvature == -1:
-            vertices = np.array([random_point(model, rng) for _ in range(m)])
-        else:
-            vertices = rng.normal(size=(m, m))
-            vertices /= np.linalg.norm(vertices, axis=1, keepdims=True)
-            gram = np.clip(vertices @ vertices.T, -1.0, 1.0)
-            pair = np.arccos(gram[np.triu_indices(m, 1)])
-            if pair.min() < 0.2 or pair.max() > 2.0:
-                continue
+    if model.curvature == -1:
+        draws = (
+            np.array([random_point(model, rng) for _ in range(m)])
+            for _ in range(GENERATOR_MAX_TRIES)
+        )
+    else:
+        draws = _spherical_draws(rng, m)
+    for vertices in draws:
         try:
             # only genuine degeneracy is retried; anything else is a bug
             simplex = build_simplex(model, vertices, tols)

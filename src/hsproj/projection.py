@@ -223,7 +223,9 @@ def altitude(
 
     distance_to_face run on p_j, bit for bit.  The paper's radicands
     1 - curvature * m_j^j / m_face and, for a facet, 1 - curvature * det M / M_jj
-    give the same c2; the tests keep them as cross-checks.
+    give the same c2; they are kept as the cross-checks
+    ``crosscheck.altitude_by_minors`` and
+    ``crosscheck.facet_altitude_by_determinants``.
     """
     face0, _, j0 = _opposite_vertex(simplex, face, j)
     _, s2, c2 = _face_solve(simplex, face0, simplex.vertices[j0])

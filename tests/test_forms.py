@@ -123,6 +123,19 @@ def test_normalize_rejects_bad_vectors():
         normalize_to_manifold(H3, (math.nan, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("sheet", [1.0, -1.0])
+def test_normalize_rejects_light_like_rounding_residue(sheet):
+    # <v,v> = -1.0e-8 is what is left of two 1.5e8 squares that cancel:
+    # above tol_norm, yet within the rounding bound of the sum
+    with pytest.raises(NotNormalizable):
+        normalize_to_manifold(H3, (sheet * 12345.678, sheet * 12345.678, 0.0))
+    # a time-like vector of the same size range still normalizes, onto the
+    # upper sheet; <v,v> = -9 carries a relative error up to gamma_3 cosh 16 ~ 1.5e-9
+    x = normalize_to_manifold(H3, (sheet * 3 * math.cosh(8.0), sheet * 3 * math.sinh(8.0), 0.0))
+    assert_allclose(x, [math.cosh(8.0), math.sinh(8.0), 0.0], rtol=1e-9)
+    assert on_manifold(H3, x)
+
+
 # coordinates whose <x,x> overflows: cosh 400 squares past the float range
 OVERFLOWING = [
     (1e200, 1e200, 0.0),

@@ -10,7 +10,9 @@ from numpy.testing import assert_allclose
 
 from hsproj import oracle
 from hsproj import (
+    DegenerateSimplex,
     DimensionMismatch,
+    GenerationExhausted,
     Model,
     OffManifold,
     OracleOptions,
@@ -297,12 +299,78 @@ def test_random_simplex_validates_dimension():
         random_simplex(Model.hyperbolic(2), 0, seed=0)
 
 
+def _random_simplex_one_draw_per_try(model, n, seed):
+    """random_simplex drawn and screened one vertex set per try: the
+    definition its batched spherical screening reproduces bit for bit."""
+    rng = np.random.default_rng(seed)
+    m = n + 1
+    for _ in range(oracle.GENERATOR_MAX_TRIES):
+        if model.curvature == -1:
+            vertices = np.array([random_point(model, rng) for _ in range(m)])
+        else:
+            vertices = rng.normal(size=(m, m))
+            vertices /= np.linalg.norm(vertices, axis=1, keepdims=True)
+            gram = np.clip(vertices @ vertices.T, -1.0, 1.0)
+            pair = np.arccos(gram[np.triu_indices(m, 1)])
+            if pair.min() < 0.2 or pair.max() > 2.0:
+                continue
+        try:
+            simplex = oracle.build_simplex(model, vertices)
+        except DegenerateSimplex:
+            continue
+        if np.linalg.cond(simplex.edge_matrix) <= oracle.GENERATOR_CONDITION_LIMIT:
+            return simplex
+    raise GenerationExhausted(f"no valid {model.name} {n}-simplex")
+
+
+GENERATOR_SEEDS = list(range(10)) + [97 * k + 13 for k in range(15)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
+def test_random_simplex_matches_one_draw_per_try(model_name, n):
+    model = model_named(model_name, n + 1)
+    for seed in GENERATOR_SEEDS:
+        got = random_simplex(model, n, seed)
+        want = _random_simplex_one_draw_per_try(model, n, seed)
+        assert np.array_equal(got.vertices, want.vertices)
+        assert np.array_equal(got.normals, want.normals)
+        assert got.edge_det == want.edge_det
+
+
 def test_spherical_generator_respects_distance_window():
-    s = random_simplex(Model.spherical(5), 4, seed=3)
-    P = s.vertices
-    g = np.clip(P @ P.T, -1, 1)
-    d = np.arccos(g[np.triu_indices(5, 1)])
-    assert d.min() >= 0.2 and d.max() <= 2.0
+    for n in range(2, 9):
+        for seed in GENERATOR_SEEDS:
+            P = random_simplex(Model.spherical(n + 1), n, seed).vertices
+            g = np.clip(P @ P.T, -1, 1)
+            d = np.arccos(g[np.triu_indices(n + 1, 1)])
+            assert d.min() >= 0.2 and d.max() <= 2.0, (n, seed)
+
+
+@pytest.mark.parametrize(("n", "seed"), [(2, 1), (5, 17)])
+@pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
+def test_generator_exhausts_after_max_tries(monkeypatch, model_name, n, seed):
+    # 37 tries is not a multiple of the screening batch, and a condition
+    # limit of 0 rejects every simplex built, so every try is spent; at
+    # these seeds the 37th spherical draw passes the distance window, so a
+    # generator that stopped one draw early would build one simplex fewer
+    monkeypatch.setattr(oracle, "GENERATOR_MAX_TRIES", 37)
+    monkeypatch.setattr(oracle, "GENERATOR_CONDITION_LIMIT", 0)
+    build, calls = oracle.build_simplex, []
+
+    def spy(*args):
+        calls.append(args[1])
+        return build(*args)
+
+    monkeypatch.setattr(oracle, "build_simplex", spy)
+    model = model_named(model_name, n + 1)
+    with pytest.raises(GenerationExhausted):
+        random_simplex(model, n, seed)
+    built, calls[:] = list(calls), []
+    with pytest.raises(GenerationExhausted):
+        _random_simplex_one_draw_per_try(model, n, seed)
+    assert len(built) == len(calls) > 0
+    assert all(np.array_equal(a, b) for a, b in zip(built, calls))
 
 
 @pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
