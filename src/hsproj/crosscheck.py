@@ -17,6 +17,14 @@ principal minors in one call.  numpy runs the same LU on each stacked
 matrix as on that matrix alone, so each minor is bit-identical to its own
 det call, and none of them reuses the face-block solve of production.
 
+Schur blocks by elimination share one kernel over a stack of matrices
+split into contiguous blocks: one stacked SVD gates every eliminated
+block, one stacked solve eliminates them.  The block-inverse suite stacks
+G and M, which share every index set, so a split takes two gates and two
+solves (one per side) for its four Schur blocks; ``schur_complement`` is
+the same kernel on a stack of one, its eliminated set permuted to the
+front.  Stacked SVD and solve give each matrix the bits of its own call.
+
 Sign policy: in the Lorentzian signature det M, the minors M_ii and det G
 are negative, so every radical of a ratio or product of them is taken of
 the absolute value.  The residual signs are pinned by checkable facts
@@ -176,6 +184,31 @@ def _split_indices(m: int, retained: Sequence[int]) -> tuple[np.ndarray, np.ndar
     return np.array(keep0, dtype=np.intp), np.array(_complement(m, keep0), dtype=np.intp)
 
 
+def _singular_values(stack: np.ndarray, elim: slice) -> list[list[float]]:
+    """Singular values of every matrix's eliminated block, one stacked SVD, as floats."""
+    return np.linalg.svd(stack[:, elim, elim], compute_uv=False).tolist()
+
+
+def _gate(svals: list[float], tol_degenerate: float, elim_rows: tuple[int, ...]) -> None:
+    # gate on the spectrum, not on det vs entry-scale^k: that floor grows
+    # far faster than determinants of honest blocks do
+    if svals[-1] <= tol_degenerate * svals[0] or svals[0] == 0.0:
+        raise SingularBlock(f"eliminated block {elim_rows} is singular")
+
+
+def _schur_stack(stack: np.ndarray, elim: slice, keep: slice) -> list[np.ndarray]:
+    """D - C A^-1 B of every matrix in ``stack``, A its [elim, elim] block and D its [keep, keep].
+
+    One stacked solve; the caller gates A first.  Stacked solve and SVD run
+    one LAPACK call per matrix, so each matrix gets the bits of its own call.
+    C X is one 2-D matmul per matrix, the product a single Schur call forms;
+    a stacked matmul gave the same bits on numpy 2.4, but nothing pins that
+    on other builds.
+    """
+    x = np.linalg.solve(stack[:, elim, elim], stack[:, elim, keep])
+    return [d - c @ xi for d, c, xi in zip(stack[:, keep, keep], stack[:, keep, elim], x)]
+
+
 def schur_complement(
     matrix,
     retained: Sequence[int],
@@ -191,15 +224,13 @@ def schur_complement(
     rows = tuple((keep + 1).tolist())
     if not elim.size:
         return SchurBlock(rows, _frozen(A[keep[:, None], keep]))
-    block_a = A[elim[:, None], elim]
-    # gate on the spectrum, not on det vs entry-scale^k: that floor grows
-    # far faster than determinants of honest blocks do
-    svals = np.linalg.svd(block_a, compute_uv=False)
-    if svals[-1] <= tol_degenerate * svals[0] or svals[0] == 0.0:
-        raise SingularBlock(f"eliminated block {tuple((elim + 1).tolist())} is singular")
-    s = A[keep[:, None], keep] - A[keep[:, None], elim] @ np.linalg.solve(
-        block_a, A[elim[:, None], keep]
-    )
+    # eliminated set first, so both blocks are slices of one stack
+    order = np.concatenate((elim, keep))
+    stack = A.take(order, axis=0).take(order, axis=1)[None]
+    front, back = slice(0, elim.size), slice(elim.size, None)
+    (svals,) = _singular_values(stack, front)
+    _gate(svals, tol_degenerate, tuple((elim + 1).tolist()))
+    (s,) = _schur_stack(stack, front, back)
     return SchurBlock(rows, _frozen(s))
 
 
@@ -216,11 +247,53 @@ def schur_complement_via_minors(matrix, retained: Sequence[int]) -> SchurBlock:
     rows = tuple((keep + 1).tolist())
     if not elim.size:
         return SchurBlock(rows, _frozen(A[keep[:, None], keep]))
+    return SchurBlock(rows, _frozen(_minor_ratios(A, keep, elim)))
+
+
+def _minor_ratios(A: np.ndarray, keep: np.ndarray, elim: np.ndarray) -> np.ndarray:
+    """``schur_complement_via_minors`` over 0-based keep and nonempty elim, unvalidated."""
     denom = float(_minors(A, elim, elim))
     if denom == 0.0:
         raise SingularBlock(f"eliminated block {tuple((elim + 1).tolist())} is singular")
     border = _bordered(elim, keep)
-    return SchurBlock(rows, _frozen(_minors(A, border[:, None], border[None, :]) / denom))
+    return _minors(A, border[:, None], border[None, :]) / denom
+
+
+def _split_residuals(
+    simplex: Simplex, split: int
+) -> tuple[dict[str, float], np.ndarray, list[float]]:
+    """Block-inverse residuals at a 0-based split, M's trail Schur block, M's lead singular values.
+
+    G and M share every index set, so they are one stack: each side of the
+    split takes one SVD gate and one solve for both.  The blocks are gated
+    in the order G retaining the lead, G retaining the trail, then M alike.
+    """
+    m = simplex.vertex_count
+    lead, trail = slice(0, split + 1), slice(split + 1, m)
+    lead_rows, trail_rows = tuple(range(1, split + 2)), tuple(range(split + 2, m + 1))
+    M, G = simplex.edge_matrix, simplex.gram_matrix
+    stack = np.stack((G, M))
+    svals_trail = _singular_values(stack, trail)
+    svals_lead = _singular_values(stack, lead)
+    for sv_trail, sv_lead in zip(svals_trail, svals_lead):
+        _gate(sv_trail, DEFAULT_TOLS.degenerate, trail_rows)
+        _gate(sv_lead, DEFAULT_TOLS.degenerate, lead_rows)
+    g_lead, m_lead = _schur_stack(stack, trail, lead)
+    g_trail, m_trail = _schur_stack(stack, lead, trail)
+    t = simplex.scaling
+
+    def residual(block_of, idx, s):
+        ts = t[idx]
+        claimed_inv = ts[:, None] * s * ts[None, :]
+        return float(np.abs(block_of[idx, idx] @ claimed_inv - np.eye(len(s))).max())
+
+    residuals = {
+        "edge_lead": residual(M, lead, g_lead),
+        "edge_trail": residual(M, trail, g_trail),
+        "gram_lead": residual(G, lead, m_lead),
+        "gram_trail": residual(G, trail, m_trail),
+    }
+    return residuals, m_trail, svals_lead[1]
 
 
 def verify_block_inverse_identities(
@@ -231,32 +304,14 @@ def verify_block_inverse_identities(
     The matrices are split into the leading block {1..split_k+1} and the
     trailing block {split_k+2..n+1}; both must be nonempty.  The identities
     checked are (M^11)^-1 = T^11 S_{G^22} T^11 and the three companions,
-    reported as products-with-inverse residuals.
+    reported as products-with-inverse residuals.  G and M are stacked, so
+    the four Schur blocks take two SVD gates and two solves, one of each
+    per side of the split.
     """
     m = simplex.vertex_count
     (split,) = _index_positions((split_k,), m - 2, BadIndexSet, "split_k", first=0)
-    lead = tuple(range(1, split + 2))
-    trail = tuple(range(split + 2, m + 1))
-    t = simplex.scaling
-    M, G = simplex.edge_matrix, simplex.gram_matrix
-
-    def residual(block_of, idx, schur_of_other):
-        i0 = np.array(idx) - 1
-        blk = block_of[i0[:, None], i0]
-        s = schur_of_other.values
-        ts = t[i0]
-        claimed_inv = ts[:, None] * s * ts[None, :]
-        return float(np.abs(blk @ claimed_inv - np.eye(len(idx))).max())
-
-    return IdentityReport(
-        {
-            "edge_lead": residual(M, lead, schur_complement(G, lead)),
-            "edge_trail": residual(M, trail, schur_complement(G, trail)),
-            "gram_lead": residual(G, lead, schur_complement(M, lead)),
-            "gram_trail": residual(G, trail, schur_complement(M, trail)),
-        },
-        tol,
-    )
+    residuals, _, _ = _split_residuals(simplex, split)
+    return IdentityReport(residuals, tol)
 
 
 def complement_gram_inverse(simplex: Simplex, face: Sequence[int]) -> np.ndarray:
@@ -268,8 +323,8 @@ def complement_gram_inverse(simplex: Simplex, face: Sequence[int]) -> np.ndarray
     paper's closed-form route; ``distance_to_face_by_minors`` and the tests
     compare it with the face-block solve of the projection.
     """
-    _, comp0 = face_complement(simplex, face)
-    s = schur_complement_via_minors(simplex.edge_matrix, comp0 + 1).values
+    face0, comp0 = face_complement(simplex, face)
+    s = _minor_ratios(simplex.edge_matrix, comp0, face0)
     t_comp = simplex.scaling[comp0]
     sign = np.sign(simplex.edge_det) * simplex.model.curvature
     return sign * t_comp[:, None] * s * t_comp[None, :]
@@ -301,8 +356,8 @@ def _vertex_minor_row(simplex: Simplex, face: Sequence[int], j: int) -> tuple[np
     S[j,s] = m_j^s / m_face: the bordered minor over rows (face, j) and
     columns (face, s), over det M[face,face].
     """
-    _, comp0, j0 = _opposite_vertex(simplex, face, j)
-    s = schur_complement_via_minors(simplex.edge_matrix, comp0 + 1).values
+    face0, comp0, j0 = _opposite_vertex(simplex, face, j)
+    s = _minor_ratios(simplex.edge_matrix, comp0, face0)
     a = int(np.searchsorted(comp0, j0))
     return comp0, s[a], a
 
@@ -357,12 +412,11 @@ def identity_residuals(simplex: Simplex, tols: Tolerances = DEFAULT_TOLS) -> dic
     res = {"inverse_identity": verify_inverse_identity(simplex, tols.identity).max_residual}
     block_inverse = schur_paths = 0.0
     for k in range(0, m - 1):
-        block_inverse = max(
-            block_inverse, verify_block_inverse_identities(simplex, k, tols.identity).max_residual
-        )
-        trail = tuple(range(k + 2, m + 1))
-        a = schur_complement(M, trail, tols.degenerate).values
-        b = schur_complement_via_minors(M, trail).values
+        residuals, a, svals = _split_residuals(simplex, k)
+        block_inverse = max(block_inverse, max(residuals.values()))
+        # M's lead block once more, at the caller's tolerance: schur_paths reads its Schur block
+        _gate(svals, tols.degenerate, tuple(range(1, k + 2)))
+        b = _minor_ratios(M, np.arange(k + 1, m), np.arange(k + 1))
         schur_paths = max(schur_paths, float(np.abs(a - b).max()))
     res["block_inverse"] = block_inverse
     res["schur_paths"] = schur_paths

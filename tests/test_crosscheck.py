@@ -3,9 +3,11 @@
 Production modules hold no cross-check and take no determinant after a
 simplex is built; the ``check`` rows test the production T against T from
 the minors, not against itself.  The minors are stacked determinants,
-bit-identical to one det per entry.
+bit-identical to one det per entry, and the block-inverse suite stacks G
+and M, bit-identical to one Schur call per block.
 """
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 
 from hsproj import DEFAULT_TOLS, Model, altitude, build_simplex, distance_to_face, project_to_face, vertex_foot
 from hsproj import bordered_minor, crosscheck, deleted_minor, schur_complement_via_minors
+from hsproj import SingularBlock, schur_complement, verify_block_inverse_identities
 from hsproj.crosscheck import identity_residuals
 from hsproj.oracle import random_point, random_simplex
 
@@ -118,3 +121,140 @@ def test_minors_take_one_stacked_det(monkeypatch):
         calls.clear()
         crosscheck._principal_deleted(s.edge_matrix)
         assert calls == [(m, m - 1, m - 1)]
+
+
+def _schur_complement_per_call(A, retained, tol_degenerate=DEFAULT_TOLS.degenerate):
+    """schur_complement with its own gathers, SVD gate and solve: the
+    per-block definition the stacked kernel reproduces bit for bit."""
+    A = np.asarray(A, dtype=float)
+    keep = np.array(retained) - 1
+    elim = np.array([i for i in range(A.shape[0]) if i not in keep], dtype=np.intp)
+    block_a = A[elim[:, None], elim]
+    svals = np.linalg.svd(block_a, compute_uv=False)
+    if svals[-1] <= tol_degenerate * svals[0] or svals[0] == 0.0:
+        raise SingularBlock(f"eliminated block {tuple((elim + 1).tolist())} is singular")
+    return A[keep[:, None], keep] - A[keep[:, None], elim] @ np.linalg.solve(
+        block_a, A[elim[:, None], keep]
+    )
+
+
+def _block_inverse_residuals_four_calls(s, split):
+    """The four block-inverse residuals with one Schur call per block."""
+    m = s.vertex_count
+    lead = tuple(range(1, split + 2))
+    trail = tuple(range(split + 2, m + 1))
+    t = s.scaling
+    M, G = s.edge_matrix, s.gram_matrix
+
+    def residual(block_of, idx, schur_of_other):
+        i0 = np.array(idx) - 1
+        blk = block_of[i0[:, None], i0]
+        ts = t[i0]
+        claimed_inv = ts[:, None] * schur_of_other * ts[None, :]
+        return float(np.abs(blk @ claimed_inv - np.eye(len(idx))).max())
+
+    return {
+        "edge_lead": residual(M, lead, _schur_complement_per_call(G, lead)),
+        "edge_trail": residual(M, trail, _schur_complement_per_call(G, trail)),
+        "gram_lead": residual(G, lead, _schur_complement_per_call(M, lead)),
+        "gram_trail": residual(G, trail, _schur_complement_per_call(M, trail)),
+    }
+
+
+def _block_rows_per_call(s, tols=DEFAULT_TOLS):
+    """The block_inverse and schur_paths rows of ``identity_residuals`` with
+    one Schur call per block and a fifth for schur_paths at ``tols``."""
+    m = s.vertex_count
+    block_inverse = schur_paths = 0.0
+    for k in range(m - 1):
+        block_inverse = max(block_inverse, *_block_inverse_residuals_four_calls(s, k).values())
+        trail = tuple(range(k + 2, m + 1))
+        a = _schur_complement_per_call(s.edge_matrix, trail, tols.degenerate)
+        b = schur_complement_via_minors(s.edge_matrix, trail).values
+        schur_paths = max(schur_paths, float(np.abs(a - b).max()))
+    return {"block_inverse": block_inverse, "schur_paths": schur_paths}
+
+
+BLOCK_SEEDS = list(range(10)) + [89 * k + 7 for k in range(15)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
+def test_stacked_schur_matches_one_call_per_block(model_name, n):
+    model = model_named(model_name, n + 1)
+    for seed in BLOCK_SEEDS:
+        s = random_simplex(model, n, seed)
+        m = s.vertex_count
+        for k in range(m - 1):
+            want = _block_inverse_residuals_four_calls(s, k)
+            assert verify_block_inverse_identities(s, k).residuals == want
+            lead, trail = tuple(range(1, k + 2)), tuple(range(k + 2, m + 1))
+            for A in (s.edge_matrix, s.gram_matrix):
+                for kept in (lead, trail):
+                    assert np.array_equal(schur_complement(A, kept).values, _schur_complement_per_call(A, kept))
+        rows = identity_residuals(s)
+        assert {key: rows[key] for key in ("block_inverse", "schur_paths")} == _block_rows_per_call(s)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except SingularBlock as exc:
+        return str(exc)
+
+
+def _zeroed(A, k, side):
+    A = np.array(A)
+    if side in ("lead", "both"):
+        A[: k + 1, : k + 1] = 0.0
+    if side in ("trail", "both"):
+        A[k + 1 :, k + 1 :] = 0.0
+    return A
+
+
+@pytest.mark.parametrize(
+    "g_side,m_side",
+    [("lead", "trail"), ("trail", "lead"), ("both", None), (None, "both"), ("lead", None), (None, None)],
+)
+def test_singular_blocks_raise_as_one_call_per_block(g_side, m_side):
+    # G's lead and M's trail block fail together when the simplex is degenerate
+    # there, so only the order of the gates picks the message
+    for k in range(3):
+        s = random_simplex(Model.hyperbolic(5), 4, seed=21)
+        s.__dict__["gram_matrix"] = _zeroed(s.gram_matrix, k, g_side)
+        object.__setattr__(s, "edge_matrix", _zeroed(s.edge_matrix, k, m_side))
+        want = _outcome(lambda: _block_inverse_residuals_four_calls(s, k))
+        assert _outcome(lambda: verify_block_inverse_identities(s, k).residuals) == want
+        for degenerate in (DEFAULT_TOLS.degenerate, 0.05, 0.3, 0.9):
+            tols = dataclasses.replace(DEFAULT_TOLS, degenerate=degenerate)
+            want = _outcome(lambda: _block_rows_per_call(s, tols))
+            got = _outcome(lambda: identity_residuals(s, tols))
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert {key: got[key] for key in want} == want
+
+
+def _count_calls(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_block_inverse_suite_takes_two_gates_and_two_solves_per_split(n, monkeypatch):
+    s = random_simplex(Model.spherical(n + 1), n, seed=5)
+    s.gram_matrix  # built on first use, outside the count
+    calls = _count_calls(monkeypatch, "svd", "solve")
+    for k in range(n):
+        calls.update(svd=0, solve=0)
+        verify_block_inverse_identities(s, k)
+        assert calls == {"svd": 2, "solve": 2}
+    calls.update(svd=0, solve=0)
+    identity_residuals(s)
+    assert calls == {"svd": 2 * n, "solve": 2 * n}

@@ -257,6 +257,12 @@ def test_schur_examples():
 def test_schur_singular_block():
     with pytest.raises(SingularBlock):
         schur_complement([[0.0, 0.0], [0.0, 1.0]], (2,))
+    # the gate is relative: smallest over largest singular value of the
+    # eliminated block against the default degenerate = 1e-10
+    for small in (1e-11, 1e-10):  # the bound itself is singular
+        with pytest.raises(SingularBlock, match=r"\(1, 2\)"):
+            schur_complement(np.diag([1.0, small, 1.0]), (3,))
+    assert schur_complement(np.diag([1.0, 1e-9, 1.0]), (3,)).values[0, 0] == 1.0
 
 
 @pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
