@@ -210,7 +210,7 @@ def _check_one(simplex: Simplex, rng, opts: OracleOptions, tols: Tolerances) -> 
     return {"oracle_distance": dist_dev, "oracle_foot": foot_dev}, skipped
 
 
-def cmd_check(args, tols: Tolerances, tol_factor: float) -> dict:
+def cmd_check(args, tols: Tolerances) -> dict:
     if args.random:
         model_name, n_str, seed_str, count_str = args.random
         if model_name not in ("hyperbolic", "spherical"):
@@ -248,8 +248,8 @@ def cmd_check(args, tols: Tolerances, tol_factor: float) -> dict:
     # every row but the oracle's is an identity_residuals row
     bounds = dict.fromkeys(worst, tols.identity)
     bounds.update(
-        oracle_distance=ORACLE_DISTANCE_TOL * tol_factor,
-        oracle_foot=ORACLE_FOOT_TOL * tol_factor,
+        oracle_distance=ORACLE_DISTANCE_TOL * args.tol,
+        oracle_foot=ORACLE_FOOT_TOL * args.tol,
     )
     rows = [
         {"check": key, "max_residual": worst[key], "tol": bounds[key], "passed": worst[key] <= bounds[key]}
@@ -374,7 +374,7 @@ def main(argv=None) -> int:
         elif args.command == "altitudes":
             report = cmd_altitudes(args, tols)
         else:
-            report = cmd_check(args, tols, args.tol)
+            report = cmd_check(args, tols)
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,7 +27,7 @@ p -/+ q; the projection feeds it the radicands of its face-block solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -49,16 +49,15 @@ __all__ = [
 class Tolerances:
     """Default numerical tolerances, overridable per call.
 
-    manifold    membership test |<x,x> - curvature| (absolute)
-    domain      slack on a projection's cosh^2/cos^2 radicand c2: how far it
-                may fall below 1 (H^n) or rise above 1 (S^n) before DomainError
+    manifold    membership test |<x,x> - curvature| (absolute); also the
+                slack on a projection's cosh^2/cos^2 radicand past 1
+                before DomainError (see ``projection._distance``)
     degenerate  determinant floor relative to entry scale
     norm        radicand floor below which a normalization/foot is undefined
     identity    residual bound for the matrix identity checks
     """
 
     manifold: float = 1e-9
-    domain: float = 1e-9
     degenerate: float = 1e-10
     norm: float = 1e-9
     identity: float = 1e-8
@@ -67,14 +66,7 @@ class Tolerances:
         """Scale every tolerance uniformly (the CLI --tol knob)."""
         if not (math.isfinite(factor) and factor > 0):
             raise ValueError(f"tolerance scale factor must be finite and positive, got {factor!r}")
-        return replace(
-            self,
-            manifold=self.manifold * factor,
-            domain=self.domain * factor,
-            degenerate=self.degenerate * factor,
-            norm=self.norm * factor,
-            identity=self.identity * factor,
-        )
+        return replace(self, **{f.name: getattr(self, f.name) * factor for f in fields(self)})
 
 
 DEFAULT_TOLS = Tolerances()

@@ -93,19 +93,20 @@ def _lambdas(simplex: Simplex, comp0: np.ndarray, displacement: np.ndarray) -> d
 
 
 def _distance(model: Model, s2: float, c2: float, tols: Tolerances) -> float:
-    """``forms._angle`` of the radicands, after their range checks.
+    """``forms._angle`` of the radicands, after one range check on c2.
 
-    A c2 off its range by more than ``tols.domain`` raises DomainError.  A
+    p = p. + r gives c2 + curvature * s2 = curvature * (<p,p> - <p., r>),
+    where s2 >= 0 and <p., r> = 0 exactly: for a point that passes
+    membership, c2 crosses 1 the wrong way (below in H^n, above in S^n) by
+    at most its residual plus the orthogonality defect.  So
+    curvature * c2 > curvature + ``tols.manifold`` raises DomainError.  A
     spherical c2 within ``tols.norm`` of 0 gives exactly pi/2: the distance
     is well-defined there even though the foot is not.
     """
-    if model.curvature == -1:
-        if c2 < 1.0 - tols.domain:
-            raise DomainError(f"hyperbolic radicand {c2!r} fell below 1")
-    elif c2 <= tols.norm:
+    if model.curvature * c2 > model.curvature + tols.manifold:
+        raise DomainError(f"{model.name} radicand {c2!r} is past 1 by more than {tols.manifold!r}")
+    if model.curvature == 1 and c2 <= tols.norm:
         return math.pi / 2
-    elif c2 > 1.0 + tols.domain:
-        raise DomainError(f"spherical radicand {c2!r} exceeds 1")
     return _angle(model, s2, c2)
 
 

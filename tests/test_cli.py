@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hsproj import Model, build_simplex, cli, project_to_face
+from hsproj import Model, ProjectionUndefined, build_simplex, cli, project_to_face
 from hsproj import crosscheck
 from hsproj.cli import main
 from hsproj.oracle import random_point, random_simplex
@@ -181,6 +181,47 @@ def test_report_roundtrip_is_bit_identical(tmp_path, capsys):
     assert all(type(x) is float for x in echoed + produced)
 
 
+def _printed(out, prefix):
+    """The text after ``prefix`` on the one human-output line that starts with it."""
+    (line,) = [line for line in out.splitlines() if line.startswith(prefix)]
+    return line[len(prefix):]
+
+
+def test_project_human_output_matches_json(tmp_path, capsys):
+    s = random_simplex(Model.hyperbolic(5), 4, seed=8)
+    path = write_doc(tmp_path, {"model": "hyperbolic", "vertices": s.vertices.tolist()})
+    point = ",".join(repr(float(x)) for x in random_point(s.model, 9))
+    argv = ("project", path, "--face", "1,3", f"--point={point}", "--check")
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    # .17g spells every float so that it parses back to the same bits
+    res = report["results"]
+    assert float(_printed(out, "distance = ")) == res["distance"]
+    assert [float(x) for x in _printed(out, "foot = ").split(", ")] == res["foot"]
+    assert set(res["lambda"]) == {"2", "4", "5"}
+    for k, v in res["lambda"].items():
+        assert float(_printed(out, f"lambda[{k}] = ")) == v
+    for name in report["residuals"]:
+        assert _printed(out, f"residual {name} = ")
+    assert float(_printed(out, "oracle distance = ")) == res["oracle"]["distance"]
+
+
+def test_geometry_error_human_output_has_error_line(tmp_path, capsys):
+    path = write_doc(tmp_path, OCTANT)
+    argv = ("project", path, "--face", "1,2", "--point", "0,0,1")
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 1
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out.splitlines() == [
+        "command: project",
+        "status:  ProjectionUndefined",
+        f"error: {report['error']}",
+    ]
+
+
 def test_project_reads_stdin(tmp_path, capsys, monkeypatch):
     import io
 
@@ -213,6 +254,19 @@ def test_altitudes_triangle_face(tmp_path, capsys):
     assert rows[0]["distance"] == pytest.approx(1.0, abs=1e-12)
     assert rows[0]["foot_undefined"] is False
     assert_allclose(rows[0]["foot"], [1.0, 0.0, 0.0], atol=1e-12)
+
+
+def test_altitudes_human_output_matches_json(tmp_path, capsys):
+    path = write_doc(tmp_path, OCTANT)
+    code, report, _ = run_json(capsys, "altitudes", path, "--face", "1,2")
+    assert code == 0
+    code, out, _ = run(capsys, "altitudes", path, "--face", "1,2")
+    assert code == 0
+    (row,) = report["results"]["altitudes"]
+    assert row["foot_undefined"] is True
+    head, tail = _printed(out, "vertex 3 -> face [1, 2]: ").split(" ", 1)
+    assert float(head) == row["distance"] == math.pi / 2
+    assert tail == "(foot undefined)"
 
 
 def test_altitudes_solve_one_face_block_per_target(tmp_path, capsys, monkeypatch):
@@ -297,6 +351,23 @@ def test_check_human_table(capsys):
     code, out, _ = run(capsys, "check", "--random", "hyperbolic", "2", "5", "2")
     assert code == 0
     assert "inverse_identity" in out and "pass" in out
+
+
+def test_check_counts_and_prints_undefined_samples(capsys, monkeypatch):
+    def undefined(*args, **kwargs):
+        raise ProjectionUndefined("sampled point at distance pi/2")
+
+    monkeypatch.setattr(cli, "project_to_face", undefined)
+    argv = ("check", "--random", "spherical", "2", "3", "2")
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0
+    # two samples per simplex, every one skipped before the oracle runs
+    assert report["results"]["projection_undefined_skipped"] == 4
+    checks = {row["check"]: row["max_residual"] for row in report["results"]["checks"]}
+    assert checks["oracle_distance"] == checks["oracle_foot"] == 0.0
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert _printed(out, "projection-undefined samples skipped: ") == "4"
 
 
 def test_tol_scaling_flag(tmp_path, capsys):

@@ -36,6 +36,7 @@ def test_parse_metadata_kept():
         ('{"model": "spherical"}', "vertices"),
         ('{"model": "spherical", "vertices": [[1,0,0],[0,1,0],[0,0,1],[0,0,0]]}', "row 1"),
         ('{"model": "spherical", "vertices": [[1,0,0],[0,1,0,0],[0,0,1]]}', "row 2"),
+        ('{"model": "spherical", "vertices": [[1,0,0],{"x": 1},[0,0,1]]}', "row 2 is not a list"),
         ('{"model": "spherical", "vertices": [[1,0,0],[0,"x",0],[0,0,1]]}', "row 2"),
         ('{"model": "spherical", "vertices": [[1,0,0],[0,NaN,0],[0,0,1]]}', "row 2 has a non-finite"),
         ('{"model": "spherical", "vertices": [[1,0,0],[0,1,0],[0,0,1e999]]}', "row 3 has a non-finite"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -194,6 +195,13 @@ def test_normalize_lands_on_manifold(model_name):
 def test_tolerance_scaling():
     t = Tolerances().scaled(10.0)
     assert t.manifold == 1e-8 and t.identity == 1e-7
+    names = {f.name for f in dataclasses.fields(Tolerances)}
+    assert names == {"manifold", "degenerate", "norm", "identity"}
+    # distinct values per field, so a field scaled into another one shows
+    base = Tolerances(**{name: float(i + 1) for i, name in enumerate(sorted(names))})
+    scaled = base.scaled(10.0)
+    for name in names:
+        assert getattr(scaled, name) == getattr(base, name) * 10.0
     with pytest.raises(ValueError):
         Tolerances().scaled(0.0)
     for factor in (math.nan, math.inf):

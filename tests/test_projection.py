@@ -5,14 +5,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hsproj import (
+    DEFAULT_TOLS,
     BadFace,
     DimensionMismatch,
+    DomainError,
     Model,
     NotNormalizable,
     OffManifold,
     ProjectionUndefined,
     WrongSheet,
     altitude,
+    build_simplex,
     distance,
     distance_to_face,
     inner,
@@ -394,3 +397,60 @@ def test_foot_is_local_minimizer(case):
             continue
         hits += 1
         assert r.distance <= distance(model, p, x) + 1e-9
+
+
+# --------------------------------------------------------------- DomainError
+
+def _near_plane_triangle(model_name):
+    """A triangle whose vertex 3 lies ~5e-5 from the line of face (1, 2), and a point on that line."""
+    model = model_named(model_name, 3)
+    p1 = np.array([1.0, 0.0, 0.0])
+    p2 = np.array([COSH1, SINH1, 0.0]) if model.curvature == -1 else np.array([0.0, 1.0, 0.0])
+    p3 = normalize_to_manifold(model, p1 + p2 + np.array([0.0, 0.0, 1e-4]))
+    return build_simplex(model, [p1, p2, p3]), normalize_to_manifold(model, p1 + p2)
+
+
+@pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
+def test_domain_error_fires_on_a_wrong_solve(model_name, monkeypatch):
+    # a face-block solve off by 1e-6 relative moves c2 ~ 1 by 1e-6 across 1:
+    # below it in H^n, above it in S^n; the other direction is a valid c2
+    s, p = _near_plane_triangle(model_name)
+    calls = [
+        lambda: distance_to_face(s, (1, 2), p),
+        lambda: project_to_face(s, (1, 2), p),
+        lambda: vertex_foot(s, (1, 2), 3),
+        lambda: altitude(s, (1, 2), 3),
+    ]
+    solve = np.linalg.solve
+    wrong = 1.0 + s.model.curvature * 1e-6
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solve(*a) * (2.0 - wrong))
+    for call in calls:
+        call()
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solve(*a) * wrong)
+    for call in calls:
+        with pytest.raises(DomainError, match=f"{model_name} radicand"):
+            call()
+
+
+@pytest.mark.parametrize("factor", [1.0, 10.0])
+@pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
+def test_domain_error_rule_is_the_membership_slack(model_name, factor):
+    model = model_named(model_name, 3)
+    tols = DEFAULT_TOLS.scaled(factor)
+    # c2 may fall to 1 - tols.manifold in H^n and rise to 1 + tols.manifold in S^n
+    edge = 1.0 + model.curvature * tols.manifold
+    projection._distance(model, 1e-3, edge, tols)
+    with pytest.raises(DomainError):
+        projection._distance(model, 1e-3, float(np.nextafter(edge, edge + model.curvature)), tols)
+
+
+@pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
+def test_minors_route_raises_on_a_negative_radicand(model_name, monkeypatch):
+    model = model_named(model_name, 4)
+    s = random_simplex(model, 3, seed=11)
+    p = random_point(model, np.random.default_rng(5))
+    assert distance_to_face_by_minors(s, (1, 2), p) > 1e-3
+    gram_inverse = crosscheck.complement_gram_inverse
+    monkeypatch.setattr(crosscheck, "complement_gram_inverse", lambda *a: -gram_inverse(*a))
+    with pytest.raises(DomainError):
+        distance_to_face_by_minors(s, (1, 2), p)

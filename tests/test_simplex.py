@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -189,6 +191,14 @@ def test_scaling_matrix_positive_on_random():
     assert np.all(d > 0) and np.all(np.isfinite(d))
 
 
+def test_scaling_matrix_rejects_a_stored_scaling_off_the_gram_side():
+    s = random_simplex(Model.hyperbolic(4), 3, seed=2)
+    assert scaling_matrix(s).diag is s.scaling
+    off = dataclasses.replace(s, scaling=s.scaling * (1 + 1e-6))
+    with pytest.raises(DegenerateSimplex, match="disagree"):
+        scaling_matrix(off)
+
+
 def test_scaling_minors_computed_once_per_simplex(monkeypatch):
     import hsproj.crosscheck as crosscheck
 
@@ -250,13 +260,27 @@ def test_schur_examples():
     assert blk.block_rows == (2, 3)
     blk = schur_complement([[2.0, 1.0], [1.0, 2.0]], (2,))
     assert blk.values[0, 0] == pytest.approx(1.5)
-    # retaining everything leaves the matrix untouched
+    # retaining everything leaves the matrix untouched, on both routes
     assert_allclose(schur_complement(np.eye(3), (1, 2, 3)).values, np.eye(3))
+    A = np.arange(9.0).reshape(3, 3)
+    blk = schur_complement_via_minors(A, (1, 2, 3))
+    assert blk.block_rows == (1, 2, 3) and np.array_equal(blk.values, A)
+
+
+def test_schur_argument_guards():
+    for route in (schur_complement, schur_complement_via_minors):
+        with pytest.raises(BadIndexSet, match="square"):
+            route(np.ones((2, 3)), (1,))
+        with pytest.raises(BadIndexSet, match="nonempty"):
+            route(np.eye(3), ())
+    with pytest.raises(BadIndexSet, match="square"):
+        deleted_minor(np.ones((2, 3)), 1, 1)
 
 
 def test_schur_singular_block():
-    with pytest.raises(SingularBlock):
-        schur_complement([[0.0, 0.0], [0.0, 1.0]], (2,))
+    for route in (schur_complement, schur_complement_via_minors):
+        with pytest.raises(SingularBlock, match=r"\(1,\)"):
+            route([[0.0, 0.0], [0.0, 1.0]], (2,))
     # the gate is relative: smallest over largest singular value of the
     # eliminated block against the default degenerate = 1e-10
     for small in (1e-11, 1e-10):  # the bound itself is singular
