@@ -154,8 +154,8 @@ class IdentityReport:
         return self.max_residual <= self.tol
 
 
-def verify_inverse_identity(simplex: Simplex, tol: float = DEFAULT_TOLS.identity) -> IdentityReport:
-    """Residuals of M^-1 = T G T and G^-1 = T M T (as ||M (TGT) - I|| etc.)."""
+def verify_inverse_identity(simplex: Simplex, tols: Tolerances = DEFAULT_TOLS) -> IdentityReport:
+    """Residuals of M^-1 = T G T and G^-1 = T M T (as ||M (TGT) - I|| etc.) against tols.identity."""
     t = simplex.scaling
     eye = np.eye(simplex.vertex_count)
     tgt = t[:, None] * simplex.gram_matrix * t[None, :]
@@ -165,7 +165,7 @@ def verify_inverse_identity(simplex: Simplex, tol: float = DEFAULT_TOLS.identity
             "edge_inverse": float(np.abs(simplex.edge_matrix @ tgt - eye).max()),
             "gram_inverse": float(np.abs(simplex.gram_matrix @ tmt - eye).max()),
         },
-        tol,
+        tols.identity,
     )
 
 
@@ -189,10 +189,10 @@ def _singular_values(stack: np.ndarray, elim: slice) -> list[list[float]]:
     return np.linalg.svd(stack[:, elim, elim], compute_uv=False).tolist()
 
 
-def _gate(svals: list[float], tol_degenerate: float, elim_rows: tuple[int, ...]) -> None:
+def _gate(svals: list[float], tols: Tolerances, elim_rows: tuple[int, ...]) -> None:
     # gate on the spectrum, not on det vs entry-scale^k: that floor grows
     # far faster than determinants of honest blocks do
-    if svals[-1] <= tol_degenerate * svals[0] or svals[0] == 0.0:
+    if svals[-1] <= tols.degenerate * svals[0] or svals[0] == 0.0:
         raise SingularBlock(f"eliminated block {elim_rows} is singular")
 
 
@@ -209,15 +209,11 @@ def _schur_stack(stack: np.ndarray, elim: slice, keep: slice) -> list[np.ndarray
     return [d - c @ xi for d, c, xi in zip(stack[:, keep, keep], stack[:, keep, elim], x)]
 
 
-def schur_complement(
-    matrix,
-    retained: Sequence[int],
-    tol_degenerate: float = DEFAULT_TOLS.degenerate,
-) -> SchurBlock:
+def schur_complement(matrix, retained: Sequence[int], tols: Tolerances = DEFAULT_TOLS) -> SchurBlock:
     """M[B,B] - M[B,A] (M[A,A])^-1 M[A,B] with B = retained, A = the rest.
 
     An empty complement is allowed (the block is the matrix itself).
-    Raises SingularBlock when M[A,A] is not safely invertible.
+    Raises SingularBlock when M[A,A] fails the ``tols.degenerate`` gate.
     """
     A = _check_square(matrix)
     keep, elim = _split_indices(A.shape[0], retained)
@@ -229,7 +225,7 @@ def schur_complement(
     stack = A.take(order, axis=0).take(order, axis=1)[None]
     front, back = slice(0, elim.size), slice(elim.size, None)
     (svals,) = _singular_values(stack, front)
-    _gate(svals, tol_degenerate, tuple((elim + 1).tolist()))
+    _gate(svals, tols, tuple((elim + 1).tolist()))
     (s,) = _schur_stack(stack, front, back)
     return SchurBlock(rows, _frozen(s))
 
@@ -259,14 +255,13 @@ def _minor_ratios(A: np.ndarray, keep: np.ndarray, elim: np.ndarray) -> np.ndarr
     return _minors(A, border[:, None], border[None, :]) / denom
 
 
-def _split_residuals(
-    simplex: Simplex, split: int
-) -> tuple[dict[str, float], np.ndarray, list[float]]:
-    """Block-inverse residuals at a 0-based split, M's trail Schur block, M's lead singular values.
+def _split_residuals(simplex: Simplex, split: int, tols: Tolerances) -> tuple[dict[str, float], np.ndarray]:
+    """Block-inverse residuals at a 0-based split, and M's trail Schur block.
 
     G and M share every index set, so they are one stack: each side of the
-    split takes one SVD gate and one solve for both.  The blocks are gated
-    in the order G retaining the lead, G retaining the trail, then M alike.
+    split takes one SVD gate and one solve for both.  All four eliminated
+    blocks are gated at ``tols.degenerate``, in the order G retaining the
+    lead, G retaining the trail, then M alike.
     """
     m = simplex.vertex_count
     lead, trail = slice(0, split + 1), slice(split + 1, m)
@@ -276,8 +271,8 @@ def _split_residuals(
     svals_trail = _singular_values(stack, trail)
     svals_lead = _singular_values(stack, lead)
     for sv_trail, sv_lead in zip(svals_trail, svals_lead):
-        _gate(sv_trail, DEFAULT_TOLS.degenerate, trail_rows)
-        _gate(sv_lead, DEFAULT_TOLS.degenerate, lead_rows)
+        _gate(sv_trail, tols, trail_rows)
+        _gate(sv_lead, tols, lead_rows)
     g_lead, m_lead = _schur_stack(stack, trail, lead)
     g_trail, m_trail = _schur_stack(stack, lead, trail)
     t = simplex.scaling
@@ -293,25 +288,26 @@ def _split_residuals(
         "gram_lead": residual(G, lead, m_lead),
         "gram_trail": residual(G, trail, m_trail),
     }
-    return residuals, m_trail, svals_lead[1]
+    return residuals, m_trail
 
 
 def verify_block_inverse_identities(
-    simplex: Simplex, split_k: int, tol: float = DEFAULT_TOLS.identity
+    simplex: Simplex, split_k: int, tols: Tolerances = DEFAULT_TOLS
 ) -> IdentityReport:
     """Residuals of the four block-inverse identities at a given split.
 
     The matrices are split into the leading block {1..split_k+1} and the
     trailing block {split_k+2..n+1}; both must be nonempty.  The identities
     checked are (M^11)^-1 = T^11 S_{G^22} T^11 and the three companions,
-    reported as products-with-inverse residuals.  G and M are stacked, so
-    the four Schur blocks take two SVD gates and two solves, one of each
-    per side of the split.
+    reported as products-with-inverse residuals and bounded by
+    ``tols.identity``.  G and M are stacked, so the four Schur blocks take
+    two SVD gates at ``tols.degenerate`` and two solves, one of each per
+    side of the split.
     """
     m = simplex.vertex_count
     (split,) = _index_positions((split_k,), m - 2, BadIndexSet, "split_k", first=0)
-    residuals, _, _ = _split_residuals(simplex, split)
-    return IdentityReport(residuals, tol)
+    residuals, _ = _split_residuals(simplex, split, tols)
+    return IdentityReport(residuals, tols.identity)
 
 
 def complement_gram_inverse(simplex: Simplex, face: Sequence[int]) -> np.ndarray:
@@ -343,7 +339,7 @@ def distance_to_face_by_minors(
     face-block solve, and c2 = 1 - curvature * s2.  The CLI's
     ``distance_paths`` residual compares the two routes.
     """
-    pv = _require_on_manifold(simplex.model, p, tols.manifold, "point")
+    pv = _require_on_manifold(simplex.model, p, tols, "point")
     face0, comp0 = face_complement(simplex, face)
     b = (simplex.normals[comp0] * simplex.model.signature) @ pv
     s2 = float(b @ complement_gram_inverse(simplex, face0 + 1) @ b)
@@ -402,20 +398,19 @@ def facet_altitude_by_determinants(
 def identity_residuals(simplex: Simplex, tols: Tolerances = DEFAULT_TOLS) -> dict[str, float]:
     """Max residual of each matrix identity on one simplex, keyed by ``check`` row.
 
-    Every row is bounded by ``tols.identity``.  T is rebuilt here from the
+    Every row is bounded by ``tols.identity``, and every Schur block it
+    reads is gated at ``tols.degenerate``.  T is rebuilt here from the
     edge matrix's principal minors, so that the duality and agreement rows
     test the production T (the norms of the normal solve's dual vectors)
     against an independent route instead of against itself.
     """
     m = simplex.vertex_count
     M, G = simplex.edge_matrix, simplex.gram_matrix
-    res = {"inverse_identity": verify_inverse_identity(simplex, tols.identity).max_residual}
+    res = {"inverse_identity": verify_inverse_identity(simplex, tols).max_residual}
     block_inverse = schur_paths = 0.0
     for k in range(0, m - 1):
-        residuals, a, svals = _split_residuals(simplex, k)
+        residuals, a = _split_residuals(simplex, k, tols)
         block_inverse = max(block_inverse, max(residuals.values()))
-        # M's lead block once more, at the caller's tolerance: schur_paths reads its Schur block
-        _gate(svals, tols.degenerate, tuple(range(1, k + 2)))
         b = _minor_ratios(M, np.arange(k + 1, m), np.arange(k + 1))
         schur_paths = max(schur_paths, float(np.abs(a - b).max()))
     res["block_inverse"] = block_inverse

@@ -13,9 +13,9 @@ are spoken of 1-based in documentation and error messages (x1 is the
 time-like one); array storage is 0-based as usual.
 
 This module owns the membership rule every closed form assumes (right
-length, |<x,x> - curvature| <= tol so that NaN, inf and an overflowing
-<x,x> fail without a numpy warning, upper sheet in H^n): every entry
-point checks its points and vertices through
+length, |<x,x> - curvature| <= tols.manifold so that NaN, inf and an
+overflowing <x,x> fail without a numpy warning, upper sheet in H^n):
+every entry point checks its points and vertices through
 ``_require_on_manifold``, and every reported residual is ``_membership_residual``.
 
 It also owns the angle rule: every distance in the package is ``_angle``
@@ -47,14 +47,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Default numerical tolerances, overridable per call.
+    """Numerical tolerances; every public call that decides takes one as ``tols``.
 
-    manifold    membership test |<x,x> - curvature| (absolute); also the
-                slack on a projection's cosh^2/cos^2 radicand past 1
-                before DomainError (see ``projection._distance``)
-    degenerate  determinant floor relative to entry scale
-    norm        radicand floor below which a normalization/foot is undefined
-    identity    residual bound for the matrix identity checks
+    manifold    membership |<x,x> - curvature| of every point (absolute) and
+                the slack on a projection's radicand c2 past 1 (DomainError)
+    degenerate  the det floor of build_simplex and every Schur-block gate
+                (smallest over largest singular value of an eliminated block)
+    norm        the normal floor of build_simplex, the normalization floor
+                and the spherical pi/2 floor below which a foot is undefined
+    identity    residual bound of the identity checks and of T's Gram side
     """
 
     manifold: float = 1e-9
@@ -167,26 +168,26 @@ def _membership_residual(model: Model, x: np.ndarray) -> float:
     return abs(_self_product(model, x) - model.curvature)
 
 
-def _require_on_manifold(model: Model, x, tol: float, what: str) -> np.ndarray:
+def _require_on_manifold(model: Model, x, tols: Tolerances, what: str) -> np.ndarray:
     """Return x as a float vector if it is a point of the manifold, else raise.
 
     DimensionMismatch for a wrong shape; OffManifold unless the membership
-    residual is <= tol, which NaN and inf never are; WrongSheet for x1 <= 0
-    in H^n.  ``what`` names x in the messages ("point", "p", "vertex 3").
+    residual is <= tols.manifold, which NaN and inf never are; WrongSheet for
+    x1 <= 0 in H^n.  ``what`` names x in the messages ("point", "vertex 3").
     """
     xv = _as_vector(model, x, what)
     residual = _membership_residual(model, xv)
-    if not residual <= tol:
-        raise OffManifold(f"{what} is off the {model.name} manifold: residual {residual!r} > {tol!r}")
+    if not residual <= tols.manifold:
+        raise OffManifold(f"{what} is off the {model.name} manifold: residual {residual!r} > {tols.manifold!r}")
     if model.curvature == -1 and xv[0] <= 0.0:
         raise WrongSheet(f"{what} is on the lower sheet: first coordinate {float(xv[0])!r}")
     return xv
 
 
-def on_manifold(model: Model, x, tol: float = DEFAULT_TOLS.manifold) -> bool:
-    """True iff len(x) fits, |<x,x> - curvature| <= tol and x1 > 0 in H^n; NaN/inf never pass."""
+def on_manifold(model: Model, x, tols: Tolerances = DEFAULT_TOLS) -> bool:
+    """True iff len(x) fits, |<x,x> - curvature| <= tols.manifold and x1 > 0 in H^n; NaN/inf fail."""
     try:
-        _require_on_manifold(model, x, tol, "x")
+        _require_on_manifold(model, x, tols, "x")
     except (DimensionMismatch, OffManifold):
         return False
     return True
@@ -212,8 +213,8 @@ def distance(model: Model, p, q, tols: Tolerances = DEFAULT_TOLS) -> float:
     is cosh^2(d/2) or cos^2(d/2), so the distance keeps its digits at 0 and,
     in S^n, at pi, where arccosh(-<p,q>) and arccos(<p,q>) lose them.
     """
-    pv = _require_on_manifold(model, p, tols.manifold, "p")
-    qv = _require_on_manifold(model, q, tols.manifold, "q")
+    pv = _require_on_manifold(model, p, tols, "p")
+    qv = _require_on_manifold(model, q, tols, "q")
     sig = model.signature
     chord, cochord = pv - qv, pv + qv
     s2 = float((chord * sig) @ chord) / 4.0
@@ -221,7 +222,7 @@ def distance(model: Model, p, q, tols: Tolerances = DEFAULT_TOLS) -> float:
     return 2.0 * _angle(model, s2, c2)
 
 
-def normalize_to_manifold(model: Model, v, tol_norm: float = DEFAULT_TOLS.norm) -> np.ndarray:
+def normalize_to_manifold(model: Model, v, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Scale v onto the manifold: v / sqrt(curvature * <v,v>).
 
     The hyperbolic sign is chosen so the first coordinate is positive
@@ -229,7 +230,7 @@ def normalize_to_manifold(model: Model, v, tol_norm: float = DEFAULT_TOLS.norm) 
     finite and safely positive, which signals a degenerate/undefined
     projection upstream (space-like or near-light-like input in the
     Lorentzian case, near-zero input in the spherical case) or an input
-    too large for float64.  Safely positive means above ``tol_norm`` and
+    too large for float64.  Safely positive means above ``tols.norm`` and
     above gamma_m * sum(v_i^2), gamma_m = m u / (1 - m u) for unit roundoff
     u and m = ambient_dim: the bound on the rounding error of the m-term
     sum that computes <v,v> (Higham, Accuracy and Stability of Numerical
@@ -237,7 +238,7 @@ def normalize_to_manifold(model: Model, v, tol_norm: float = DEFAULT_TOLS.norm) 
     """
     vv = _as_vector(model, v)
     q = model.curvature * _self_product(model, vv)
-    if not tol_norm < q < math.inf:
+    if not tols.norm < q < math.inf:
         raise NotNormalizable(
             f"curvature*<v,v> = {q!r} is not finite and positive; "
             f"cannot normalize onto {model.name} manifold"

@@ -174,7 +174,7 @@ def oracle_project(
     Deterministic for a fixed ``opts.seed`` (the seed drives the random
     probe directions).
     """
-    pv = _require_on_manifold(simplex.model, p, tols.manifold, "point")
+    pv = _require_on_manifold(simplex.model, p, tols, "point")
     face0, comp0 = face_complement(simplex, face)
     model = simplex.model
     hyper = model.curvature == -1
@@ -212,7 +212,7 @@ def oracle_project(
                 v = mu + basis @ x
                 mu = v / np.linalg.norm(v)
 
-    foot = normalize_to_manifold(model, mu @ face_pts, tols.norm)
+    foot = normalize_to_manifold(model, mu @ face_pts, tols)
     dist = distance(model, pv, foot, tols)
     scale = math.cosh(dist) if hyper else math.cos(dist)
     pre_foot = scale * foot

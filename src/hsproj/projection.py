@@ -124,7 +124,7 @@ def _finish(
         raise ProjectionUndefined(
             f"{what}: point is at distance pi/2 from the plane; the foot is not unique"
         )
-    foot = normalize_to_manifold(model, pre_foot, tols.norm)
+    foot = normalize_to_manifold(model, pre_foot, tols)
     return ProjectionResult(foot, _distance(model, s2, c2, tols), lambdas, pre_foot)
 
 
@@ -147,7 +147,7 @@ def project_to_face(
     foot is the unique geodesic-distance minimizer over the plane
     (spherical exception: ProjectionUndefined at distance pi/2).
     """
-    pv = _require_on_manifold(simplex.model, p, tols.manifold, "point")
+    pv = _require_on_manifold(simplex.model, p, tols, "point")
     face0, comp0 = face_complement(simplex, face)
     return _project(simplex, face0, comp0, pv, tols, f"face {tuple((face0 + 1).tolist())}")
 
@@ -162,7 +162,7 @@ def distance_to_face(
 
     In the spherical case a c2 within tolerance of 0 returns exactly pi/2.
     """
-    pv = _require_on_manifold(simplex.model, p, tols.manifold, "point")
+    pv = _require_on_manifold(simplex.model, p, tols, "point")
     face0, _ = face_complement(simplex, face)
     _, s2, c2 = _face_solve(simplex, face0, pv)
     return _distance(simplex.model, s2, c2, tols)
@@ -181,7 +181,7 @@ def project_to_hyperplane(
     project_to_face on the face that omits j.
     """
     (j0,) = _index_positions((j,), simplex.vertex_count, BadFace, "vertex")
-    pv = _require_on_manifold(simplex.model, p, tols.manifold, "point")
+    pv = _require_on_manifold(simplex.model, p, tols, "point")
     e_j = simplex.normals[j0]
     a = float((pv * simplex.model.signature) @ e_j)
     pre_foot = pv - a * e_j

@@ -96,7 +96,7 @@ def build_simplex(
             f"expected {m} vertices of length {m}, got array of shape {P.shape}"
         )
     for i, vertex in enumerate(P, start=1):
-        _require_on_manifold(model, vertex, tols.manifold, f"vertex {i}")
+        _require_on_manifold(model, vertex, tols, f"vertex {i}")
 
     sig = model.signature
     M = (P * sig) @ P.T

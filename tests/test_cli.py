@@ -381,6 +381,20 @@ def test_tol_scaling_flag(tmp_path, capsys):
     for factor in ("nan", "inf"):
         code, _, err = run_json(capsys, "validate", path, "--tol", factor)
         assert code == 2 and "finite and positive" in err
+    # a thin triangle, valid only below the default degenerate floor: --tol
+    # reaches every Schur-block gate, so check reports residuals instead of
+    # stopping at block (1, 2), whose singular values are 2 and ~1.8e-11
+    eps = 6e-6
+    thin = {"model": "spherical", "vertices": [[1, 0, 0], [math.cos(eps), math.sin(eps), 0], [0, 0, 1]]}
+    path = write_doc(tmp_path, thin, "thin.json")
+    code, _, _ = run_json(capsys, "validate", path, "--tol", "0.01")
+    assert code == 0
+    code, report, _ = run_json(capsys, "check", path, "--tol", "0.01")
+    assert code == 1 and report["status"] == "CheckFailed"
+    assert [row["check"] for row in report["results"]["checks"]] == [
+        "inverse_identity", "block_inverse", "schur_paths", "vertex_normal_duality",
+        "gram_minor_identity", "scaling_agreement", "oracle_distance", "oracle_foot",
+    ]
 
 
 def test_non_finite_input_is_exit_2(tmp_path, capsys):

@@ -138,8 +138,8 @@ def _schur_complement_per_call(A, retained, tol_degenerate=DEFAULT_TOLS.degenera
     )
 
 
-def _block_inverse_residuals_four_calls(s, split):
-    """The four block-inverse residuals with one Schur call per block."""
+def _block_inverse_residuals_four_calls(s, split, tols=DEFAULT_TOLS):
+    """The four block-inverse residuals with one Schur call per block, gated at ``tols``."""
     m = s.vertex_count
     lead = tuple(range(1, split + 2))
     trail = tuple(range(split + 2, m + 1))
@@ -153,21 +153,24 @@ def _block_inverse_residuals_four_calls(s, split):
         claimed_inv = ts[:, None] * schur_of_other * ts[None, :]
         return float(np.abs(blk @ claimed_inv - np.eye(len(idx))).max())
 
+    def schur(A, kept):
+        return _schur_complement_per_call(A, kept, tols.degenerate)
+
     return {
-        "edge_lead": residual(M, lead, _schur_complement_per_call(G, lead)),
-        "edge_trail": residual(M, trail, _schur_complement_per_call(G, trail)),
-        "gram_lead": residual(G, lead, _schur_complement_per_call(M, lead)),
-        "gram_trail": residual(G, trail, _schur_complement_per_call(M, trail)),
+        "edge_lead": residual(M, lead, schur(G, lead)),
+        "edge_trail": residual(M, trail, schur(G, trail)),
+        "gram_lead": residual(G, lead, schur(M, lead)),
+        "gram_trail": residual(G, trail, schur(M, trail)),
     }
 
 
 def _block_rows_per_call(s, tols=DEFAULT_TOLS):
     """The block_inverse and schur_paths rows of ``identity_residuals`` with
-    one Schur call per block and a fifth for schur_paths at ``tols``."""
+    one Schur call per block and a fifth for schur_paths, all at ``tols``."""
     m = s.vertex_count
     block_inverse = schur_paths = 0.0
     for k in range(m - 1):
-        block_inverse = max(block_inverse, *_block_inverse_residuals_four_calls(s, k).values())
+        block_inverse = max(block_inverse, *_block_inverse_residuals_four_calls(s, k, tols).values())
         trail = tuple(range(k + 2, m + 1))
         a = _schur_complement_per_call(s.edge_matrix, trail, tols.degenerate)
         b = schur_complement_via_minors(s.edge_matrix, trail).values

@@ -1,11 +1,14 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import hsproj
 from hsproj import (
+    DEFAULT_TOLS,
     DimensionMismatch,
     Model,
     NotNormalizable,
@@ -17,6 +20,7 @@ from hsproj import (
     normalize_to_manifold,
     on_manifold,
 )
+from hsproj import crosscheck
 from hsproj.oracle import random_point
 
 from conftest import COSH1, SINH1, model_named
@@ -69,12 +73,15 @@ def test_inner_symmetry_and_bilinearity(model_name):
 
 
 def test_on_manifold_examples():
-    assert on_manifold(H3, (1, 0, 0), 1e-9)
-    assert not on_manifold(H3, (-1, 0, 0), 1e-9)  # lower sheet
-    assert on_manifold(S3, (0.6, 0.8, 0.0), 1e-9)
-    assert not on_manifold(S3, (0.6, 0.8, 0.1), 1e-9)
-    assert not on_manifold(S3, (1.0, 0.0), 1e-9)  # wrong length is just "no"
-    assert not on_manifold(S3, (math.nan, 0.0, 0.0), 1e-9)
+    assert on_manifold(H3, (1, 0, 0))
+    assert not on_manifold(H3, (-1, 0, 0))  # lower sheet
+    assert on_manifold(S3, (0.6, 0.8, 0.0))
+    assert not on_manifold(S3, (0.6, 0.8, 0.1))
+    assert not on_manifold(S3, (1.0, 0.0))  # wrong length is just "no"
+    assert not on_manifold(S3, (math.nan, 0.0, 0.0))
+    # off by 1e-8 in <x,x>: on the manifold once the record's membership field allows it
+    assert not on_manifold(S3, (0.6, 0.8, 1e-4))
+    assert on_manifold(S3, (0.6, 0.8, 1e-4), DEFAULT_TOLS.scaled(100.0))
 
 
 def test_distance_examples():
@@ -122,6 +129,10 @@ def test_normalize_rejects_bad_vectors():
         normalize_to_manifold(H3, (1.0, 1.0, 0.0))  # light-like
     with pytest.raises(NotNormalizable):
         normalize_to_manifold(H3, (math.nan, 0.0, 0.0))
+    # curvature*<v,v> = 1e-10 is below the default norm floor, above a lowered one
+    with pytest.raises(NotNormalizable):
+        normalize_to_manifold(S3, (1e-5, 0.0, 0.0))
+    assert_allclose(normalize_to_manifold(S3, (1e-5, 0.0, 0.0), Tolerances(norm=1e-12)), [1.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("sheet", [1.0, -1.0])
@@ -189,7 +200,7 @@ def test_normalize_lands_on_manifold(model_name):
         except NotNormalizable:
             continue
         produced += 1
-        assert on_manifold(model, x, 1e-9)
+        assert on_manifold(model, x)
 
 
 def test_tolerance_scaling():
@@ -207,3 +218,18 @@ def test_tolerance_scaling():
     for factor in (math.nan, math.inf):
         with pytest.raises(ValueError):
             Tolerances().scaled(factor)
+
+
+def test_tolerances_enter_only_as_a_record():
+    names = [(hsproj, name) for name in hsproj.__all__] + [(crosscheck, name) for name in crosscheck.__all__]
+    with_tols = []
+    for module, name in names:
+        obj = getattr(module, name)
+        if not callable(obj) or isinstance(obj, type):
+            continue
+        params = inspect.signature(obj).parameters
+        assert not {"tol", "tol_norm", "tol_degenerate"} & set(params), name
+        if "tols" in params:
+            assert params["tols"].default is DEFAULT_TOLS, name
+            with_tols.append(name)
+    assert {"on_manifold", "normalize_to_manifold", "schur_complement"} <= set(with_tols)

@@ -118,7 +118,7 @@ def test_projection_invariants(case):
     except ProjectionUndefined:
         return
     # foot on manifold and inside the span of the face vertices
-    assert on_manifold(model, r.foot, 1e-9)
+    assert on_manifold(model, r.foot)
     span = s.vertices[[i - 1 for i in face]].T
     _, res, _, _ = np.linalg.lstsq(span, r.foot, rcond=None)
     if res.size:

@@ -5,12 +5,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hsproj import (
+    DEFAULT_TOLS,
     BadIndexSet,
     DegenerateSimplex,
     DimensionMismatch,
     Model,
     OffManifold,
     SingularBlock,
+    Tolerances,
     WrongSheet,
     altitude,
     bordered_minor,
@@ -234,9 +236,22 @@ def test_verify_honours_caller_tol_on_ill_conditioned_simplex():
     v = np.array([0.6, 0.8, 5e-5])
     s = build_simplex(Model.spherical(3), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], v / np.linalg.norm(v)])
     assert np.linalg.cond(s.edge_matrix) > 1e9
-    assert verify_inverse_identity(s, tol=1e-6).passed
+    assert verify_inverse_identity(s, Tolerances(identity=1e-6)).passed
     for k in (0, 1):
-        assert verify_block_inverse_identities(s, k, tol=1e-6).passed
+        assert verify_block_inverse_identities(s, k, Tolerances(identity=1e-6)).passed
+    # vertex 2 at 6e-6 from vertex 1: a simplex only below the default
+    # degenerate floor, and eliminated block (1, 2) has singular values 2
+    # and ~1.8e-11, so the Schur gates pass only at the caller's record
+    eps = 6e-6
+    tols = DEFAULT_TOLS.scaled(0.01)
+    thin = [[1.0, 0.0, 0.0], [np.cos(eps), np.sin(eps), 0.0], [0.0, 0.0, 1.0]]
+    s = build_simplex(Model.spherical(3), thin, tols)
+    with pytest.raises(SingularBlock, match=r"\(1, 2\)"):
+        verify_block_inverse_identities(s, 1)
+    assert verify_block_inverse_identities(s, 1, tols).tol == tols.identity
+    with pytest.raises(SingularBlock, match=r"\(1, 2\)"):
+        schur_complement(s.edge_matrix, (3,))
+    assert schur_complement(s.edge_matrix, (3,), tols).values.shape == (1, 1)
 
 
 def test_inverse_identity_octant(octant):
@@ -249,7 +264,7 @@ def test_inverse_identity_octant(octant):
 def test_inverse_identity_random(model_name, n):
     for seed in range(10):
         s = random_simplex(model_named(model_name, n + 1), n, seed=seed)
-        assert verify_inverse_identity(s, tol=1e-8).passed
+        assert verify_inverse_identity(s).passed
 
 
 # ------------------------------------------------------- schur + block inverses
@@ -311,7 +326,7 @@ def test_block_inverse_octant(octant):
 def test_block_inverse_random(model_name, n, split):
     for seed in range(10):
         s = random_simplex(model_named(model_name, n + 1), n, seed=seed)
-        assert verify_block_inverse_identities(s, split, tol=1e-8).passed
+        assert verify_block_inverse_identities(s, split).passed
 
 
 def test_block_inverse_split_validation(octant):
