@@ -135,6 +135,11 @@ def _projection_block(simplex: Simplex, face, p, result, tols: Tolerances) -> tu
     return results, residuals
 
 
+def _oracle_deviation(simplex: Simplex, closed, oracle, tols: Tolerances) -> tuple[float, float]:
+    """The closed form's distance and foot against the oracle's: |difference| and geodesic gap."""
+    return abs(closed.distance - oracle.distance), geodesic(simplex.model, closed.foot, oracle.foot, tols)
+
+
 def cmd_project(args, tols: Tolerances) -> dict:
     doc = _read_document(args.file)
     report = _report(
@@ -142,23 +147,14 @@ def cmd_project(args, tols: Tolerances) -> dict:
         _echo_inputs(doc, face=list(args.face), point=list(args.point), seed=args.seed),
     )
     simplex = _build(doc, tols)
-    result = project_to_face(simplex, args.face, np.asarray(args.point, dtype=float), tols)
-    report["results"], report["residuals"] = _projection_block(
-        simplex, args.face, args.point, result, tols
-    )
+    p = np.asarray(args.point, dtype=float)
+    result = project_to_face(simplex, args.face, p, tols)
+    report["results"], report["residuals"] = _projection_block(simplex, args.face, p, result, tols)
     if args.check:
-        oracle = oracle_project(
-            simplex, args.face, np.asarray(args.point, dtype=float),
-            OracleOptions(seed=args.seed), tols,
-        )
-        report["results"]["oracle"] = {
-            "foot": _vec(oracle.foot),
-            "distance": oracle.distance,
-        }
-        report["residuals"]["oracle_distance_deviation"] = abs(result.distance - oracle.distance)
-        report["residuals"]["oracle_foot_deviation"] = geodesic(
-            simplex.model, result.foot, oracle.foot, tols
-        )
+        oracle = oracle_project(simplex, args.face, p, OracleOptions(seed=args.seed), tols)
+        report["results"]["oracle"] = {"foot": _vec(oracle.foot), "distance": oracle.distance}
+        dist_dev, foot_dev = _oracle_deviation(simplex, result, oracle, tols)
+        report["residuals"].update(oracle_distance_deviation=dist_dev, oracle_foot_deviation=foot_dev)
     return report
 
 
@@ -192,8 +188,7 @@ def cmd_altitudes(args, tols: Tolerances) -> dict:
 def _check_one(simplex: Simplex, rng, opts: OracleOptions, tols: Tolerances) -> tuple[dict, int]:
     """Closed form against the oracle on sampled faces and points; returns (residuals, skipped)."""
     m = simplex.vertex_count
-    dist_dev = 0.0
-    foot_dev = 0.0
+    dist_dev = foot_dev = 0.0
     skipped = 0
     for _ in range(_CHECK_SAMPLES_PER_SIMPLEX):
         size = int(rng.integers(1, simplex.n + 1))
@@ -204,14 +199,15 @@ def _check_one(simplex: Simplex, rng, opts: OracleOptions, tols: Tolerances) -> 
         except ProjectionUndefined:
             skipped += 1
             continue
-        oracle = oracle_project(simplex, face, p, opts, tols)
-        dist_dev = max(dist_dev, abs(closed.distance - oracle.distance))
-        foot_dev = max(foot_dev, geodesic(simplex.model, closed.foot, oracle.foot, tols))
+        d, f = _oracle_deviation(simplex, closed, oracle_project(simplex, face, p, opts, tols), tols)
+        dist_dev, foot_dev = max(dist_dev, d), max(foot_dev, f)
     return {"oracle_distance": dist_dev, "oracle_foot": foot_dev}, skipped
 
 
 def cmd_check(args, tols: Tolerances) -> dict:
     if args.random:
+        if args.file is not None:
+            raise DocumentError("check takes a FILE or --random, not both")
         model_name, n_str, seed_str, count_str = args.random
         if model_name not in ("hyperbolic", "spherical"):
             raise DocumentError(f"--random model must be hyperbolic|spherical, got {model_name!r}")

@@ -20,8 +20,9 @@ every entry point checks its points and vertices through
 
 It also owns the angle rule: every distance in the package is ``_angle``
 of two radicands, sinh^2/sin^2 and cosh^2/cos^2 of the distance, read as
-asinh in H^n and atan2 in S^n.  ``distance`` feeds it the half-chords
-p -/+ q; the projection feeds it the radicands of its face-block solve.
+asinh in H^n and atan2 in S^n; ``tols.manifold`` is the one slack on them,
+near 1 and near 0.  ``distance`` feeds it the half-chords p -/+ q; the
+projection feeds it the radicands of its face-block solve.
 """
 
 from __future__ import annotations
@@ -49,18 +50,16 @@ __all__ = [
 class Tolerances:
     """Numerical tolerances; every public call that decides takes one as ``tols``.
 
-    manifold    membership |<x,x> - curvature| of every point (absolute) and
-                the slack on a projection's radicand c2 past 1 (DomainError)
+    manifold    the absolute slack on every radicand, near 1 or near 0:
+                membership, c2 past 1 (DomainError), and the normal,
+                normalization and spherical pi/2 floors
     degenerate  the det floor of build_simplex and every Schur-block gate
                 (smallest over largest singular value of an eliminated block)
-    norm        the normal floor of build_simplex, the normalization floor
-                and the spherical pi/2 floor below which a foot is undefined
     identity    residual bound of the identity checks and of T's Gram side
     """
 
     manifold: float = 1e-9
     degenerate: float = 1e-10
-    norm: float = 1e-9
     identity: float = 1e-8
 
     def scaled(self, factor: float) -> "Tolerances":
@@ -138,29 +137,29 @@ def _square_safe(x: np.ndarray) -> bool:
     return -_SQUARE_SAFE <= min(coords) and max(coords) <= _SQUARE_SAFE
 
 
+def _product(model: Model, x: np.ndarray, y: np.ndarray) -> float:
+    """<x,y> of float vectors of the right length; inf or NaN once it overflows.
+
+    Never warns: a pair that fails ``_square_safe`` (x once, for <x,x>) takes the errstate path.
+    """
+    if not (_square_safe(x) and (y is x or _square_safe(y))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float((x * model.signature).dot(y))
+    # .dot, not @: the same ddot, bit for bit, without matmul's dispatch
+    return float((x * model.signature).dot(y))
+
+
 def inner(model: Model, x, y) -> float:
     """Curvature-signed scalar product: Lorentzian for H^n, Euclidean for S^n.
 
     inf or NaN once it overflows, without a numpy warning.
     """
-    xv = _as_vector(model, x, "x")
-    yv = _as_vector(model, y, "y")
-    if not (_square_safe(xv) and _square_safe(yv)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float((xv * model.signature) @ yv)
-    return float((xv * model.signature) @ yv)
+    return _product(model, _as_vector(model, x, "x"), _as_vector(model, y, "y"))
 
 
 def _self_product(model: Model, x: np.ndarray) -> float:
-    """<x,x> of a float vector of the right length; inf or NaN once it overflows.
-
-    Never warns: a vector that fails ``_square_safe`` takes the errstate path.
-    """
-    if not _square_safe(x):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float((x * model.signature).dot(x))
-    # .dot, not @: the same ddot, bit for bit, without matmul's dispatch
-    return float((x * model.signature).dot(x))
+    """<x,x> of a float vector of the right length, as ``inner`` gives it."""
+    return _product(model, x, x)
 
 
 def _membership_residual(model: Model, x: np.ndarray) -> float:
@@ -230,7 +229,7 @@ def normalize_to_manifold(model: Model, v, tols: Tolerances = DEFAULT_TOLS) -> n
     finite and safely positive, which signals a degenerate/undefined
     projection upstream (space-like or near-light-like input in the
     Lorentzian case, near-zero input in the spherical case) or an input
-    too large for float64.  Safely positive means above ``tols.norm`` and
+    too large for float64.  Safely positive means above ``tols.manifold`` and
     above gamma_m * sum(v_i^2), gamma_m = m u / (1 - m u) for unit roundoff
     u and m = ambient_dim: the bound on the rounding error of the m-term
     sum that computes <v,v> (Higham, Accuracy and Stability of Numerical
@@ -238,7 +237,7 @@ def normalize_to_manifold(model: Model, v, tols: Tolerances = DEFAULT_TOLS) -> n
     """
     vv = _as_vector(model, v)
     q = model.curvature * _self_product(model, vv)
-    if not tols.norm < q < math.inf:
+    if not tols.manifold < q < math.inf:
         raise NotNormalizable(
             f"curvature*<v,v> = {q!r} is not finite and positive; "
             f"cannot normalize onto {model.name} manifold"

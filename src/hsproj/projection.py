@@ -17,10 +17,10 @@ of the distance) and c2 = curvature * mu . w (cosh^2 or cos^2), and
 ``forms._angle`` reads the distance off them: asinh(sqrt s2) in H^n,
 atan2(sqrt s2, sqrt c2) in S^n.  The normal coefficients need no minor:
 <e_s, p_t> = -delta_st / T_s, so lambda_t = -T_t <p. - p, p_t> with
-T = Simplex.scaling.  When c2 is not safely positive in the spherical case
+T = Simplex.scaling.  When a spherical c2 is within ``tols.manifold`` of 0
 the nearest point is not unique (p sits at distance pi/2 from the whole
 plane): the foot constructors raise ProjectionUndefined while the plain
-distance routines return pi/2.
+distance routines return pi/2, both by the one rule ``_at_right_angle``.
 
 The paper's bordered-minor formula for (G22)^-1 is kept as the
 cross-check ``crosscheck.distance_to_face_by_minors``; this module imports
@@ -92,6 +92,11 @@ def _lambdas(simplex: Simplex, comp0: np.ndarray, displacement: np.ndarray) -> d
     return dict(zip((comp0 + 1).tolist(), lam.tolist()))
 
 
+def _at_right_angle(model: Model, c2: float, tols: Tolerances) -> bool:
+    """The pi/2 rule: a spherical c2 within ``tols.manifold`` of 0 (distance pi/2, no unique foot)."""
+    return model.curvature == 1 and c2 <= tols.manifold
+
+
 def _distance(model: Model, s2: float, c2: float, tols: Tolerances) -> float:
     """``forms._angle`` of the radicands, after one range check on c2.
 
@@ -99,13 +104,12 @@ def _distance(model: Model, s2: float, c2: float, tols: Tolerances) -> float:
     where s2 >= 0 and <p., r> = 0 exactly: for a point that passes
     membership, c2 crosses 1 the wrong way (below in H^n, above in S^n) by
     at most its residual plus the orthogonality defect.  So
-    curvature * c2 > curvature + ``tols.manifold`` raises DomainError.  A
-    spherical c2 within ``tols.norm`` of 0 gives exactly pi/2: the distance
-    is well-defined there even though the foot is not.
+    curvature * c2 > curvature + ``tols.manifold`` raises DomainError.
+    Under the pi/2 rule the distance is exactly pi/2.
     """
     if model.curvature * c2 > model.curvature + tols.manifold:
         raise DomainError(f"{model.name} radicand {c2!r} is past 1 by more than {tols.manifold!r}")
-    if model.curvature == 1 and c2 <= tols.norm:
+    if _at_right_angle(model, c2, tols):
         return math.pi / 2
     return _angle(model, s2, c2)
 
@@ -120,7 +124,7 @@ def _finish(
     what: str,
 ) -> ProjectionResult:
     model = simplex.model
-    if model.curvature == 1 and c2 <= tols.norm:
+    if _at_right_angle(model, c2, tols):
         raise ProjectionUndefined(
             f"{what}: point is at distance pi/2 from the plane; the foot is not unique"
         )

@@ -121,7 +121,7 @@ def build_simplex(
     # with p_i as -1 / T_i.
     U = np.linalg.solve(P * sig, np.eye(m))
     sq = np.einsum("ji,j,ji->i", U, sig, U)
-    if np.any(sq <= tols.norm):
+    if np.any(sq <= tols.manifold):
         raise DegenerateSimplex("facet normal is not space-like; simplex is degenerate")
     T = np.sqrt(sq)
     E = -(U / T).T

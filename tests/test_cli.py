@@ -347,6 +347,15 @@ def test_check_rejects_bad_random_args(capsys):
     assert code == 2 and "SEED >= 0" in err
 
 
+def test_check_rejects_a_document_with_random(tmp_path, capsys):
+    # --random replaces the document, so naming both is a usage error, even
+    # for a file that does not exist
+    path = write_doc(tmp_path, OCTANT)
+    for file in (path, "-", str(tmp_path / "missing.json")):
+        code, out, err = run(capsys, "check", file, "--random", "spherical", "3", "0", "1")
+        assert code == 2 and out == "" and "FILE or --random" in err
+
+
 def test_check_human_table(capsys):
     code, out, _ = run(capsys, "check", "--random", "hyperbolic", "2", "5", "2")
     assert code == 0

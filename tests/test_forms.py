@@ -20,7 +20,7 @@ from hsproj import (
     normalize_to_manifold,
     on_manifold,
 )
-from hsproj import crosscheck
+from hsproj import crosscheck, forms
 from hsproj.oracle import random_point
 
 from conftest import COSH1, SINH1, model_named
@@ -129,16 +129,16 @@ def test_normalize_rejects_bad_vectors():
         normalize_to_manifold(H3, (1.0, 1.0, 0.0))  # light-like
     with pytest.raises(NotNormalizable):
         normalize_to_manifold(H3, (math.nan, 0.0, 0.0))
-    # curvature*<v,v> = 1e-10 is below the default norm floor, above a lowered one
+    # curvature*<v,v> = 1e-10 is below the default normalization floor, above a lowered one
     with pytest.raises(NotNormalizable):
         normalize_to_manifold(S3, (1e-5, 0.0, 0.0))
-    assert_allclose(normalize_to_manifold(S3, (1e-5, 0.0, 0.0), Tolerances(norm=1e-12)), [1.0, 0.0, 0.0])
+    assert_allclose(normalize_to_manifold(S3, (1e-5, 0.0, 0.0), Tolerances(manifold=1e-12)), [1.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("sheet", [1.0, -1.0])
 def test_normalize_rejects_light_like_rounding_residue(sheet):
     # <v,v> = -1.0e-8 is what is left of two 1.5e8 squares that cancel:
-    # above tol_norm, yet within the rounding bound of the sum
+    # above tols.manifold, yet within the rounding bound of the sum
     with pytest.raises(NotNormalizable):
         normalize_to_manifold(H3, (sheet * 12345.678, sheet * 12345.678, 0.0))
     # a time-like vector of the same size range still normalizes, onto the
@@ -189,6 +189,18 @@ def test_inner_overflows_without_a_warning(model_name, big):
 
 
 @pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
+def test_inner_and_self_product_agree_bit_for_bit(model_name):
+    # inner and the membership rule's <x,x> read one guarded product
+    rng = np.random.default_rng(31)
+    cases = [(model_named(model_name, 3), np.array(x, dtype=float)) for x in OVERFLOWING]
+    for m in range(2, 12):
+        model = model_named(model_name, m)
+        cases += [(model, rng.normal(size=m) * 10.0 ** rng.uniform(-3.0, 3.0)) for _ in range(40)]
+    for model, x in cases:
+        assert np.float64(inner(model, x, x)).tobytes() == np.float64(forms._self_product(model, x)).tobytes()
+
+
+@pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
 def test_normalize_lands_on_manifold(model_name):
     model = model_named(model_name, 4)
     rng = np.random.default_rng(23)
@@ -207,7 +219,7 @@ def test_tolerance_scaling():
     t = Tolerances().scaled(10.0)
     assert t.manifold == 1e-8 and t.identity == 1e-7
     names = {f.name for f in dataclasses.fields(Tolerances)}
-    assert names == {"manifold", "degenerate", "norm", "identity"}
+    assert names == {"manifold", "degenerate", "identity"}
     # distinct values per field, so a field scaled into another one shows
     base = Tolerances(**{name: float(i + 1) for i, name in enumerate(sorted(names))})
     scaled = base.scaled(10.0)

@@ -7,12 +7,14 @@ from numpy.testing import assert_allclose
 from hsproj import (
     DEFAULT_TOLS,
     BadFace,
+    DegenerateSimplex,
     DimensionMismatch,
     DomainError,
     Model,
     NotNormalizable,
     OffManifold,
     ProjectionUndefined,
+    Tolerances,
     WrongSheet,
     altitude,
     build_simplex,
@@ -442,6 +444,34 @@ def test_domain_error_rule_is_the_membership_slack(model_name, factor):
     projection._distance(model, 1e-3, edge, tols)
     with pytest.raises(DomainError):
         projection._distance(model, 1e-3, float(np.nextafter(edge, edge + model.curvature)), tols)
+
+
+def test_one_slack_moves_every_radicand_floor(octant):
+    # Tolerances.manifold is also the floor near 0 of every radicand: at 1e-3
+    # it moves the pi/2 floor, the normalization floor and the normal floor
+    tols = Tolerances(manifold=1e-3)
+    p = (1e-2, 0.0, math.sqrt(1.0 - 1e-4))  # cos^2 d = 1e-4 to the plane of face (1, 2)
+    assert distance_to_face(octant, (1, 2), p) < math.pi / 2
+    project_to_face(octant, (1, 2), p)
+    assert distance_to_face(octant, (1, 2), p, tols) == math.pi / 2
+    with pytest.raises(ProjectionUndefined):
+        project_to_face(octant, (1, 2), p, tols)
+    v = (1e-2, 0.0, 0.0)  # <v,v> = 1e-4
+    normalize_to_manifold(octant.model, v)
+    with pytest.raises(NotNormalizable):
+        normalize_to_manifold(octant.model, v, tols)
+    # the H^1 segment of length 5: its normals square to T^2 = 1 / sinh^2 5 ~ 1.8e-4
+    segment = [[1.0, 0.0], [math.cosh(5.0), math.sinh(5.0)]]
+    build_simplex(Model.hyperbolic(2), segment)
+    with pytest.raises(DegenerateSimplex, match="facet normal"):
+        build_simplex(Model.hyperbolic(2), segment, tols)
+
+
+def test_finish_normalizes_before_the_domain_check(hyp_triangle):
+    # a hyperbolic pre-foot with c2 <= tols.manifold is not normalizable; that
+    # comes before the DomainError its c2, far below 1, would also raise
+    with pytest.raises(NotNormalizable):
+        projection._finish(hyp_triangle, np.array([0.0, 1.0, 0.0]), 1.0, 0.0, {}, DEFAULT_TOLS, "face (1, 2)")
 
 
 @pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
