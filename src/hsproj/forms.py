@@ -20,9 +20,12 @@ every entry point checks its points and vertices through
 
 It also owns the angle rule: every distance in the package is ``_angle``
 of two radicands, sinh^2/sin^2 and cosh^2/cos^2 of the distance, read as
-asinh in H^n and atan2 in S^n; ``tols.manifold`` is the one slack on them,
-near 1 and near 0.  ``distance`` feeds it the half-chords p -/+ q; the
-projection feeds it the radicands of its face-block solve.
+asinh in H^n and atan2 in S^n, neither of which cancels near 0.  So
+``tols.manifold``, the one slack on the radicands, decides only whether
+something exists: near 1 a point or a projection's c2, near 0 a normal, a
+normalization or a spherical foot; it never sets a distance.
+``distance`` feeds ``_angle`` the half-chords p -/+ q; the projection
+feeds it the radicands of its face-block solve.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ class Tolerances:
 
     manifold    the absolute slack on every radicand, near 1 or near 0:
                 membership, c2 past 1 (DomainError), and the normal,
-                normalization and spherical pi/2 floors
+                normalization and spherical-foot floors
     degenerate  the det floor of build_simplex and every Schur-block gate
                 (smallest over largest singular value of an eliminated block)
     identity    residual bound of the identity checks and of T's Gram side

@@ -19,8 +19,9 @@ atan2(sqrt s2, sqrt c2) in S^n.  The normal coefficients need no minor:
 <e_s, p_t> = -delta_st / T_s, so lambda_t = -T_t <p. - p, p_t> with
 T = Simplex.scaling.  When a spherical c2 is within ``tols.manifold`` of 0
 the nearest point is not unique (p sits at distance pi/2 from the whole
-plane): the foot constructors raise ProjectionUndefined while the plain
-distance routines return pi/2, both by the one rule ``_at_right_angle``.
+plane, up to the slack): the foot constructors raise ProjectionUndefined.
+The plain distance routines need no such rule, since c2 keeps its relative
+precision near 0 and atan2 reads pi/2 - eps to the last bit.
 
 The paper's bordered-minor formula for (G22)^-1 is kept as the
 cross-check ``crosscheck.distance_to_face_by_minors``; this module imports
@@ -34,7 +35,6 @@ raises BadFace.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -92,11 +92,6 @@ def _lambdas(simplex: Simplex, comp0: np.ndarray, displacement: np.ndarray) -> d
     return dict(zip((comp0 + 1).tolist(), lam.tolist()))
 
 
-def _at_right_angle(model: Model, c2: float, tols: Tolerances) -> bool:
-    """The pi/2 rule: a spherical c2 within ``tols.manifold`` of 0 (distance pi/2, no unique foot)."""
-    return model.curvature == 1 and c2 <= tols.manifold
-
-
 def _distance(model: Model, s2: float, c2: float, tols: Tolerances) -> float:
     """``forms._angle`` of the radicands, after one range check on c2.
 
@@ -105,12 +100,11 @@ def _distance(model: Model, s2: float, c2: float, tols: Tolerances) -> float:
     membership, c2 crosses 1 the wrong way (below in H^n, above in S^n) by
     at most its residual plus the orthogonality defect.  So
     curvature * c2 > curvature + ``tols.manifold`` raises DomainError.
-    Under the pi/2 rule the distance is exactly pi/2.
+    Near pi/2 no floor is needed: c2 = curvature * mu . w keeps its
+    relative precision near 0, so the angle keeps its digits there too.
     """
     if model.curvature * c2 > model.curvature + tols.manifold:
         raise DomainError(f"{model.name} radicand {c2!r} is past 1 by more than {tols.manifold!r}")
-    if _at_right_angle(model, c2, tols):
-        return math.pi / 2
     return _angle(model, s2, c2)
 
 
@@ -124,7 +118,7 @@ def _finish(
     what: str,
 ) -> ProjectionResult:
     model = simplex.model
-    if _at_right_angle(model, c2, tols):
+    if model.curvature == 1 and c2 <= tols.manifold:
         raise ProjectionUndefined(
             f"{what}: point is at distance pi/2 from the plane; the foot is not unique"
         )
@@ -164,7 +158,8 @@ def distance_to_face(
 ) -> float:
     """Distance to the face's k-plane: project_to_face's solve, stopped at its radicands.
 
-    In the spherical case a c2 within tolerance of 0 returns exactly pi/2.
+    Defined where the spherical foot is not: a point at pi/2 - eps from
+    the plane gets pi/2 - eps, however small eps is.
     """
     pv = _require_on_manifold(simplex.model, p, tols, "point")
     face0, _ = face_complement(simplex, face)

@@ -24,9 +24,11 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 
 from hsproj import (  # noqa: E402
+    DEFAULT_TOLS,
     Model,
     ProjectionUndefined,
     altitude,
+    build_simplex,
     distance,
     distance_to_face,
     project_to_face,
@@ -39,7 +41,7 @@ from conftest import model_named  # noqa: E402
 DIGITS = 50
 MODELS = ("hyperbolic", "spherical")
 NEAR_DISTANCES = (1e-12, 1e-9, 1e-7, 1e-5, 1e-3)
-PI_HALF_GAPS = (1e-4, 1e-3, 1e-2)
+PI_HALF_GAPS = (1e-12, 1e-9, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 PAIR_DISTANCES = (1e-9, 1e-6, 1e-3, 1.0, 3.0)
 ANTIPODE_GAPS = (1e-4, 1e-7)
 
@@ -281,10 +283,24 @@ def test_spherical_points_near_pi_half(eps):
             dist, foot, lambdas = exact.project(face, p)
             assert dist == pytest.approx(math.pi / 2 - eps, abs=1e-3 * eps)
             assert abs(distance_to_face(s, face, p) - dist) <= PI_HALF_BOUND
+            if math.sin(eps) ** 2 <= DEFAULT_TOLS.manifold:
+                # cos^2 d within the slack of 0: no unique foot, but a distance
+                with pytest.raises(ProjectionUndefined):
+                    project_to_face(s, face, p)
+                continue
             r = project_to_face(s, face, p)
             assert abs(r.distance - dist) <= PI_HALF_BOUND
             assert _foot_error(r, foot) <= PI_HALF_FOOT_BOUND / eps
             assert _lambda_error(r, lambdas) <= LAMBDA_BOUND
+
+
+def test_spherical_altitude_near_pi_half():
+    # vertex 3 sits 1e-6 short of pi/2 from the great circle of face (1, 2):
+    # its foot is undefined, its altitude is not
+    tri = build_simplex(Model.spherical(3), [(1, 0, 0), (0, 1, 0), (1e-6, 0, 0.9999999999995)])
+    assert abs(altitude(tri, (1, 2), 3) - (math.pi / 2 - 1e-6)) <= 1e-15
+    with pytest.raises(ProjectionUndefined):
+        vertex_foot(tri, (1, 2), 3)
 
 
 @pytest.mark.parametrize("d", PAIR_DISTANCES)
