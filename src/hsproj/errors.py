@@ -27,7 +27,7 @@ class DomainError(GeometryError):
 
 
 class NotNormalizable(GeometryError):
-    """Vector cannot be scaled onto the manifold (wrong causal type or near zero)."""
+    """Vector cannot be scaled onto the manifold (wrong causal type, or <v,v> zero or subnormal)."""
 
 
 class DegenerateSimplex(GeometryError):

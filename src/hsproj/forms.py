@@ -22,8 +22,8 @@ It also owns the angle rule: every distance in the package is ``_angle``
 of two radicands, sinh^2/sin^2 and cosh^2/cos^2 of the distance, read as
 asinh in H^n and atan2 in S^n, neither of which cancels near 0.  So
 ``tols.manifold``, the one slack on the radicands, decides only whether
-something exists: near 1 a point or a projection's c2, near 0 a normal, a
-normalization or a spherical foot; it never sets a distance.
+something exists: near 1 a point or a projection's c2, near 0 a spherical
+foot; it never sets a distance.
 ``distance`` feeds ``_angle`` the half-chords p -/+ q; the projection
 feeds it the radicands of its face-block solve.
 """
@@ -53,9 +53,8 @@ __all__ = [
 class Tolerances:
     """Numerical tolerances; every public call that decides takes one as ``tols``.
 
-    manifold    the absolute slack on every radicand, near 1 or near 0:
-                membership, c2 past 1 (DomainError), and the normal,
-                normalization and spherical-foot floors
+    manifold    the absolute slack on a radicand: membership and c2 past 1
+                (DomainError) near 1, the spherical-foot floor near 0
     degenerate  the det floor of build_simplex and every Schur-block gate
                 (smallest over largest singular value of an eliminated block)
     identity    residual bound of the identity checks and of T's Gram side
@@ -224,25 +223,24 @@ def distance(model: Model, p, q, tols: Tolerances = DEFAULT_TOLS) -> float:
     return 2.0 * _angle(model, s2, c2)
 
 
-def normalize_to_manifold(model: Model, v, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def normalize_to_manifold(model: Model, v) -> np.ndarray:
     """Scale v onto the manifold: v / sqrt(curvature * <v,v>).
 
     The hyperbolic sign is chosen so the first coordinate is positive
-    (upper sheet).  Raises NotNormalizable when curvature * <v,v> is not
-    finite and safely positive, which signals a degenerate/undefined
-    projection upstream (space-like or near-light-like input in the
-    Lorentzian case, near-zero input in the spherical case) or an input
-    too large for float64.  Safely positive means above ``tols.manifold`` and
-    above gamma_m * sum(v_i^2), gamma_m = m u / (1 - m u) for unit roundoff
-    u and m = ambient_dim: the bound on the rounding error of the m-term
+    (upper sheet).  Raises NotNormalizable unless q = curvature * <v,v> is
+    finite, normal (>= 2^-1022, so sqrt q keeps its relative precision)
+    and, in H^n, above gamma_m * sum(v_i^2), gamma_m = m u / (1 - m u) for
+    unit roundoff u and m = ambient_dim: the rounding bound of the m-term
     sum that computes <v,v> (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 3).
+    Algorithms, ch. 3).  A refusal signals a space-like, light-like or zero
+    v upstream (a degenerate or undefined projection), or one too large or
+    too small for float64.
     """
     vv = _as_vector(model, v)
     q = model.curvature * _self_product(model, vv)
-    if not tols.manifold < q < math.inf:
+    if not 2.0**-1022 <= q < math.inf:
         raise NotNormalizable(
-            f"curvature*<v,v> = {q!r} is not finite and positive; "
+            f"curvature*<v,v> = {q!r} is not a finite positive normal float; "
             f"cannot normalize onto {model.name} manifold"
         )
     if model.curvature == -1:

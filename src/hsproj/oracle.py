@@ -212,7 +212,7 @@ def oracle_project(
                 v = mu + basis @ x
                 mu = v / np.linalg.norm(v)
 
-    foot = normalize_to_manifold(model, mu @ face_pts, tols)
+    foot = normalize_to_manifold(model, mu @ face_pts)
     dist = distance(model, pv, foot, tols)
     scale = math.cosh(dist) if hyper else math.cos(dist)
     pre_foot = scale * foot

@@ -122,7 +122,7 @@ def _finish(
         raise ProjectionUndefined(
             f"{what}: point is at distance pi/2 from the plane; the foot is not unique"
         )
-    foot = normalize_to_manifold(model, pre_foot, tols)
+    foot = normalize_to_manifold(model, pre_foot)
     return ProjectionResult(foot, _distance(model, s2, c2, tols), lambdas, pre_foot)
 
 

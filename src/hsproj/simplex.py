@@ -118,10 +118,11 @@ def build_simplex(
     # Normals from the orthogonality system: the columns u_i of (P*sig)^-1
     # satisfy <u_i, p_j> = delta_ij, so <u_i, u_i> = (M^-1)_ii = T_i^2 and
     # e_i = -u_i / T_i is unit, orthogonal to the other vertices and pairs
-    # with p_i as -1 / T_i.
+    # with p_i as -1 / T_i.  T_i^2 is 1/sinh^2 (H^n) or 1/sin^2 (S^n) of p_i's
+    # facet altitude, never near 0, so no slack: only its sign (and NaN) fail.
     U = np.linalg.solve(P * sig, np.eye(m))
     sq = np.einsum("ji,j,ji->i", U, sig, U)
-    if np.any(sq <= tols.manifold):
+    if not np.all(sq > 0.0):
         raise DegenerateSimplex("facet normal is not space-like; simplex is degenerate")
     T = np.sqrt(sq)
     E = -(U / T).T

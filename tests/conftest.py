@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,16 @@ SINH1 = 1.1752011936438014
 
 def model_named(name: str, ambient_dim: int) -> Model:
     return Model.hyperbolic(ambient_dim) if name == "hyperbolic" else Model.spherical(ambient_dim)
+
+
+def far_field_triangle(r: float, d: float) -> list[tuple[float, float, float]]:
+    """H^2 triangle with every vertex at radius r: p_1 on the x2 axis, p_2 and p_3 at +-d off the opposite ray.
+
+    The altitude of p_1 onto the line of p_2 and p_3 is nearly 2r, so its
+    normal squares to T_1^2 = 1/sinh^2 of it: 7.6e-10 at r = 6, d = 0.01.
+    """
+    c, s = math.cosh(r), math.sinh(r)
+    return [(c, s, 0.0), (c, -s * math.cos(d), s * math.sin(d)), (c, -s * math.cos(d), -s * math.sin(d))]
 
 
 @pytest.fixture

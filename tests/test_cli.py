@@ -10,7 +10,7 @@ from hsproj import crosscheck
 from hsproj.cli import main
 from hsproj.oracle import random_point, random_simplex
 
-from conftest import COSH1, SINH1
+from conftest import COSH1, SINH1, far_field_triangle
 
 OCTANT = {"model": "spherical", "vertices": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 TRIANGLE = {
@@ -404,6 +404,15 @@ def test_tol_scaling_flag(tmp_path, capsys):
         "inverse_identity", "block_inverse", "schur_paths", "vertex_normal_duality",
         "gram_minor_identity", "scaling_agreement", "oracle_distance", "oracle_foot",
     ]
+
+
+def test_tol_scaling_never_refuses_a_far_field_normal(tmp_path, capsys):
+    # r = 5, d = 0.1: T_1^2 = 1/sinh^2 7.99 ~ 4.6e-7 decides nothing, so
+    # loosening the tolerances keeps what the defaults build
+    path = write_doc(tmp_path, {"model": "hyperbolic", "vertices": far_field_triangle(5.0, 0.1)})
+    for factor in ("1", "1e3"):
+        code, report, _ = run_json(capsys, "validate", path, "--tol", factor)
+        assert code == 0 and report["status"] == "ok", factor
 
 
 def test_non_finite_input_is_exit_2(tmp_path, capsys):

@@ -129,16 +129,17 @@ def test_normalize_rejects_bad_vectors():
         normalize_to_manifold(H3, (1.0, 1.0, 0.0))  # light-like
     with pytest.raises(NotNormalizable):
         normalize_to_manifold(H3, (math.nan, 0.0, 0.0))
-    # curvature*<v,v> = 1e-10 is below the default normalization floor, above a lowered one
+    # curvature*<v,v> = 1e-10 is a length like any other; 1e-310 is subnormal,
+    # and its square root has lost its relative precision
+    assert_allclose(normalize_to_manifold(S3, (1e-5, 0.0, 0.0)), [1.0, 0.0, 0.0], atol=1e-15)
     with pytest.raises(NotNormalizable):
-        normalize_to_manifold(S3, (1e-5, 0.0, 0.0))
-    assert_allclose(normalize_to_manifold(S3, (1e-5, 0.0, 0.0), Tolerances(manifold=1e-12)), [1.0, 0.0, 0.0])
+        normalize_to_manifold(S3, (1e-155, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("sheet", [1.0, -1.0])
 def test_normalize_rejects_light_like_rounding_residue(sheet):
     # <v,v> = -1.0e-8 is what is left of two 1.5e8 squares that cancel:
-    # above tols.manifold, yet within the rounding bound of the sum
+    # a normal float, yet within the rounding bound of the sum
     with pytest.raises(NotNormalizable):
         normalize_to_manifold(H3, (sheet * 12345.678, sheet * 12345.678, 0.0))
     # a time-like vector of the same size range still normalizes, onto the
@@ -202,17 +203,21 @@ def test_inner_and_self_product_agree_bit_for_bit(model_name):
 
 @pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
 def test_normalize_lands_on_manifold(model_name):
-    model = model_named(model_name, 4)
+    # no slack decides the floor: whatever normalizes, from 1e-153 to 1e150, is a point
     rng = np.random.default_rng(23)
     produced = 0
-    while produced < 50:
-        v = rng.normal(size=4) * rng.uniform(0.5, 10.0)
-        try:
-            x = normalize_to_manifold(model, v)
-        except NotNormalizable:
-            continue
-        produced += 1
-        assert on_manifold(model, x)
+    for m in range(2, 10):
+        model = model_named(model_name, m)
+        for _ in range(250):
+            v = rng.normal(size=m) * 10.0 ** rng.uniform(-153.0, 150.0)
+            v[0] *= math.sqrt(m)  # about half time-like in H^n
+            try:
+                x = normalize_to_manifold(model, v)
+            except NotNormalizable:
+                continue
+            produced += 1
+            assert on_manifold(model, x), (m, v)
+    assert produced >= 750
 
 
 def test_tolerance_scaling():
@@ -244,4 +249,6 @@ def test_tolerances_enter_only_as_a_record():
         if "tols" in params:
             assert params["tols"].default is DEFAULT_TOLS, name
             with_tols.append(name)
-    assert {"on_manifold", "normalize_to_manifold", "schur_complement"} <= set(with_tols)
+    assert {"on_manifold", "schur_complement"} <= set(with_tols)
+    # the normalization floor is the float range and the rounding bound, never a slack
+    assert "tols" not in inspect.signature(normalize_to_manifold).parameters

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from hsproj import (
     DEFAULT_TOLS,
     BadFace,
-    DegenerateSimplex,
     DimensionMismatch,
     DomainError,
     Model,
@@ -36,7 +35,7 @@ from hsproj.crosscheck import (
     vertex_lambdas_by_minors,
 )
 
-from conftest import COSH1, SINH1, model_named
+from conftest import COSH1, SINH1, far_field_triangle, model_named
 
 OCTANT_DIAG = np.ones(3) / np.sqrt(3.0)
 # frozen from the independent great-circle minimization oracle: the foot of
@@ -230,6 +229,21 @@ def test_hyperplane_equals_general_path(case):
         b = project_to_face(s, face, p)
         assert np.abs(a.foot - b.foot).max() <= 1e-9
         assert abs(a.distance - b.distance) <= 1e-9
+
+
+@pytest.mark.parametrize("r, d", [(6.0, 0.01), (7.0, 0.03)])
+def test_hyperplane_equals_general_path_in_the_far_field(r, d):
+    # altitudes near 11.2 and cond(M) up to 1.4e4; feet have coordinates up to ~1e3
+    model = Model.hyperbolic(3)
+    s = build_simplex(model, far_field_triangle(r, d))
+    rng = np.random.default_rng(17)
+    points = list(s.vertices) + [random_point(model, rng) for _ in range(5)]
+    for j in range(1, 4):
+        face = tuple(i for i in range(1, 4) if i != j)
+        for p in points:
+            a, b = project_to_hyperplane(s, j, p), project_to_face(s, face, p)
+            assert np.abs(a.foot - b.foot).max() <= 1e-9 * np.abs(b.foot).max()
+            assert abs(a.distance - b.distance) <= 1e-9
 
 
 # ----------------------------------------------------------------- vertex_foot
@@ -452,10 +466,10 @@ def test_domain_error_rule_is_the_membership_slack(model_name, factor):
         projection._distance(model, 1e-3, float(np.nextafter(edge, edge + model.curvature)), tols)
 
 
-def test_one_slack_moves_every_radicand_floor(octant):
-    # Tolerances.manifold is also the floor near 0 of every radicand: at 1e-3
-    # it moves the spherical-foot floor, the normalization floor and the
-    # normal floor, but not the distance, which has no floor
+def test_manifold_slack_moves_only_the_spherical_foot_floor_near_0(octant):
+    # near 0, Tolerances.manifold is the spherical-foot floor alone: at 1e-3
+    # it refuses the foot, but not the distance, which has no floor, nor a
+    # normalization or a normal, whose floors are the numbers' own
     tols = Tolerances(manifold=1e-3)
     p = (1e-2, 0.0, math.sqrt(1.0 - 1e-4))  # cos^2 d = 1e-4 to the plane of face (1, 2)
     assert distance_to_face(octant, (1, 2), p) < math.pi / 2
@@ -463,20 +477,16 @@ def test_one_slack_moves_every_radicand_floor(octant):
     assert distance_to_face(octant, (1, 2), p, tols) == distance_to_face(octant, (1, 2), p)
     with pytest.raises(ProjectionUndefined):
         project_to_face(octant, (1, 2), p, tols)
-    v = (1e-2, 0.0, 0.0)  # <v,v> = 1e-4
-    normalize_to_manifold(octant.model, v)
-    with pytest.raises(NotNormalizable):
-        normalize_to_manifold(octant.model, v, tols)
+    assert_allclose(normalize_to_manifold(octant.model, (1e-2, 0.0, 0.0)), [1.0, 0.0, 0.0], atol=1e-15)
     # the H^1 segment of length 5: its normals square to T^2 = 1 / sinh^2 5 ~ 1.8e-4
     segment = [[1.0, 0.0], [math.cosh(5.0), math.sinh(5.0)]]
-    build_simplex(Model.hyperbolic(2), segment)
-    with pytest.raises(DegenerateSimplex, match="facet normal"):
-        build_simplex(Model.hyperbolic(2), segment, tols)
+    s = build_simplex(Model.hyperbolic(2), segment, tols)
+    assert_allclose(s.scaling**2, 1.0 / math.sinh(5.0) ** 2, rtol=1e-10)
 
 
 def test_finish_normalizes_before_the_domain_check(hyp_triangle):
-    # a hyperbolic pre-foot with c2 <= tols.manifold is not normalizable; that
-    # comes before the DomainError its c2, far below 1, would also raise
+    # a space-like pre-foot is not normalizable; that comes before the
+    # DomainError its c2, far below 1, would also raise
     with pytest.raises(NotNormalizable):
         projection._finish(hyp_triangle, np.array([0.0, 1.0, 0.0]), 1.0, 0.0, {}, DEFAULT_TOLS, "face (1, 2)")
 

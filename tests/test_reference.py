@@ -36,7 +36,7 @@ from hsproj import (  # noqa: E402
 )
 from hsproj.oracle import random_point, random_simplex  # noqa: E402
 
-from conftest import model_named  # noqa: E402
+from conftest import far_field_triangle, model_named  # noqa: E402
 
 DIGITS = 50
 MODELS = ("hyperbolic", "spherical")
@@ -301,6 +301,13 @@ def test_spherical_altitude_near_pi_half():
     assert abs(altitude(tri, (1, 2), 3) - (math.pi / 2 - 1e-6)) <= 1e-15
     with pytest.raises(ProjectionUndefined):
         vertex_foot(tri, (1, 2), 3)
+
+
+def test_far_field_altitude():
+    # r = 6, d = 0.01: the vertex-1 altitude of 11.19 measured 5.0e-14 off
+    s = build_simplex(Model.hyperbolic(3), far_field_triangle(6.0, 0.01))
+    dist, _, _ = _Exact(s).project((2, 3), s.vertices[0])
+    assert abs(altitude(s, (2, 3), 1) - dist) <= 1e-12 * dist
 
 
 @pytest.mark.parametrize("d", PAIR_DISTANCES)

@@ -32,7 +32,7 @@ from hsproj import (
 )
 from hsproj.oracle import random_point, random_simplex
 
-from conftest import COSH1, SINH1, model_named
+from conftest import COSH1, SINH1, far_field_triangle, model_named
 
 
 # ---------------------------------------------------------------- build
@@ -127,6 +127,15 @@ def test_deleted_and_bordered_minor():
 
 
 # ---------------------------------------------------------------- normals
+
+def test_far_field_triangle_builds():
+    # cond(M) 1.4e4 and a vertex-1 altitude of 11.19: T_1^2 = 1/sinh^2 11.19
+    # ~ 7.6e-10 sits below the membership slack, yet the normal is space-like
+    s = build_simplex(Model.hyperbolic(3), far_field_triangle(6.0, 0.01))
+    h = altitude(s, (2, 3), 1)
+    assert h == pytest.approx(11.19, abs=1e-2)
+    assert s.scaling[0] ** 2 == pytest.approx(1.0 / np.sinh(h) ** 2, rel=1e-12)
+
 
 def test_octant_normals(octant):
     assert_allclose(octant.normals, -np.eye(3), atol=1e-15)
