@@ -7,13 +7,16 @@ sheet/scale bookkeeping is delegated to the normalization.  The search
 scores a batch of seeded random probe directions (just +-1 for a
 one-vertex face) and refines the best one with derivative-free
 Nelder-Mead restarts in its tangent space.  Both stages score ambient
-pre-points by one chord rule, ``_score_block``: a probe is mu . F, a
-refinement step delta the affine pre-point (mu + basis . delta) . F, not
-normalized first.  Derivative-free on purpose: the score is +inf
-wherever a candidate is not normalizable.  The
-Nelder-Mead is this module's own ``_nelder_mead``, a bit-identical port
-of the branch of scipy's that the refinement uses, so the package needs
-numpy alone (and ``import hsproj`` loads no scipy).
+pre-points by one chord rule, not normalized first: the probe stage
+scores its batch of pre-points mu . F in one ``_score_block`` call, and
+the refinement scores each step delta at the affine pre-point
+(mu + basis . delta) . F by ``_score_row``, the same operations in the
+same order on Python floats (the tests hold it to the batch bit for
+bit).  Derivative-free on purpose: the score is +inf wherever a
+candidate is not normalizable.  The Nelder-Mead is this module's own
+``_nelder_mead``, a bit-identical port on Python floats of the branch of
+scipy's that the refinement uses, so the package needs numpy alone (and
+``import hsproj`` loads no scipy).
 
 The score of a candidate is its squared chord <p - v, p - v>, computed
 from ambient coordinates: 4 sinh^2(d/2) in H^n and 4 sin^2(d/2) in S^n,
@@ -78,6 +81,11 @@ _SCREEN_BATCH = 32
 class OracleOptions:
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # type(), not isinstance(): bool is an int subclass
+        if not (type(self.seed) is int or isinstance(self.seed, np.integer)) or self.seed < 0:
+            raise ValueError(f"oracle seed must be an integer >= 0, got {self.seed!r}")
+
 
 def _score_block(V: np.ndarray, pv: np.ndarray, model: Model) -> np.ndarray:
     """Squared chord <p - v, p - v> of the candidate v = normalize(V_i) of
@@ -92,6 +100,26 @@ def _score_block(V: np.ndarray, pv: np.ndarray, model: Model) -> np.ndarray:
         root = np.copysign(root, V[:, 0])
     r = pv - V / root[:, None]
     return np.where(ok, np.einsum("ni,i,ni->n", r, model.signature, r), np.inf)
+
+
+def _score_row(v: list, p: list, sig: list, curvature: int) -> float:
+    """``_score_block`` of the one pre-point ``v`` on Python floats, operation
+    for operation and in the same order (the tests hold the two to the same
+    bits); ``p`` and ``sig`` are the point and the signature as lists."""
+    q = 0.0
+    for x, s in zip(v, sig):
+        q += x * s * x
+    q = curvature * q
+    if not q > _LIGHT_TOL:
+        return math.inf
+    root = math.sqrt(q)
+    if curvature == -1:
+        root = math.copysign(root, v[0])
+    score = 0.0
+    for pi, x, s in zip(p, v, sig):
+        r = pi - x / root
+        score += r * s * r
+    return score
 
 
 def _tangent_basis(mu: np.ndarray) -> np.ndarray:
@@ -113,29 +141,42 @@ def _nelder_mead(fun, sim: np.ndarray) -> tuple[np.ndarray, float]:
     ``minimize(method="Nelder-Mead")`` with ``maxiter=REFINE_ITERATIONS``,
     ``xatol=CONVERGENCE_TOL`` and ``fatol=CONVERGENCE_TOL * 1e-5``, so the
     iterates are bit-identical to it (``tests/test_oracle.py`` checks).
-    ``sim`` is not modified.
+
+    The simplex is held as lists of Python floats, since numpy's per-call
+    cost dwarfs the arithmetic on a few coordinates: the centroid is the
+    sequential row sum over N, as ``np.add.reduce`` forms it, and ``fun``
+    receives a list.  The order still comes from numpy's argsort, as in
+    scipy: it may order tied values (e.g. several inf vertices) unlike a
+    stable sort.  ``sim`` is not modified.
     """
     n = sim.shape[1]
-    fsim = np.array([fun(x) for x in sim], dtype=float)
+    sim = sim.tolist()
+    fsim = [fun(x) for x in sim]
 
     def ordered(sim, fsim):
-        order = np.argsort(fsim)
-        return sim[order], fsim[order]
+        order = np.array(fsim).argsort().tolist()
+        return [sim[k] for k in order], [fsim[k] for k in order]
 
     # scipy sorts twice before its first step: the order of tied values
     # (e.g. several inf vertices) may depend on it
     sim, fsim = ordered(*ordered(sim, fsim))
     for _ in range(REFINE_ITERATIONS - 1):
+        best, fbest = sim[0], fsim[0]
+        # all(), not max(): a NaN difference fails the test, as under np.max
         if (
-            np.max(np.abs(sim[1:] - sim[0])) <= CONVERGENCE_TOL
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= CONVERGENCE_TOL * 1e-5
+            all(abs(a - b) <= CONVERGENCE_TOL for x in sim[1:] for a, b in zip(x, best))
+            and all(abs(fbest - f) <= CONVERGENCE_TOL * 1e-5 for f in fsim[1:])
         ):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
+        xbar = sim[0]
+        for x in sim[1:-1]:
+            xbar = [a + b for a, b in zip(xbar, x)]
+        xbar = [a / n for a in xbar]
+        worst = sim[-1]
+        xr = [2 * a - b for a, b in zip(xbar, worst)]
         fxr = fun(xr)
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
+        if fxr < fbest:
+            xe = [3 * a - 2 * b for a, b in zip(xbar, worst)]
             fxe = fun(xe)
             if fxe < fxr:
                 sim[-1], fsim[-1] = xe, fxe
@@ -145,21 +186,21 @@ def _nelder_mead(fun, sim: np.ndarray) -> tuple[np.ndarray, float]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:
-                xc = 1.5 * xbar - 0.5 * sim[-1]  # outside contraction
+                xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, worst)]  # outside contraction
                 fxc = fun(xc)
                 accept = fxc <= fxr
             else:
-                xc = 0.5 * xbar + 0.5 * sim[-1]  # inside contraction
+                xc = [0.5 * a + 0.5 * b for a, b in zip(xbar, worst)]  # inside contraction
                 fxc = fun(xc)
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:  # shrink towards the best vertex
                 for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    sim[j] = [a + 0.5 * (b - a) for a, b in zip(best, sim[j])]
                     fsim[j] = fun(sim[j])
         sim, fsim = ordered(sim, fsim)
-    return sim[0], float(np.min(fsim))
+    return np.array(sim[0]), float(np.min(fsim))
 
 
 def oracle_project(
@@ -195,11 +236,16 @@ def oracle_project(
 
     # refinement stage: Nelder-Mead in the tangent space of the best
     # direction, restarted with shrinking initial steps; the offset delta
-    # is scored at its pre-point (mu + basis . delta) . F
+    # is scored at its pre-point (mu + basis . delta) . F, which stays a
+    # numpy product (a Python sum rounds otherwise and would move the
+    # iterates); only its score runs on floats
     if d > 1:
+        point, sig = pv.tolist(), model.signature.tolist()
+
         def objective_at(origin, steps):
             def g(delta):
-                return float(_score_block((origin + delta @ steps)[None, :], pv, model)[0])
+                v = origin + np.asarray(delta) @ steps
+                return _score_row(v.tolist(), point, sig, model.curvature)
 
             return g
 

@@ -29,6 +29,7 @@ from hsproj.oracle import (
     REFINE_ITERATIONS,
     _nelder_mead,
     _score_block,
+    _score_row,
     random_point,
     random_simplex,
 )
@@ -84,9 +85,15 @@ def test_oracle_resolves_points_in_the_plane(model_name):
 def test_oracle_is_deterministic(octant):
     p = np.ones(3) / np.sqrt(3)
     a = oracle_project(octant, (2, 3), p, OracleOptions(seed=123))
-    b = oracle_project(octant, (2, 3), p, OracleOptions(seed=123))
+    b = oracle_project(octant, (2, 3), p, OracleOptions(seed=np.int64(123)))
     assert a.distance == b.distance
     assert np.array_equal(a.foot, b.foot)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 3.0, True, np.bool_(True), "3", None, np.int64(-2)])
+def test_oracle_options_refuse_a_seed_that_is_not_a_natural_number(seed):
+    with pytest.raises(ValueError, match="oracle seed"):
+        OracleOptions(seed=seed)
 
 
 @pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
@@ -124,12 +131,41 @@ def _pre_point_blocks(model_name):
 
 @pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
 def test_score_block_one_row_is_its_row_of_the_batch(model_name):
-    # the refinement scores one pre-point per call; it must get exactly the
-    # score the probe stage would give that row
+    # the refinement scores one pre-point per call on floats, by _score_row;
+    # it must get exactly the score the probe stage's _score_block gives that
+    # row, inf rows included: space-like, near-null (1e-6 V straddles
+    # _LIGHT_TOL) and NaN pre-points
+    inf_rows = 0
     for model, V, p in _pre_point_blocks(model_name):
-        batch = _score_block(V, p, model)
-        for i in range(V.shape[0]):
-            assert _bits(_score_block(V[i : i + 1], p, model)) == _bits(batch[i : i + 1])
+        pl, sig = p.tolist(), model.signature.tolist()
+        for W in (V, -V, 1e3 * V, 1e-6 * V, np.full((1, V.shape[1]), np.nan)):
+            batch = _score_block(W, p, model)
+            inf_rows += int(np.isinf(batch).sum())
+            rows = [_score_row(w, pl, sig, model.curvature) for w in W.tolist()]
+            assert _bits(rows) == _bits(batch)
+    assert inf_rows > 1000
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
+def test_oracle_scores_its_probes_in_one_batch(monkeypatch, model_name, size):
+    # the probe stage is the one _score_block call; every refinement
+    # evaluation goes through _score_row
+    calls = []
+
+    def spy(V, pv, model):
+        calls.append(V.shape)
+        return _score_block(V, pv, model)
+
+    monkeypatch.setattr(oracle, "_score_block", spy)
+    model = model_named(model_name, 7)
+    s = random_simplex(model, 6, seed=40 + size)
+    rng = np.random.default_rng(size)
+    for _ in range(3):
+        face = tuple(sorted(int(x) + 1 for x in rng.choice(7, size=size, replace=False)))
+        calls.clear()
+        oracle_project(s, face, random_point(model, rng))
+        assert calls == [(oracle.PROBE_DIRECTIONS, 7)]
 
 
 def test_score_block_ignores_the_sign_of_a_hyperbolic_pre_point():
