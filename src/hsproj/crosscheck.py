@@ -18,12 +18,12 @@ matrix as on that matrix alone, so each minor is bit-identical to its own
 det call, and none of them reuses the face-block solve of production.
 
 Schur blocks by elimination share one kernel over a stack of matrices
-split into contiguous blocks: one stacked SVD gates every eliminated
-block, one stacked solve eliminates them.  The block-inverse suite stacks
-G and M, which share every index set, so a split takes two gates and two
-solves (one per side) for its four Schur blocks; ``schur_complement`` is
-the same kernel on a stack of one, its eliminated set permuted to the
-front.  Stacked SVD and solve give each matrix the bits of its own call.
+split into contiguous blocks: one stacked SVD gates every eliminated block
+by ``simplex._singular`` (as ``build_simplex`` gates M), one stacked solve
+eliminates them.  G and M share every index set, so the block-inverse
+suite stacks them: a split takes two gates and two solves for its four
+Schur blocks.  ``schur_complement`` is the kernel on a stack of one, its
+eliminated set first.  Each matrix gets the bits of its own SVD and solve.
 
 Sign policy: in the Lorentzian signature det M, the minors M_ii and det G
 are negative, so every radical of a ratio or product of them is taken of
@@ -42,7 +42,7 @@ import numpy as np
 from .errors import BadIndexSet, DegenerateSimplex, SingularBlock
 from .forms import DEFAULT_TOLS, Tolerances, _require_on_manifold
 from .projection import _distance, _opposite_vertex
-from .simplex import Simplex, _complement, _frozen, _index_positions, face_complement
+from .simplex import Simplex, _complement, _frozen, _index_positions, _singular, face_complement
 
 __all__ = [
     "ScalingMatrix", "SchurBlock", "IdentityReport", "deleted_minor", "bordered_minor",
@@ -190,9 +190,7 @@ def _singular_values(stack: np.ndarray, elim: slice) -> list[list[float]]:
 
 
 def _gate(svals: list[float], tols: Tolerances, elim_rows: tuple[int, ...]) -> None:
-    # gate on the spectrum, not on det vs entry-scale^k: that floor grows
-    # far faster than determinants of honest blocks do
-    if svals[-1] <= tols.degenerate * svals[0] or svals[0] == 0.0:
+    if _singular(svals, tols):
         raise SingularBlock(f"eliminated block {elim_rows} is singular")
 
 

@@ -55,8 +55,8 @@ class Tolerances:
 
     manifold    the absolute slack on a radicand: membership and c2 past 1
                 (DomainError) near 1, the spherical-foot floor near 0
-    degenerate  the det floor of build_simplex and every Schur-block gate
-                (smallest over largest singular value of an eliminated block)
+    degenerate  the floor on sigma_min / sigma_max of M (build_simplex)
+                and of every eliminated Schur block (crosscheck's gates)
     identity    residual bound of the identity checks and of T's Gram side
     """
 

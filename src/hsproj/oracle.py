@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,16 +60,15 @@ __all__ = ["OracleOptions", "oracle_project", "random_simplex", "random_point"]
 PROBE_DIRECTIONS = 1024
 # initial Nelder-Mead step of the first refinement restart (radians)
 FIRST_REFINE_STEP = math.pi / 25
-# iteration cap of each Nelder-Mead restart and its convergence tolerance
-# (xatol; fatol is 1e-5 of it)
-REFINE_ITERATIONS = 200
+# convergence tolerance of each Nelder-Mead restart (xatol; fatol is 1e-5
+# of it); its iteration cap is scipy's default, 200 per coordinate
 CONVERGENCE_TOL = 1e-10
 _LIGHT_TOL = 1e-12
 
-# random_simplex also rejects draws whose edge matrix is conditioned worse
-# than this: barely-nondegenerate simplices (cond ~ 1e8) pass the validity
-# floor but void the 1e-8 identity tolerances the test populations are
-# measured against; 1e5 keeps residuals ~1e-10 and costs < ~6% retries.
+# random_simplex builds with degenerate >= 1 / this, so it rejects draws with
+# a worse-conditioned M: barely-nondegenerate simplices (cond ~ 1e8) void the
+# 1e-8 identity tolerances the test populations are measured against; 1e5
+# keeps residuals ~1e-10 and costs < ~6% retries.
 GENERATOR_CONDITION_LIMIT = 1e5
 GENERATOR_MAX_TRIES = 1000
 # spherical candidate vertex sets drawn and screened per numpy call; at
@@ -135,12 +134,11 @@ def _nelder_mead(fun, sim: np.ndarray) -> tuple[np.ndarray, float]:
     Returns the best vertex and its value.  Reflection 1, expansion 2,
     contraction 1/2, shrink 1/2; stops when every vertex lies within
     CONVERGENCE_TOL of the best one and every value within
-    CONVERGENCE_TOL * 1e-5 of its value, or after REFINE_ITERATIONS - 1
-    steps.  The arithmetic, its order and
-    the argsort after every step are those of scipy's
-    ``minimize(method="Nelder-Mead")`` with ``maxiter=REFINE_ITERATIONS``,
-    ``xatol=CONVERGENCE_TOL`` and ``fatol=CONVERGENCE_TOL * 1e-5``, so the
-    iterates are bit-identical to it (``tests/test_oracle.py`` checks).
+    CONVERGENCE_TOL * 1e-5 of its value, or after 200 N - 1 steps.  The
+    arithmetic, its order and the argsort after every step are those of
+    scipy's ``minimize(method="Nelder-Mead")`` at its default ``maxiter``
+    (200 N), ``xatol=CONVERGENCE_TOL`` and ``fatol=CONVERGENCE_TOL * 1e-5``,
+    so the iterates are bit-identical to it (``tests/test_oracle.py`` checks).
 
     The simplex is held as lists of Python floats, since numpy's per-call
     cost dwarfs the arithmetic on a few coordinates: the centroid is the
@@ -160,7 +158,7 @@ def _nelder_mead(fun, sim: np.ndarray) -> tuple[np.ndarray, float]:
     # scipy sorts twice before its first step: the order of tied values
     # (e.g. several inf vertices) may depend on it
     sim, fsim = ordered(*ordered(sim, fsim))
-    for _ in range(REFINE_ITERATIONS - 1):
+    for _ in range(200 * n - 1):
         best, fbest = sim[0], fsim[0]
         # all(), not max(): a NaN difference fails the test, as under np.max
         if (
@@ -312,8 +310,8 @@ def random_simplex(
     with radius uniform in [0.2, 1.5]; spherical vertices are uniform on
     the sphere, resampled until all pairwise distances lie in [0.2, 2.0]
     (which also rules out near-antipodal pairs).  Draws are retried until
-    build_simplex accepts and the edge matrix is well conditioned
-    (GENERATOR_CONDITION_LIMIT), up to GENERATOR_MAX_TRIES draws.
+    build_simplex accepts them at degenerate >= 1 / GENERATOR_CONDITION_LIMIT
+    (cond M within that limit), up to GENERATOR_MAX_TRIES draws.
 
     Spherical draws are made and screened against the distance window in
     blocks (``_spherical_draws``), which yields the same simplex per seed
@@ -334,12 +332,11 @@ def random_simplex(
         )
     else:
         draws = _spherical_draws(rng, m)
+    screen = replace(tols, degenerate=max(tols.degenerate, 1 / GENERATOR_CONDITION_LIMIT))
     for vertices in draws:
         try:
-            # only genuine degeneracy is retried; anything else is a bug
-            simplex = build_simplex(model, vertices, tols)
+            # only degeneracy (ill conditioning included) is retried; else a bug
+            return build_simplex(model, vertices, screen)
         except DegenerateSimplex:
             continue
-        if np.linalg.cond(simplex.edge_matrix) <= GENERATOR_CONDITION_LIMIT:
-            return simplex
     raise GenerationExhausted(f"no valid {model.name} {n}-simplex in {GENERATOR_MAX_TRIES} tries")

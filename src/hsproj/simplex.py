@@ -10,11 +10,11 @@ its metric data:
 where e_i is the unit vector orthogonal to every vertex except p_i, signed
 so that <e_i, p_i> < 0 (outward).  M and G are mutually inverse up to the
 diagonal scaling T = diag(sqrt|M_ii / det M|).  Production reads M, the
-normals and T, so a ``Simplex`` stores those, with det M from the
-degeneracy floor and T from the normal solve; G and det G, read only by
-the identities, are built on first use.  The paper's minors, Schur blocks
-and inverse identities are the independent routes to the same numbers;
-they live in ``crosscheck``, which nothing in the production path imports.
+normals and T, so a ``Simplex`` stores those and det M, with T from the
+normal solve; G and det G, read only by the identities, are built on
+first use.  The paper's minors, Schur blocks and inverse identities are
+the independent routes to the same numbers; they live in ``crosscheck``,
+which nothing in the production path imports.
 
 All user-facing indices (vertices, faces, minor row/column sets, block
 splits) are 1-based, matching the mathematical notation; storage is
@@ -77,6 +77,14 @@ class Simplex:
         return float(np.linalg.det(self.gram_matrix))
 
 
+def _singular(svals, tols: Tolerances) -> bool:
+    """The one rule for "singular", on descending ``svals``: not sigma_min >
+    tols.degenerate * sigma_max, so NaN and an all-zero matrix are singular.
+    The spectrum, not det against entry-scale^m: that floor grows far faster
+    than the determinants of honest matrices (M, or a Schur gate's block)."""
+    return not svals[-1] > tols.degenerate * svals[0]
+
+
 def build_simplex(
     model: Model,
     vertices: Sequence[Sequence[float]] | np.ndarray,
@@ -86,8 +94,7 @@ def build_simplex(
 
     Raises OffManifold / WrongSheet for bad points, DimensionMismatch for a
     wrong vertex count or coordinate length, and DegenerateSimplex when the
-    edge-matrix determinant falls below ``tols.degenerate`` relative to the
-    entry scale (linearly dependent vertices).
+    edge matrix is singular by ``_singular`` (linearly dependent vertices).
     """
     P = np.asarray(vertices, dtype=float)
     m = model.ambient_dim
@@ -101,12 +108,10 @@ def build_simplex(
     sig = model.signature
     M = (P * sig) @ P.T
     M = (M + M.T) / 2.0
-    scale = float(np.abs(M).max())
+    sv = np.linalg.svd(M, compute_uv=False)
+    if _singular(sv, tols):
+        raise DegenerateSimplex(f"edge matrix is singular (sigma_min/sigma_max = {sv[-1] / sv[0]:.3e})")
     det_m = float(np.linalg.det(M))
-    if abs(det_m) <= tols.degenerate * scale**m:
-        raise DegenerateSimplex(
-            f"|det M| = {abs(det_m)!r} below degeneracy floor; vertices are linearly dependent"
-        )
     if model.curvature == -1:
         off = M[~np.eye(m, dtype=bool)]
         if off.max() >= -1.0:

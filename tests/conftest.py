@@ -23,6 +23,31 @@ def far_field_triangle(r: float, d: float) -> list[tuple[float, float, float]]:
     return [(c, s, 0.0), (c, -s * math.cos(d), s * math.sin(d)), (c, -s * math.cos(d), -s * math.sin(d))]
 
 
+# regular simplices (n, edge) that a det floor of 1e-10 * max|M|^(n+1) would
+# refuse, though their edge matrices have cond 1.4e3 (n = 6) and ~450 (n = 8)
+REGULAR_CASES = ((6, 0.1), (8, 0.2))
+
+
+def regular_simplex(name: str, n: int, theta: float) -> np.ndarray:
+    """Vertices of the regular n-simplex with edge length theta in H^n or S^n.
+
+    S^n: the Cholesky rows of the matrix with 1 on the diagonal and cos theta
+    off it.  H^n: (cosh r, sinh r u_i), with u_i the n+1 regular directions
+    (pairwise cosine -1/n, summing to 0) and sinh^2 r = (cosh theta - 1) /
+    (1 + 1/n), so that <p_i, p_j> = -cosh theta.
+    """
+    if name == "spherical":
+        gram = np.full((n + 1, n + 1), math.cos(theta))
+        np.fill_diagonal(gram, 1.0)
+        return np.linalg.cholesky(gram)
+    gram = np.full((n, n), -1.0 / n)
+    np.fill_diagonal(gram, 1.0)
+    u = np.linalg.cholesky(gram)
+    u = np.vstack([u, -u.sum(axis=0)])
+    r = math.asinh(math.sqrt((math.cosh(theta) - 1.0) / (1.0 + 1.0 / n)))
+    return np.column_stack([np.full(n + 1, math.cosh(r)), math.sinh(r) * u])
+
+
 @pytest.fixture
 def octant():
     """Spherical octant simplex: vertices are the standard basis of R^3."""

@@ -10,7 +10,7 @@ from hsproj import crosscheck
 from hsproj.cli import main
 from hsproj.oracle import random_point, random_simplex
 
-from conftest import COSH1, SINH1, far_field_triangle
+from conftest import COSH1, SINH1, far_field_triangle, regular_simplex
 
 OCTANT = {"model": "spherical", "vertices": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 TRIANGLE = {
@@ -324,6 +324,16 @@ def test_check_random_small(capsys):
     assert report["results"]["simplex_count"] == 3
     assert report["inputs"]["random"] == {"model": "spherical", "n": 3, "seed": 11, "count": 3}
     assert all(row["passed"] for row in report["results"]["checks"])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_check_regular_8_simplex(tmp_path, capsys, seed):
+    # cond(M) 1.8e3, though a det floor would refuse it; on its large
+    # sampled faces the oracle's restarts need scipy's cap of 200
+    # iterations per coordinate
+    doc = {"model": "spherical", "vertices": regular_simplex("spherical", 8, 0.1).tolist()}
+    code, report, _ = run_json(capsys, "check", write_doc(tmp_path, doc), "--seed", str(seed))
+    assert code == 0 and report["status"] == "ok", report.get("failed_checks")
 
 
 def test_check_reports_scaling_disagreement(tmp_path, capsys):

@@ -26,7 +26,6 @@ from hsproj.forms import normalize_to_manifold
 from hsproj.oracle import (
     CONVERGENCE_TOL,
     FIRST_REFINE_STEP,
-    REFINE_ITERATIONS,
     _nelder_mead,
     _score_block,
     _score_row,
@@ -241,7 +240,7 @@ def _scipy_nelder_mead(fun, sim):
         method="Nelder-Mead",
         options={
             "initial_simplex": sim,
-            "maxiter": REFINE_ITERATIONS,
+            "maxiter": 200 * sim.shape[1],
             "xatol": CONVERGENCE_TOL,
             "fatol": CONVERGENCE_TOL * 1e-5,
         },
@@ -387,11 +386,12 @@ def test_spherical_generator_respects_distance_window():
 @pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
 def test_generator_exhausts_after_max_tries(monkeypatch, model_name, n, seed):
     # 37 tries is not a multiple of the screening batch, and a condition
-    # limit of 0 rejects every simplex built, so every try is spent; at
+    # limit of 1 rejects every simplex built (sigma_min > sigma_max never
+    # holds, and no drawn edge matrix has cond 1), so every try is spent; at
     # these seeds the 37th spherical draw passes the distance window, so a
     # generator that stopped one draw early would build one simplex fewer
     monkeypatch.setattr(oracle, "GENERATOR_MAX_TRIES", 37)
-    monkeypatch.setattr(oracle, "GENERATOR_CONDITION_LIMIT", 0)
+    monkeypatch.setattr(oracle, "GENERATOR_CONDITION_LIMIT", 1.0)
     build, calls = oracle.build_simplex, []
 
     def spy(*args):

@@ -36,7 +36,7 @@ from hsproj import (  # noqa: E402
 )
 from hsproj.oracle import random_point, random_simplex  # noqa: E402
 
-from conftest import far_field_triangle, model_named  # noqa: E402
+from conftest import REGULAR_CASES, far_field_triangle, model_named, regular_simplex  # noqa: E402
 
 DIGITS = 50
 MODELS = ("hyperbolic", "spherical")
@@ -124,23 +124,32 @@ def _plane_point(simplex, face, rng):
     return q, u / math.sqrt(float((u * model.signature) @ u))
 
 
+def _regular_simplices(name):
+    """The regular simplices of REGULAR_CASES: well conditioned, though a det floor would refuse them."""
+    return [
+        build_simplex(model_named(name, n + 1), regular_simplex(name, n, theta)) for n, theta in REGULAR_CASES
+    ]
+
+
 def random_point_cases(name):
-    """[(simplex, [(face, p), ...])]: n 2..8, two simplices each, three points per simplex."""
+    """[(simplex, [(face, p), ...])]: n 2..8, two simplices each, and the regular
+    simplices; three points per simplex."""
     rng = np.random.default_rng([71, len(name)])
-    groups = []
-    for n in range(2, 9):
-        for k in range(2):
-            s = random_simplex(model_named(name, n + 1), n, seed=7100 + 10 * n + k)
-            groups.append((s, [(_random_face(rng, n + 1), random_point(s.model, rng)) for _ in range(3)]))
-    return groups
+    simplices = [
+        random_simplex(model_named(name, n + 1), n, seed=7100 + 10 * n + k) for n in range(2, 9) for k in range(2)
+    ] + _regular_simplices(name)
+    return [
+        (s, [(_random_face(rng, s.vertex_count), random_point(s.model, rng)) for _ in range(3)])
+        for s in simplices
+    ]
 
 
 def vertex_cases(name):
-    """[(simplex, [(face, j), ...])]: every face and opposite vertex, n 2..6."""
+    """[(simplex, [(face, j), ...])]: every face and opposite vertex, n 2..6, and the regular simplices."""
     groups = []
-    for n in range(2, 7):
-        s = random_simplex(model_named(name, n + 1), n, seed=7200 + n)
-        m = n + 1
+    simplices = [random_simplex(model_named(name, n + 1), n, seed=7200 + n) for n in range(2, 7)]
+    for s in simplices + _regular_simplices(name):
+        m = s.vertex_count
         faces = [tuple(i + 1 for i in range(m) if bits >> i & 1) for bits in range(1, 2**m - 1)]
         groups.append((s, [(face, j) for face in faces for j in range(1, m + 1) if j not in face]))
     return groups

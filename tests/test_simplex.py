@@ -30,9 +30,10 @@ from hsproj import (
     verify_block_inverse_identities,
     vertex_foot,
 )
+from hsproj import crosscheck
 from hsproj.oracle import random_point, random_simplex
 
-from conftest import COSH1, SINH1, far_field_triangle, model_named
+from conftest import COSH1, REGULAR_CASES, SINH1, far_field_triangle, model_named, regular_simplex
 
 
 # ---------------------------------------------------------------- build
@@ -54,6 +55,52 @@ def test_hyperbolic_edge_matrix(hyp_triangle):
 def test_build_rejects_repeated_vertex():
     with pytest.raises(DegenerateSimplex):
         build_simplex(Model.spherical(3), [[1, 0, 0], [1, 0, 0], [0, 0, 1]])
+    with pytest.raises(DegenerateSimplex):
+        build_simplex(Model.hyperbolic(3), [[1, 0, 0], [COSH1, SINH1, 0], [COSH1, SINH1, 0]])
+
+
+def test_build_rejects_a_vertex_just_off_the_great_circle():
+    # 1e-6 off the great circle of the other two: sigma_min / sigma_max of
+    # M is ~1e-12, below degenerate = 1e-10
+    v = np.array([0.6, 0.8, 1e-6])
+    with pytest.raises(DegenerateSimplex):
+        build_simplex(Model.spherical(3), [[1, 0, 0], [0, 1, 0], v / np.linalg.norm(v)])
+
+
+@pytest.mark.parametrize("n,theta", REGULAR_CASES)
+@pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
+def test_build_accepts_well_conditioned_regular_simplices(model_name, n, theta):
+    # cond(M) <= 1.4e3, yet |det M| / max|M|^(n+1) is ~1e-13: singularity is
+    # read from the spectrum, so these build, and every identity holds
+    s = build_simplex(model_named(model_name, n + 1), regular_simplex(model_name, n, theta))
+    residuals = crosscheck.identity_residuals(s)
+    assert all(r <= 1e-12 for r in residuals.values()), residuals
+
+
+def test_singular_is_the_one_rule(monkeypatch):
+    import hsproj.simplex as simplex
+
+    tols = DEFAULT_TOLS
+    # true unless sigma_min > degenerate * sigma_max: NaN and all-zero included
+    for svals in ([1.0, 1e-10], [1.0, 0.0], [0.0, 0.0], [np.nan, np.nan], [1.0, np.nan]):
+        assert simplex._singular(svals, tols), svals
+    assert not simplex._singular([1.0, 1e-9], tols)
+    assert not simplex._singular(np.array([2.0, 1.0]), tols)
+
+    assert crosscheck._singular is simplex._singular
+    real, callers = simplex._singular, []
+
+    def spy(svals, tols):
+        callers.append(len(svals))
+        return real(svals, tols)
+
+    for module in (simplex, crosscheck):
+        monkeypatch.setattr(module, "_singular", spy)
+    build_simplex(Model.spherical(3), np.eye(3))
+    assert callers == [3]
+    with pytest.raises(SingularBlock):
+        schur_complement(np.diag([1.0, 0.0, 1.0]), (3,))
+    assert callers == [3, 2]
 
 
 def test_build_rejects_off_manifold_and_wrong_sheet():
