@@ -30,7 +30,8 @@ from .forms import (
     normalize_to_manifold,
     on_manifold,
 )
-from .oracle import OracleOptions, oracle_project, random_point, random_simplex
+from .generators import random_point, random_simplex
+from .oracle import OracleOptions, oracle_project
 from .projection import (
     ProjectionResult,
     altitude,
@@ -71,7 +72,9 @@ __all__ = [
     "ProjectionResult", "face_complement", "project_to_face", "distance_to_face",
     "project_to_hyperplane", "vertex_foot", "altitude",
     # oracle
-    "OracleOptions", "oracle_project", "random_simplex", "random_point",
+    "OracleOptions", "oracle_project",
+    # generators
+    "random_simplex", "random_point",
     # errors
     "GeometryError", "DimensionMismatch", "OffManifold", "WrongSheet",
     "DomainError", "NotNormalizable", "DegenerateSimplex", "BadIndexSet",

@@ -12,6 +12,7 @@ parse error.  All vertex and face indices are 1-based.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -22,7 +23,8 @@ from .documents import SimplexDocument, digest, dumps, parse_simplex_document
 from .errors import DocumentError, GeometryError, ProjectionUndefined
 from .forms import DEFAULT_TOLS, Model, Tolerances, _membership_residual
 from .forms import distance as geodesic
-from .oracle import OracleOptions, oracle_project, random_point, random_simplex
+from .generators import random_point, random_simplex
+from .oracle import OracleOptions, oracle_project
 from .projection import altitude, face_complement, project_to_face, vertex_foot
 from .simplex import Simplex, build_simplex
 from .crosscheck import _bordered, _minors, distance_to_face_by_minors, identity_residuals
@@ -314,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hsproj {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, file_optional=False):
+    def common(p, handler, file_optional=False):
+        p.set_defaults(handler=handler)
         if file_optional:
             p.add_argument("file", nargs="?", help="simplex document (JSON); '-' or omit for stdin")
         else:
@@ -324,10 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scale all default tolerances by FACTOR")
 
     p_val = sub.add_parser("validate", help="validate a simplex document")
-    common(p_val)
+    common(p_val, cmd_validate)
 
     p_proj = sub.add_parser("project", help="project a point onto a face's k-plane")
-    common(p_proj)
+    common(p_proj, cmd_project)
     p_proj.add_argument("--face", type=_int_csv, required=True, metavar="I,J,...",
                         help="1-based face vertex indices, strictly increasing")
     p_proj.add_argument("--point", type=_float_csv, required=True, metavar="X1,X2,...",
@@ -337,22 +340,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_proj.add_argument("--seed", type=_seed, default=0, help="oracle probe seed")
 
     p_alt = sub.add_parser("altitudes", help="altitudes (and feet) from vertices to opposite faces")
-    common(p_alt)
+    common(p_alt, cmd_altitudes)
     p_alt.add_argument("--face", type=_int_csv, default=None, metavar="I,J,...",
                        help="target face; default: every facet opposite each vertex")
 
     p_chk = sub.add_parser("check", help="run the full invariant suite")
-    common(p_chk, file_optional=True)
+    common(p_chk, cmd_check, file_optional=True)
     p_chk.add_argument("--random", nargs=4, metavar=("MODEL", "N", "SEED", "COUNT"),
                        help="check COUNT random n-simplices instead of a document")
     p_chk.add_argument("--seed", type=_seed, default=0, help="sampling seed for faces/points/oracle")
     return parser
 
 
+# the parser of every main call in this process: argparse keeps no state
+# between parse_args calls
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -363,14 +370,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if args.command == "validate":
-            report = cmd_validate(args, tols)
-        elif args.command == "project":
-            report = cmd_project(args, tols)
-        elif args.command == "altitudes":
-            report = cmd_altitudes(args, tols)
-        else:
-            report = cmd_check(args, tols)
+        report = args.handler(args, tols)
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

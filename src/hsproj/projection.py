@@ -177,14 +177,15 @@ def project_to_hyperplane(
 
     sigma(p) = (p - <p,e_j> e_j) / sqrt(1 + <p,e_j>^2) in H^n and the same
     with 1 - <p,e_j>^2 in S^n, so s2 = <p,e_j>^2; agrees with
-    project_to_face on the face that omits j.
+    project_to_face on the face that omits j.  The spherical c2 is
+    <p., p.> of the pre-foot, not 1 - <p,e_j>^2, which cancels near pi/2.
     """
     (j0,) = _index_positions((j,), simplex.vertex_count, BadFace, "vertex")
     pv = _require_on_manifold(simplex.model, p, tols, "point")
     e_j = simplex.normals[j0]
     a = float((pv * simplex.model.signature) @ e_j)
     pre_foot = pv - a * e_j
-    c2 = 1.0 - simplex.model.curvature * a * a
+    c2 = 1.0 + a * a if simplex.model.curvature == -1 else float(pre_foot @ pre_foot)
     return _finish(simplex, pre_foot, a * a, c2, {j0 + 1: -a}, tols, f"hyperplane opposite {j0 + 1}")
 
 

@@ -28,7 +28,7 @@ from hsproj import (
 )
 from hsproj.crosscheck import facet_altitude_by_determinants, identity_residuals
 from hsproj.documents import dumps
-from hsproj.oracle import random_point, random_simplex
+from hsproj.generators import random_point, random_simplex
 
 from conftest import model_named
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose
 from hsproj import Model, ProjectionUndefined, build_simplex, cli, project_to_face
 from hsproj import crosscheck
 from hsproj.cli import main
-from hsproj.oracle import random_point, random_simplex
+from hsproj.generators import random_point, random_simplex
 
 from conftest import COSH1, SINH1, far_field_triangle, regular_simplex
 
@@ -436,3 +437,48 @@ def test_non_finite_input_is_exit_2(tmp_path, capsys):
     huge = {"model": "spherical", "vertices": [[1, 0, 0], [0, 10**400, 0], [0, 0, 1]]}
     code, _, err = run(capsys, "validate", write_doc(tmp_path, huge, "huge.json"), "--json")
     assert code == 2 and "row 2 has a non-finite entry" in err
+
+
+# ------------------------------------------------------- one parser per process
+
+def _cli_argvs(tmp_path):
+    """Every subcommand in both output forms, and each failure path of ``main``."""
+    octant = write_doc(tmp_path, OCTANT)
+    duplicate = {"model": "spherical", "vertices": [[1, 0, 0], [1, 0, 0], [0, 0, 1]]}
+    duplicate = write_doc(tmp_path, duplicate, "dup.json")
+    commands = [
+        ["validate", octant],
+        ["project", octant, "--face", "1,2", "--point", "0.6,0,0.8"],
+        ["project", octant, "--face", "1,2", "--point", "0.6,0,0.8", "--check", "--seed", "3"],
+        ["altitudes", octant],
+        ["altitudes", octant, "--face", "1"],
+        ["check", octant, "--seed", "1"],
+        ["check", "--random", "spherical", "2", "0", "1"],
+        ["validate", duplicate],  # GeometryError: exit 1
+    ]
+    return [argv + form for argv in commands for form in ([], ["--json"])] + [
+        [],  # usage error: exit 2
+        ["project", octant, "--face", "1,2"],  # usage error: exit 2
+        ["validate", str(tmp_path / "missing.json")],  # DocumentError: exit 2
+        ["validate", octant, "--tol", "0"],  # refused factor: exit 2
+        ["--version"],
+    ]
+
+
+def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser()
+    tree, built[:] = len(built), []
+    argvs = _cli_argvs(tmp_path)
+    passes = [[run(capsys, *argv) for argv in argvs] for _ in range(2)]
+    assert passes[0] == passes[1]
+    assert {code for code, _, _ in passes[0]} == {0, 1, 2}
+    # one parser tree for both passes, or none if an earlier main call built it
+    assert len(built) <= tree

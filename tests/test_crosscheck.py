@@ -17,7 +17,7 @@ from hsproj import DEFAULT_TOLS, Model, altitude, build_simplex, distance_to_fac
 from hsproj import bordered_minor, crosscheck, deleted_minor, schur_complement_via_minors
 from hsproj import SingularBlock, schur_complement, verify_block_inverse_identities
 from hsproj.crosscheck import identity_residuals
-from hsproj.oracle import random_point, random_simplex
+from hsproj.generators import random_point, random_simplex
 
 from conftest import model_named
 

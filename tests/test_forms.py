@@ -21,7 +21,7 @@ from hsproj import (
     on_manifold,
 )
 from hsproj import crosscheck, forms
-from hsproj.oracle import random_point
+from hsproj.generators import random_point
 
 from conftest import COSH1, SINH1, model_named
 

@@ -28,7 +28,7 @@ from hsproj import (
     verify_block_inverse_identities,
     vertex_foot,
 )
-from hsproj.oracle import random_point, random_simplex
+from hsproj.generators import random_point, random_simplex
 from hsproj.crosscheck import distance_to_face_by_minors
 
 S = random_simplex(Model.hyperbolic(4), 3, seed=7)  # m = 4 vertices

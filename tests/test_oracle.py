@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hsproj import oracle
+from hsproj import generators, oracle
 from hsproj import (
     DegenerateSimplex,
     DimensionMismatch,
@@ -29,9 +29,8 @@ from hsproj.oracle import (
     _nelder_mead,
     _score_block,
     _score_row,
-    random_point,
-    random_simplex,
 )
+from hsproj.generators import random_point, random_simplex
 
 from conftest import model_named
 
@@ -318,6 +317,7 @@ def test_import_loads_no_scipy():
 
 
 # ------------------------------------------------------------- generators
+# hsproj.generators: the populations every test and benchmark draws from
 
 def test_random_simplex_deterministic():
     a = random_simplex(Model.hyperbolic(4), 3, seed=42)
@@ -339,7 +339,7 @@ def _random_simplex_one_draw_per_try(model, n, seed):
     definition its batched spherical screening reproduces bit for bit."""
     rng = np.random.default_rng(seed)
     m = n + 1
-    for _ in range(oracle.GENERATOR_MAX_TRIES):
+    for _ in range(generators.GENERATOR_MAX_TRIES):
         if model.curvature == -1:
             vertices = np.array([random_point(model, rng) for _ in range(m)])
         else:
@@ -350,10 +350,10 @@ def _random_simplex_one_draw_per_try(model, n, seed):
             if pair.min() < 0.2 or pair.max() > 2.0:
                 continue
         try:
-            simplex = oracle.build_simplex(model, vertices)
+            simplex = generators.build_simplex(model, vertices)
         except DegenerateSimplex:
             continue
-        if np.linalg.cond(simplex.edge_matrix) <= oracle.GENERATOR_CONDITION_LIMIT:
+        if np.linalg.cond(simplex.edge_matrix) <= generators.GENERATOR_CONDITION_LIMIT:
             return simplex
     raise GenerationExhausted(f"no valid {model.name} {n}-simplex")
 
@@ -390,15 +390,15 @@ def test_generator_exhausts_after_max_tries(monkeypatch, model_name, n, seed):
     # holds, and no drawn edge matrix has cond 1), so every try is spent; at
     # these seeds the 37th spherical draw passes the distance window, so a
     # generator that stopped one draw early would build one simplex fewer
-    monkeypatch.setattr(oracle, "GENERATOR_MAX_TRIES", 37)
-    monkeypatch.setattr(oracle, "GENERATOR_CONDITION_LIMIT", 1.0)
-    build, calls = oracle.build_simplex, []
+    monkeypatch.setattr(generators, "GENERATOR_MAX_TRIES", 37)
+    monkeypatch.setattr(generators, "GENERATOR_CONDITION_LIMIT", 1.0)
+    build, calls = generators.build_simplex, []
 
     def spy(*args):
         calls.append(args[1])
         return build(*args)
 
-    monkeypatch.setattr(oracle, "build_simplex", spy)
+    monkeypatch.setattr(generators, "build_simplex", spy)
     model = model_named(model_name, n + 1)
     with pytest.raises(GenerationExhausted):
         random_simplex(model, n, seed)

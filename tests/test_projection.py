@@ -27,7 +27,7 @@ from hsproj import (
 )
 from hsproj import crosscheck, projection
 from hsproj.forms import normalize_to_manifold
-from hsproj.oracle import random_point, random_simplex
+from hsproj.generators import random_point, random_simplex
 from hsproj.crosscheck import (
     altitude_by_minors,
     distance_to_face_by_minors,

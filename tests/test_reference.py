@@ -16,6 +16,7 @@ pi (relative error, against arccosh/arccos of the renormalized inputs).
 Each bound is at least ten times the worst error measured on these cases.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -32,9 +33,11 @@ from hsproj import (  # noqa: E402
     distance,
     distance_to_face,
     project_to_face,
+    project_to_hyperplane,
+    random_point,
+    random_simplex,
     vertex_foot,
 )
-from hsproj.oracle import random_point, random_simplex  # noqa: E402
 
 from conftest import REGULAR_CASES, far_field_triangle, model_named, regular_simplex  # noqa: E402
 
@@ -292,15 +295,20 @@ def test_spherical_points_near_pi_half(eps):
             dist, foot, lambdas = exact.project(face, p)
             assert dist == pytest.approx(math.pi / 2 - eps, abs=1e-3 * eps)
             assert abs(distance_to_face(s, face, p) - dist) <= PI_HALF_BOUND
-            if math.sin(eps) ** 2 <= DEFAULT_TOLS.manifold:
-                # cos^2 d within the slack of 0: no unique foot, but a distance
-                with pytest.raises(ProjectionUndefined):
-                    project_to_face(s, face, p)
-                continue
-            r = project_to_face(s, face, p)
-            assert abs(r.distance - dist) <= PI_HALF_BOUND
-            assert _foot_error(r, foot) <= PI_HALF_FOOT_BOUND / eps
-            assert _lambda_error(r, lambdas) <= LAMBDA_BOUND
+            routes = [functools.partial(project_to_face, s, face, p)]
+            if len(face) == s.n:
+                (j,) = set(range(1, s.vertex_count + 1)) - set(face)
+                routes.append(functools.partial(project_to_hyperplane, s, j, p))
+            for route in routes:
+                if math.sin(eps) ** 2 <= DEFAULT_TOLS.manifold:
+                    # cos^2 d within the slack of 0: no unique foot, but a distance
+                    with pytest.raises(ProjectionUndefined):
+                        route()
+                    continue
+                r = route()
+                assert abs(r.distance - dist) <= PI_HALF_BOUND
+                assert _foot_error(r, foot) <= PI_HALF_FOOT_BOUND / eps
+                assert _lambda_error(r, lambdas) <= LAMBDA_BOUND
 
 
 def test_spherical_altitude_near_pi_half():

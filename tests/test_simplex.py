@@ -31,7 +31,7 @@ from hsproj import (
     vertex_foot,
 )
 from hsproj import crosscheck
-from hsproj.oracle import random_point, random_simplex
+from hsproj.generators import random_point, random_simplex
 
 from conftest import COSH1, REGULAR_CASES, SINH1, far_field_triangle, model_named, regular_simplex
 
