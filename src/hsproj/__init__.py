@@ -36,12 +36,11 @@ from .projection import (
     ProjectionResult,
     altitude,
     distance_to_face,
-    face_complement,
     project_to_face,
     project_to_hyperplane,
     vertex_foot,
 )
-from .simplex import Simplex, build_simplex
+from .simplex import Simplex, build_simplex, face_complement
 from .crosscheck import (
     IdentityReport,
     ScalingMatrix,

@@ -25,8 +25,8 @@ from .forms import DEFAULT_TOLS, Model, Tolerances, _membership_residual
 from .forms import distance as geodesic
 from .generators import random_point, random_simplex
 from .oracle import OracleOptions, oracle_project
-from .projection import altitude, face_complement, project_to_face, vertex_foot
-from .simplex import Simplex, build_simplex
+from .projection import altitude, project_to_face, vertex_foot
+from .simplex import Simplex, _face_plan, build_simplex
 from .crosscheck import _bordered, _minors, distance_to_face_by_minors, identity_residuals
 
 # check-suite bounds on the closed form vs oracle comparison
@@ -110,7 +110,8 @@ def cmd_validate(args, tols: Tolerances) -> dict:
 
 
 def _projection_block(simplex: Simplex, face, p, result, tols: Tolerances) -> tuple[dict, dict]:
-    face0, comp0 = face_complement(simplex, face)
+    plan = _face_plan(simplex, face)
+    face0, comp0 = plan.face0, plan.comp0
     M = simplex.edge_matrix
     border = _bordered(face0, comp0)
     results = {
@@ -122,7 +123,7 @@ def _projection_block(simplex: Simplex, face, p, result, tols: Tolerances) -> tu
             "det_edge_matrix": simplex.edge_det,
             "face_minor": float(_minors(M, face0, face0)),
             "bordered_diagonal": dict(
-                zip(map(str, (comp0 + 1).tolist()), _minors(M, border, border).tolist())
+                zip(map(str, plan.comp_keys), _minors(M, border, border).tolist())
             ),
         },
     }
@@ -166,8 +167,7 @@ def cmd_altitudes(args, tols: Tolerances) -> dict:
     simplex = _build(doc, tols)
     m = simplex.vertex_count
     if args.face:
-        _, comp0 = face_complement(simplex, args.face)
-        targets = [(tuple(args.face), j) for j in (comp0 + 1).tolist()]
+        targets = [(tuple(args.face), j) for j in _face_plan(simplex, args.face).comp_keys]
     else:
         targets = [
             (tuple(i for i in range(1, m + 1) if i != j), j) for j in range(1, m + 1)

@@ -350,10 +350,10 @@ def _vertex_minor_row(simplex: Simplex, face: Sequence[int], j: int) -> tuple[np
     S[j,s] = m_j^s / m_face: the bordered minor over rows (face, j) and
     columns (face, s), over det M[face,face].
     """
-    face0, comp0, j0 = _opposite_vertex(simplex, face, j)
-    s = _minor_ratios(simplex.edge_matrix, comp0, face0)
-    a = int(np.searchsorted(comp0, j0))
-    return comp0, s[a], a
+    plan, j0 = _opposite_vertex(simplex, face, j)
+    s = _minor_ratios(simplex.edge_matrix, plan.comp0, plan.face0)
+    a = int(np.searchsorted(plan.comp0, j0))
+    return plan.comp0, s[a], a
 
 
 def vertex_lambdas_by_minors(simplex: Simplex, face: Sequence[int], j: int) -> dict[int, float]:

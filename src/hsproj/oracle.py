@@ -45,7 +45,7 @@ import numpy as np
 from .errors import OracleFailure
 from .forms import DEFAULT_TOLS, Model, Tolerances, _require_on_manifold, distance, normalize_to_manifold
 from .projection import ProjectionResult, _lambdas
-from .simplex import Simplex, face_complement
+from .simplex import Simplex, _face_plan
 
 __all__ = ["OracleOptions", "oracle_project"]
 
@@ -196,10 +196,10 @@ def oracle_project(
     probe directions).
     """
     pv = _require_on_manifold(simplex.model, p, tols, "point")
-    face0, comp0 = face_complement(simplex, face)
+    plan = _face_plan(simplex, face)
     model = simplex.model
     hyper = model.curvature == -1
-    face_pts = simplex.vertices[face0]
+    face_pts = plan.face_pts
     d = face_pts.shape[0]
 
     # probe stage: the best of a batch of seeded directions
@@ -246,4 +246,4 @@ def oracle_project(
     # coefficients of pre_foot - p in the complement normal basis by the
     # projection's own formula (report decoration; the search above never
     # used the normal frame)
-    return ProjectionResult(foot, dist, _lambdas(simplex, comp0, pre_foot - pv), pre_foot)
+    return ProjectionResult(foot, dist, _lambdas(plan, pre_foot - pv), pre_foot)

@@ -10,6 +10,15 @@ in both geometries:
    of the face vertices),
 3. rescale the pre-foot onto the manifold.
 
+Steps 1-2 and the normal coefficients read everything that does not depend
+on p from the face's plan (``simplex._face_plan``): the face vertices and
+their signed rows for w, the block M[face,face], the signed complement rows
+and -T over the complement for lambda, and the face's label.  The plan is
+gathered on the face's first use and kept on the Simplex; the index rule
+still runs on every call, and step 1's solve runs on every call on the
+same operands as a fresh gather would give, so warm and cold calls agree
+bit for bit.
+
 The paper's route through the complement Gram block G22 gives the same
 foot, by the block-inverse identity (M^11)^-1 = T S(G22) T.  Step 1 yields
 two radicands without cancellation: s2 = <p - p., p - p.> (sinh^2 or sin^2
@@ -29,8 +38,8 @@ nothing from ``crosscheck``.
 
 Any face is accepted, not only the leading vertex block in which the
 closed forms are stated.  All indices are 1-based and pass the index rule
-of ``simplex`` (face_complement for faces); an invalid face or vertex
-raises BadFace.
+of ``simplex`` (through the face plan for faces); an invalid face or
+vertex raises BadFace.
 """
 
 from __future__ import annotations
@@ -42,11 +51,10 @@ import numpy as np
 
 from .errors import BadFace, DomainError, ProjectionUndefined
 from .forms import DEFAULT_TOLS, Model, Tolerances, _angle, _require_on_manifold, normalize_to_manifold
-from .simplex import Simplex, _index_positions, face_complement
+from .simplex import Simplex, _FacePlan, _face_plan, _index_positions
 
 __all__ = [
     "ProjectionResult",
-    "face_complement",
     "project_to_face",
     "distance_to_face",
     "project_to_hyperplane",
@@ -70,26 +78,23 @@ class ProjectionResult:
     pre_foot: np.ndarray
 
 
-def _face_solve(simplex: Simplex, face0: np.ndarray, pv: np.ndarray) -> tuple[np.ndarray, float, float]:
+def _face_solve(model: Model, plan: _FacePlan, pv: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Steps 1-2: the pre-foot and its radicands s2 = <p - p., p - p.>, c2 = curvature * mu . w."""
-    sig = simplex.model.signature
-    face_pts = simplex.vertices[face0]
-    w = (face_pts * sig) @ pv
-    mu = np.linalg.solve(simplex.edge_matrix[face0][:, face0], w)
-    pre_foot = mu @ face_pts
+    w = plan.face_pts_sig @ pv
+    mu = np.linalg.solve(plan.block, w)
+    pre_foot = mu @ plan.face_pts
     r = pv - pre_foot
-    return pre_foot, float((r * sig) @ r), simplex.model.curvature * float(mu @ w)
+    return pre_foot, float((r * model.signature) @ r), model.curvature * float(mu @ w)
 
 
-def _lambdas(simplex: Simplex, comp0: np.ndarray, displacement: np.ndarray) -> dict[int, float]:
+def _lambdas(plan: _FacePlan, displacement: np.ndarray) -> dict[int, float]:
     """Coefficients of ``displacement`` (p. - p) in the complement normals, keyed 1-based.
 
     lambda_t = <displacement, p_t> / <e_t, p_t> = -T_t <displacement, p_t>,
     since <e_s, p_t> = -delta_st / T_s.
     """
-    comp_pts = simplex.vertices[comp0] * simplex.model.signature
-    lam = (comp_pts @ displacement) * -simplex.scaling[comp0]
-    return dict(zip((comp0 + 1).tolist(), lam.tolist()))
+    lam = (plan.comp_pts_sig @ displacement) * plan.neg_scaling
+    return dict(zip(plan.comp_keys, lam.tolist()))
 
 
 def _distance(model: Model, s2: float, c2: float, tols: Tolerances) -> float:
@@ -126,11 +131,9 @@ def _finish(
     return ProjectionResult(foot, _distance(model, s2, c2, tols), lambdas, pre_foot)
 
 
-def _project(
-    simplex: Simplex, face0: np.ndarray, comp0: np.ndarray, pv: np.ndarray, tols: Tolerances, what: str
-) -> ProjectionResult:
-    pre_foot, s2, c2 = _face_solve(simplex, face0, pv)
-    return _finish(simplex, pre_foot, s2, c2, _lambdas(simplex, comp0, pre_foot - pv), tols, what)
+def _project(simplex: Simplex, plan: _FacePlan, pv: np.ndarray, tols: Tolerances, what: str) -> ProjectionResult:
+    pre_foot, s2, c2 = _face_solve(simplex.model, plan, pv)
+    return _finish(simplex, pre_foot, s2, c2, _lambdas(plan, pre_foot - pv), tols, what)
 
 
 def project_to_face(
@@ -146,8 +149,8 @@ def project_to_face(
     (spherical exception: ProjectionUndefined at distance pi/2).
     """
     pv = _require_on_manifold(simplex.model, p, tols, "point")
-    face0, comp0 = face_complement(simplex, face)
-    return _project(simplex, face0, comp0, pv, tols, f"face {tuple((face0 + 1).tolist())}")
+    plan = _face_plan(simplex, face)
+    return _project(simplex, plan, pv, tols, plan.label)
 
 
 def distance_to_face(
@@ -162,8 +165,7 @@ def distance_to_face(
     the plane gets pi/2 - eps, however small eps is.
     """
     pv = _require_on_manifold(simplex.model, p, tols, "point")
-    face0, _ = face_complement(simplex, face)
-    _, s2, c2 = _face_solve(simplex, face0, pv)
+    _, s2, c2 = _face_solve(simplex.model, _face_plan(simplex, face), pv)
     return _distance(simplex.model, s2, c2, tols)
 
 
@@ -189,13 +191,13 @@ def project_to_hyperplane(
     return _finish(simplex, pre_foot, a * a, c2, {j0 + 1: -a}, tols, f"hyperplane opposite {j0 + 1}")
 
 
-def _opposite_vertex(simplex: Simplex, face: Sequence[int], j: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Face and complement arrays and the 0-based position of vertex j, which must lie outside the face."""
-    face0, comp0 = face_complement(simplex, face)
+def _opposite_vertex(simplex: Simplex, face: Sequence[int], j: int) -> tuple[_FacePlan, int]:
+    """The face's plan and the 0-based position of vertex j, which must lie outside the face."""
+    plan = _face_plan(simplex, face)
     (j0,) = _index_positions((j,), simplex.vertex_count, BadFace, "vertex")
-    if j0 in face0:
-        raise BadFace(f"vertex {j0 + 1} must lie outside the face {tuple((face0 + 1).tolist())}")
-    return face0, comp0, j0
+    if j0 + 1 not in plan.comp_keys:
+        raise BadFace(f"vertex {j0 + 1} must lie outside the {plan.label}")
+    return plan, j0
 
 
 def vertex_foot(
@@ -209,9 +211,8 @@ def vertex_foot(
     project_to_face's solve run on p_j, bit for bit, without checking the
     vertex again; the coefficients are the paper's lambda_s = T_s m_j^s / m_face.
     """
-    face0, comp0, j0 = _opposite_vertex(simplex, face, j)
-    what = f"vertex {j0 + 1} onto face {tuple((face0 + 1).tolist())}"
-    return _project(simplex, face0, comp0, simplex.vertices[j0], tols, what)
+    plan, j0 = _opposite_vertex(simplex, face, j)
+    return _project(simplex, plan, simplex.vertices[j0], tols, f"vertex {j0 + 1} onto {plan.label}")
 
 
 def altitude(
@@ -228,6 +229,6 @@ def altitude(
     ``crosscheck.altitude_by_minors`` and
     ``crosscheck.facet_altitude_by_determinants``.
     """
-    face0, _, j0 = _opposite_vertex(simplex, face, j)
-    _, s2, c2 = _face_solve(simplex, face0, simplex.vertices[j0])
+    plan, j0 = _opposite_vertex(simplex, face, j)
+    _, s2, c2 = _face_solve(simplex.model, plan, simplex.vertices[j0])
     return _distance(simplex.model, s2, c2, tols)

@@ -23,6 +23,12 @@ index argument of the package passes through it, so ``1.5``, ``3.0``,
 ``True`` and ``"1"`` are refused alike (never truncated) with the typed
 error of the function that received them (``BadFace`` for faces and
 vertices, ``BadIndexSet`` for matrix index sets).
+
+Every face-block solve of ``projection`` reads the face through a face
+plan, ``_face_plan``: the index rule runs on every call, and the gathers
+that depend only on the face (its vertices, its block of M, the complement
+rows and scalings) are made once per face and kept, read-only, on the
+``Simplex``, as G is.
 """
 
 from __future__ import annotations
@@ -42,6 +48,25 @@ __all__ = ["Simplex", "build_simplex", "face_complement"]
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+@dataclass(frozen=True, eq=False)
+class _FacePlan:
+    """The gathers of one face that do not depend on the point; arrays read-only.
+
+    Built by ``_face_plan`` on the first call with a face and reused by every
+    later call with it on the same simplex.
+    """
+
+    face0: np.ndarray          # 0-based face positions
+    comp0: np.ndarray          # 0-based complement positions
+    face_pts: np.ndarray       # vertices[face0]
+    face_pts_sig: np.ndarray   # vertices[face0] * signature
+    block: np.ndarray          # M[face0][:, face0]
+    comp_pts_sig: np.ndarray   # vertices[comp0] * signature
+    neg_scaling: np.ndarray    # -scaling[comp0]
+    comp_keys: tuple[int, ...]  # complement, 1-based
+    label: str                 # "face (1, 3, 4)", for messages
 
 
 @dataclass(frozen=True)
@@ -75,6 +100,11 @@ class Simplex:
     @cached_property
     def gram_det(self) -> float:
         return float(np.linalg.det(self.gram_matrix))
+
+    @cached_property
+    def _face_plans(self) -> dict[tuple[int, ...], _FacePlan]:
+        """The face plans built so far, keyed by 0-based face positions."""
+        return {}
 
 
 def _singular(svals, tols: Tolerances) -> bool:
@@ -163,10 +193,16 @@ def _index_positions(
     return positions
 
 
-def _complement(m: int, positions: list[int]) -> list[int]:
+def _complement(m: int, positions: Sequence[int]) -> list[int]:
     """The 0-based positions of 0..m-1 not in ``positions``, in order."""
     taken = set(positions)
     return [i for i in range(m) if i not in taken]
+
+
+def _face_arrays(m: int, face0: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    if not 0 < len(face0) < m:
+        raise BadFace(f"face must select between 1 and {m - 1} vertices, got {len(face0)}")
+    return np.array(face0, dtype=int), np.array(_complement(m, face0), dtype=int)
 
 
 def face_complement(simplex: Simplex, face: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +212,35 @@ def face_complement(simplex: Simplex, face: Sequence[int]) -> tuple[np.ndarray, 
     at least one vertex and at most n (the complement must be nonempty).
     """
     m = simplex.vertex_count
-    face0 = _index_positions(face, m, BadFace, "face")
-    if not 0 < len(face0) < m:
-        raise BadFace(f"face must select between 1 and {m - 1} vertices, got {len(face0)}")
-    return np.array(face0, dtype=int), np.array(_complement(m, face0), dtype=int)
+    return _face_arrays(m, _index_positions(face, m, BadFace, "face"))
+
+
+def _face_plan(simplex: Simplex, face: Sequence[int]) -> _FacePlan:
+    """The simplex's plan for a face selector, built on first use.
+
+    The index rule runs first on every call, so a face it refuses never
+    reaches a plan, and the plan is looked up by the validated positions:
+    ``(1, 3)`` and ``(np.int64(1), np.int64(3))`` share one.  At most one
+    plan per distinct face, 2^(n+1) - 2 in all; the function stays pure,
+    and a concurrent first use can at worst build the same plan twice.
+    """
+    m = simplex.vertex_count
+    key = tuple(_index_positions(face, m, BadFace, "face"))
+    plan = simplex._face_plans.get(key)
+    if plan is None:
+        face0, comp0 = _face_arrays(m, key)
+        sig = simplex.model.signature
+        face_pts = simplex.vertices[face0]
+        plan = _FacePlan(
+            _frozen(face0),
+            _frozen(comp0),
+            _frozen(face_pts),
+            _frozen(face_pts * sig),
+            _frozen(simplex.edge_matrix[face0][:, face0]),
+            _frozen(simplex.vertices[comp0] * sig),
+            _frozen(-simplex.scaling[comp0]),
+            tuple((comp0 + 1).tolist()),
+            f"face {tuple((face0 + 1).tolist())}",
+        )
+        simplex._face_plans[key] = plan
+    return plan

@@ -1,4 +1,8 @@
+import itertools
 import math
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,12 +25,14 @@ from hsproj import (
     distance_to_face,
     inner,
     on_manifold,
+    oracle_project,
     project_to_face,
     project_to_hyperplane,
     vertex_foot,
 )
 from hsproj import crosscheck, projection
 from hsproj.forms import normalize_to_manifold
+from hsproj.simplex import _face_plan
 from hsproj.generators import random_point, random_simplex
 from hsproj.crosscheck import (
     altitude_by_minors,
@@ -501,3 +507,210 @@ def test_minors_route_raises_on_a_negative_radicand(model_name, monkeypatch):
     monkeypatch.setattr(crosscheck, "complement_gram_inverse", lambda *a: -gram_inverse(*a))
     with pytest.raises(DomainError):
         distance_to_face_by_minors(s, (1, 2), p)
+
+
+# ----------------------------------------------------------------- face plans
+
+def _reference_face_solve(simplex, face0, pv):
+    """``projection._face_solve`` with every gather made inline, on every call."""
+    sig = simplex.model.signature
+    face_pts = simplex.vertices[face0]
+    w = (face_pts * sig) @ pv
+    mu = np.linalg.solve(simplex.edge_matrix[face0][:, face0], w)
+    pre_foot = mu @ face_pts
+    r = pv - pre_foot
+    return pre_foot, float((r * sig) @ r), simplex.model.curvature * float(mu @ w)
+
+
+def _reference_lambdas(simplex, comp0, displacement):
+    """``projection._lambdas`` with every gather made inline, on every call."""
+    comp_pts = simplex.vertices[comp0] * simplex.model.signature
+    lam = (comp_pts @ displacement) * -simplex.scaling[comp0]
+    return dict(zip((comp0 + 1).tolist(), lam.tolist()))
+
+
+def _outcome(call):
+    """The bytes of a route's result, or its error's type and message."""
+    try:
+        r = call()
+    except (BadFace, DomainError, ProjectionUndefined) as exc:
+        return type(exc), str(exc)
+    if isinstance(r, float):
+        return r.hex()
+    lam = tuple((k, v.hex()) for k, v in r.lambdas.items())
+    return r.foot.tobytes(), r.distance.hex(), lam, r.pre_foot.tobytes()
+
+
+def _all_faces(m):
+    return [f for k in range(1, m) for f in itertools.combinations(range(1, m + 1), k)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
+def test_warm_plan_equals_cold(model_name, n):
+    # every route gives the same bytes on a fresh simplex as on one whose
+    # plan for the face is already cached
+    s = random_simplex(model_named(model_name, n + 1), n, seed=700 + n)
+    rng = np.random.default_rng(800 + n)
+    warm = replace(s)
+    for face in _all_faces(n + 1):
+        p = random_point(s.model, rng)
+        plan = _face_plan(warm, face)
+        routes = [
+            lambda t: project_to_face(t, face, p),
+            lambda t: distance_to_face(t, face, p),
+            lambda t: oracle_project(t, face, p),
+        ]
+        for j in plan.comp_keys:
+            routes += [lambda t, j=j: vertex_foot(t, face, j), lambda t, j=j: altitude(t, face, j)]
+        for route in routes:
+            cold = replace(s)
+            assert _outcome(lambda: route(warm)) == _outcome(lambda: route(cold))
+            assert _face_plan(warm, face) is plan
+    assert len(warm._face_plans) == 2 ** (n + 1) - 2
+
+
+@pytest.mark.parametrize("case", _cases(9000, 10), ids=lambda c: f"{c[0].name}-n{c[0].n}")
+def test_face_solve_on_a_plan_matches_the_inline_gathers(case):
+    model, s, face, p = case
+    plan = _face_plan(s, face)
+    pre_foot, s2, c2 = projection._face_solve(model, plan, p)
+    ref_foot, ref_s2, ref_c2 = _reference_face_solve(s, plan.face0, p)
+    assert pre_foot.tobytes() == ref_foot.tobytes()
+    assert (s2.hex(), c2.hex()) == (ref_s2.hex(), ref_c2.hex())
+    lam = projection._lambdas(plan, pre_foot - p)
+    ref = _reference_lambdas(s, plan.comp0, pre_foot - p)
+    assert list(lam) == list(ref) and [v.hex() for v in lam.values()] == [v.hex() for v in ref.values()]
+
+
+def test_one_solve_per_warm_call_on_the_plan_block(monkeypatch):
+    solve = np.linalg.solve
+    blocks = []
+
+    def counted(a, b):
+        blocks.append(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    for _, s, face, p in _cases(9100, 10):
+        plan = _face_plan(s, face)
+        j = plan.comp_keys[0]
+        for call in (
+            lambda: project_to_face(s, face, p),
+            lambda: distance_to_face(s, face, p),
+            lambda: vertex_foot(s, face, j),
+            lambda: altitude(s, face, j),
+        ):
+            blocks.clear()
+            _outcome(call)
+            assert len(blocks) == 1 and blocks[0] is plan.block
+
+
+def test_index_rule_runs_before_the_plan_lookup(octant):
+    p = OCTANT_DIAG
+    project_to_face(octant, (1, 3), p)
+    plan = _face_plan(octant, (1, 3))
+    for bad in ((1.0, 3.0), (True, 3), ("1", 3), (3, 1)):
+        for call in (
+            lambda: _face_plan(octant, bad),
+            lambda: project_to_face(octant, bad, p),
+            lambda: distance_to_face(octant, bad, p),
+            lambda: vertex_foot(octant, bad, 2),
+            lambda: altitude(octant, bad, 2),
+        ):
+            with pytest.raises(BadFace):
+                call()
+    assert _face_plan(octant, (np.int64(1), np.int64(3))) is plan
+    assert _face_plan(octant, [1, 3]) is plan
+    assert list(octant._face_plans) == [(0, 2)]
+
+
+def test_plans_never_cross_simplices():
+    model = model_named("hyperbolic", 4)
+    a, b = (random_simplex(model, 3, seed=seed) for seed in (1, 2))
+    p = random_point(model, np.random.default_rng(3))
+    face = (1, 3)
+    ra = _outcome(lambda: project_to_face(a, face, p))
+    assert _outcome(lambda: project_to_face(b, face, p)) == _outcome(lambda: project_to_face(replace(b), face, p))
+    assert _outcome(lambda: project_to_face(a, face, p)) == ra
+    plan_a, plan_b = _face_plan(a, face), _face_plan(b, face)
+    assert plan_a is not plan_b
+    assert_allclose(plan_b.face_pts, b.vertices[[0, 2]], rtol=0, atol=0)
+    assert_allclose(plan_b.block, b.edge_matrix[[0, 2]][:, [0, 2]], rtol=0, atol=0)
+    assert not replace(a)._face_plans
+
+
+def test_plan_arrays_are_read_only(hyp_triangle):
+    plan = _face_plan(hyp_triangle, (1, 3))
+    arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 7
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    assert plan.comp_keys == (2,) and plan.label == "face (1, 3)"
+
+
+def test_a_raising_call_raises_the_same_when_repeated(octant):
+    calls = [
+        (BadFace, lambda: project_to_face(octant, (1, 2, 3), OCTANT_DIAG)),
+        (BadFace, lambda: vertex_foot(octant, (1, 2), 2)),
+        (BadFace, lambda: altitude(octant, (1, 2), 4)),
+        (ProjectionUndefined, lambda: project_to_face(octant, (1, 2), (0.0, 0.0, 1.0))),
+        (ProjectionUndefined, lambda: vertex_foot(octant, (1, 2), 3)),
+    ]
+    for error, call in calls:
+        first = _outcome(call)
+        assert first[0] is error
+        assert _outcome(call) == first
+    assert (0, 1, 2) not in octant._face_plans
+    # the plan of a face whose foot was undefined serves a defined one
+    assert _outcome(lambda: project_to_face(octant, (1, 2), OCTANT_DIAG)) == _outcome(
+        lambda: project_to_face(replace(octant), (1, 2), OCTANT_DIAG)
+    )
+
+
+@pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
+def test_a_domain_error_repeats_on_the_cached_plan(model_name, monkeypatch):
+    s, p = _near_plane_triangle(model_name)
+    solve = np.linalg.solve
+    wrong = 1.0 + s.model.curvature * 1e-6
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solve(*a) * wrong)
+    for call in (
+        lambda: distance_to_face(s, (1, 2), p),
+        lambda: project_to_face(s, (1, 2), p),
+        lambda: vertex_foot(s, (1, 2), 3),
+        lambda: altitude(s, (1, 2), 3),
+    ):
+        first = _outcome(call)
+        assert first[0] is DomainError
+        assert _outcome(call) == first
+
+
+def test_concurrent_first_use_gives_the_cold_results():
+    # threads racing to build the same plans may build one twice, and every
+    # result still equals the cold one
+    model = model_named("spherical", 5)
+    s = random_simplex(model, 4, seed=11)
+    p = random_point(model, np.random.default_rng(12))
+    faces = _all_faces(5)
+    expected = [_outcome(lambda f=f: project_to_face(replace(s), f, p)) for f in faces]
+    shared = replace(s)
+    results: dict[int, list] = {}
+
+    def work(k):
+        results[k] = [_outcome(lambda f=f: project_to_face(shared, f, p)) for f in faces]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(results[k] == expected for k in range(6))
+    assert len(shared._face_plans) == len(faces)
