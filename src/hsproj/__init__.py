@@ -40,14 +40,9 @@ from .projection import (
     project_to_hyperplane,
     vertex_foot,
 )
-from .simplex import Simplex, build_simplex, face_complement
+from .simplex import Simplex, build_simplex
 from .crosscheck import (
-    IdentityReport,
-    ScalingMatrix,
-    SchurBlock,
-    bordered_minor,
     complement_gram_inverse,
-    deleted_minor,
     scaling_matrix,
     schur_complement,
     schur_complement_via_minors,
@@ -62,13 +57,12 @@ __all__ = [
     # forms
     "Model", "Tolerances", "DEFAULT_TOLS",
     "inner", "on_manifold", "distance", "normalize_to_manifold",
-    # simplex and its cross-checks
-    "Simplex", "build_simplex", "ScalingMatrix", "SchurBlock", "IdentityReport",
-    "deleted_minor", "bordered_minor",
+    # simplex and the cross-checks the benchmark reads
+    "Simplex", "build_simplex",
     "scaling_matrix", "verify_inverse_identity", "schur_complement",
     "schur_complement_via_minors", "verify_block_inverse_identities", "complement_gram_inverse",
     # projection
-    "ProjectionResult", "face_complement", "project_to_face", "distance_to_face",
+    "ProjectionResult", "project_to_face", "distance_to_face",
     "project_to_hyperplane", "vertex_foot", "altitude",
     # oracle
     "OracleOptions", "oracle_project",

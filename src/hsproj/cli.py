@@ -7,6 +7,9 @@ readable by default or as a full-precision JSON report with --json.
 Exit codes: 0 success, 1 domain error (off-manifold point, degenerate
 simplex, undefined projection, failed invariant check, ...), 2 usage or
 parse error.  All vertex and face indices are 1-based.
+
+The cross-checks a report sets beside the production results come whole
+from ``crosscheck``: the ``check`` rows, and the minors of ``project``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .generators import random_point, random_simplex
 from .oracle import OracleOptions, oracle_project
 from .projection import altitude, project_to_face, vertex_foot
 from .simplex import Simplex, _face_plan, build_simplex
-from .crosscheck import _bordered, _minors, distance_to_face_by_minors, identity_residuals
+from .crosscheck import _projection_minors, identity_residuals
 
 # check-suite bounds on the closed form vs oracle comparison
 ORACLE_DISTANCE_TOL = 1e-6
@@ -111,9 +114,7 @@ def cmd_validate(args, tols: Tolerances) -> dict:
 
 def _projection_block(simplex: Simplex, face, p, result, tols: Tolerances) -> tuple[dict, dict]:
     plan = _face_plan(simplex, face)
-    face0, comp0 = plan.face0, plan.comp0
-    M = simplex.edge_matrix
-    border = _bordered(face0, comp0)
+    face_minor, bordered, minors_distance = _projection_minors(simplex, plan.face0, plan.comp0, p, tols)
     results = {
         "foot": _vec(result.foot),
         "distance": result.distance,
@@ -121,19 +122,16 @@ def _projection_block(simplex: Simplex, face, p, result, tols: Tolerances) -> tu
         "pre_foot": _vec(result.pre_foot),
         "minors": {
             "det_edge_matrix": simplex.edge_det,
-            "face_minor": float(_minors(M, face0, face0)),
-            "bordered_diagonal": dict(
-                zip(map(str, plan.comp_keys), _minors(M, border, border).tolist())
-            ),
+            "face_minor": face_minor,
+            "bordered_diagonal": dict(zip(map(str, plan.comp_keys), bordered.tolist())),
         },
     }
-    sig = simplex.model.signature
-    r = np.asarray(p, dtype=float) - result.pre_foot
-    ortho = max(abs(float((r * sig) @ simplex.vertices[i])) for i in face0)
+    r = (p - result.pre_foot) * simplex.model.signature
+    ortho = max(abs(float(r @ simplex.vertices[i])) for i in plan.face0)
     residuals = {
         "foot_manifold": _membership_residual(simplex.model, result.foot),
         "orthogonality": ortho,
-        "distance_paths": abs(result.distance - distance_to_face_by_minors(simplex, face, p, tols)),
+        "distance_paths": abs(result.distance - minors_distance),
     }
     return results, residuals
 

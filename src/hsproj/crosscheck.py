@@ -8,14 +8,16 @@ numbers live here: deleted and bordered minors, T = diag(sqrt|M_ii/det M|)
 blocks as bordered-minor ratios, (G22)^-1 from them and the distance
 through it, the vertex coefficients lambda_s = T_s m_j^s / m_face, the
 Schur altitude and the facet determinant ratio.  Nothing in ``simplex``,
-``projection`` or ``oracle`` imports this module; the CLI's ``check`` and
-``project`` residuals, the tests and the benchmark compare the two routes.
+``projection`` or ``oracle`` imports this module; the CLI (its ``check``
+rows and ``project`` minors), the tests and the benchmark compare routes.
 
 Minors are computed in stacked determinants (``_minors``): a Schur block
 takes det M(A,A) and one det call over all its bordered minors, T all its
 principal minors in one call.  numpy runs the same LU on each stacked
 matrix as on that matrix alone, so each minor is bit-identical to its own
 det call, and none of them reuses the face-block solve of production.
+Each route reads its face once, by ``simplex.face_complement`` (or the
+face plan, for the vertex routes), and passes the positions on.
 
 Schur blocks by elimination share one kernel over a stack of matrices
 split into contiguous blocks: one stacked SVD gates every eliminated block
@@ -39,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadIndexSet, DegenerateSimplex, SingularBlock
+from .errors import BadFace, BadIndexSet, DegenerateSimplex, SingularBlock
 from .forms import DEFAULT_TOLS, Tolerances, _require_on_manifold
 from .projection import _distance, _opposite_vertex
 from .simplex import Simplex, _complement, _frozen, _index_positions, _singular, face_complement
@@ -72,14 +74,6 @@ def _minors(A: np.ndarray, rows, cols) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     return np.linalg.det(A[rows[..., :, None], cols[..., None, :]])
-
-
-def _bordered(base: np.ndarray, borders: np.ndarray) -> np.ndarray:
-    """Index rows (base, b), one for each border b: shape (len(borders), len(base) + 1)."""
-    out = np.empty((borders.size, base.size + 1), dtype=np.intp)
-    out[:, :-1] = base
-    out[:, -1] = borders
-    return out
 
 
 def deleted_minor(matrix, i: int, j: int) -> float:
@@ -177,11 +171,16 @@ class SchurBlock:
     values: np.ndarray
 
 
-def _split_indices(m: int, retained: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def _schur_block(matrix, retained: Sequence[int], eliminate) -> SchurBlock:
+    """The block B = retained, the rest A eliminated by ``eliminate(M, keep, elim)`` unless empty."""
+    A = _check_square(matrix)
+    m = A.shape[0]
     keep0 = _index_positions(retained, m, BadIndexSet, "retained set")
     if not keep0:
         raise BadIndexSet("retained set must be nonempty")
-    return np.array(keep0, dtype=np.intp), np.array(_complement(m, keep0), dtype=np.intp)
+    keep, elim = np.array(keep0, dtype=np.intp), np.array(_complement(m, keep0), dtype=np.intp)
+    block = eliminate(A, keep, elim) if elim.size else A[keep[:, None], keep]
+    return SchurBlock(tuple((keep + 1).tolist()), _frozen(block))
 
 
 def _singular_values(stack: np.ndarray, elim: slice) -> list[list[float]]:
@@ -213,19 +212,17 @@ def schur_complement(matrix, retained: Sequence[int], tols: Tolerances = DEFAULT
     An empty complement is allowed (the block is the matrix itself).
     Raises SingularBlock when M[A,A] fails the ``tols.degenerate`` gate.
     """
-    A = _check_square(matrix)
-    keep, elim = _split_indices(A.shape[0], retained)
-    rows = tuple((keep + 1).tolist())
-    if not elim.size:
-        return SchurBlock(rows, _frozen(A[keep[:, None], keep]))
-    # eliminated set first, so both blocks are slices of one stack
-    order = np.concatenate((elim, keep))
-    stack = A.take(order, axis=0).take(order, axis=1)[None]
-    front, back = slice(0, elim.size), slice(elim.size, None)
-    (svals,) = _singular_values(stack, front)
-    _gate(svals, tols, tuple((elim + 1).tolist()))
-    (s,) = _schur_stack(stack, front, back)
-    return SchurBlock(rows, _frozen(s))
+
+    def eliminate(A, keep, elim):
+        # eliminated set first, so both blocks are slices of one stack
+        order = np.concatenate((elim, keep))
+        stack = A.take(order, axis=0).take(order, axis=1)[None]
+        front, back = slice(0, elim.size), slice(elim.size, None)
+        (svals,) = _singular_values(stack, front)
+        _gate(svals, tols, tuple((elim + 1).tolist()))
+        return _schur_stack(stack, front, back)[0]
+
+    return _schur_block(matrix, retained, eliminate)
 
 
 def schur_complement_via_minors(matrix, retained: Sequence[int]) -> SchurBlock:
@@ -233,24 +230,19 @@ def schur_complement_via_minors(matrix, retained: Sequence[int]) -> SchurBlock:
 
     S[s,t] = det M(A,s; A,t) / det M(A,A) by the Schur determinant identity;
     this is the independent route used to cross-check the block algebra.
-    Two det calls whatever the block size: det M(A,A), then every bordered
-    minor in one stack.
     """
-    A = _check_square(matrix)
-    keep, elim = _split_indices(A.shape[0], retained)
-    rows = tuple((keep + 1).tolist())
-    if not elim.size:
-        return SchurBlock(rows, _frozen(A[keep[:, None], keep]))
-    return SchurBlock(rows, _frozen(_minor_ratios(A, keep, elim)))
+    return _schur_block(matrix, retained, lambda A, keep, elim: np.divide(*_minor_table(A, keep, elim)))
 
 
-def _minor_ratios(A: np.ndarray, keep: np.ndarray, elim: np.ndarray) -> np.ndarray:
-    """``schur_complement_via_minors`` over 0-based keep and nonempty elim, unvalidated."""
+def _minor_table(A: np.ndarray, keep: np.ndarray, elim: np.ndarray) -> tuple[np.ndarray, float]:
+    """Bordered minors det A(elim, s; elim, t), s, t in keep, and det A(elim, elim); unvalidated."""
     denom = float(_minors(A, elim, elim))
     if denom == 0.0:
         raise SingularBlock(f"eliminated block {tuple((elim + 1).tolist())} is singular")
-    border = _bordered(elim, keep)
-    return _minors(A, border[:, None], border[None, :]) / denom
+    border = np.empty((keep.size, elim.size + 1), dtype=np.intp)  # rows (elim, s), one per s
+    border[:, :-1] = elim
+    border[:, -1] = keep
+    return _minors(A, border[:, None], border[None, :]), denom
 
 
 def _split_residuals(simplex: Simplex, split: int, tols: Tolerances) -> tuple[dict[str, float], np.ndarray]:
@@ -298,9 +290,7 @@ def verify_block_inverse_identities(
     trailing block {split_k+2..n+1}; both must be nonempty.  The identities
     checked are (M^11)^-1 = T^11 S_{G^22} T^11 and the three companions,
     reported as products-with-inverse residuals and bounded by
-    ``tols.identity``.  G and M are stacked, so the four Schur blocks take
-    two SVD gates at ``tols.degenerate`` and two solves, one of each per
-    side of the split.
+    ``tols.identity``; ``_split_residuals`` gates and solves the blocks.
     """
     m = simplex.vertex_count
     (split,) = _index_positions((split_k,), m - 2, BadIndexSet, "split_k", first=0)
@@ -308,27 +298,43 @@ def verify_block_inverse_identities(
     return IdentityReport(residuals, tols.identity)
 
 
+def _gram_inverse_by_minors(
+    simplex: Simplex, face0: np.ndarray, comp0: np.ndarray
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """The face's bordered minors, m_face = det M[face,face] and (G^22)^-1; positions validated."""
+    table, m_face = _minor_table(simplex.edge_matrix, comp0, face0)
+    t_comp = simplex.scaling[comp0]
+    sign = np.sign(simplex.edge_det) * simplex.model.curvature
+    return table, m_face, sign * t_comp[:, None] * (table / m_face) * t_comp[None, :]
+
+
 def complement_gram_inverse(simplex: Simplex, face: Sequence[int]) -> np.ndarray:
     """(G^22)^-1 over the complement normals, built from edge-matrix minors.
 
     Equals sign(det M) * curvature * T_c S T_c, with T_c = ``simplex.scaling``
     over the complement and S the face block's Schur complement as the
-    bordered-minor ratios of ``schur_complement_via_minors``.  This is the
-    paper's closed-form route; ``distance_to_face_by_minors`` and the tests
-    compare it with the face-block solve of the projection.
+    bordered-minor ratios of ``schur_complement_via_minors``: the paper's
+    closed-form route, which ``distance_to_face_by_minors`` takes too.
     """
-    face0, comp0 = face_complement(simplex, face)
-    s = _minor_ratios(simplex.edge_matrix, comp0, face0)
-    t_comp = simplex.scaling[comp0]
-    sign = np.sign(simplex.edge_det) * simplex.model.curvature
-    return sign * t_comp[:, None] * s * t_comp[None, :]
+    return _gram_inverse_by_minors(simplex, *face_complement(simplex, face))[2]
+
+
+def _projection_minors(
+    simplex: Simplex, face0: np.ndarray, comp0: np.ndarray, pv: np.ndarray, tols: Tolerances
+) -> tuple[float, np.ndarray, float]:
+    """m_face, the bordered diagonal det M(face, t; face, t) and ``distance_to_face_by_minors``.
+
+    Positions and point already validated.  The diagonal is read off the
+    stacked table, so each entry has the bits of its own det call.
+    """
+    table, m_face, gram_inverse = _gram_inverse_by_minors(simplex, face0, comp0)
+    b = (simplex.normals[comp0] * simplex.model.signature) @ pv
+    s2 = float(b @ gram_inverse @ b)
+    return m_face, table.diagonal(), _distance(simplex.model, s2, 1.0 - simplex.model.curvature * s2, tols)
 
 
 def distance_to_face_by_minors(
-    simplex: Simplex,
-    face: Sequence[int],
-    p,
-    tols: Tolerances = DEFAULT_TOLS,
+    simplex: Simplex, face: Sequence[int], p, tols: Tolerances = DEFAULT_TOLS
 ) -> float:
     """Cross-check of ``distance_to_face`` through the paper's minors route.
 
@@ -338,10 +344,7 @@ def distance_to_face_by_minors(
     ``distance_paths`` residual compares the two routes.
     """
     pv = _require_on_manifold(simplex.model, p, tols, "point")
-    face0, comp0 = face_complement(simplex, face)
-    b = (simplex.normals[comp0] * simplex.model.signature) @ pv
-    s2 = float(b @ complement_gram_inverse(simplex, face0 + 1) @ b)
-    return _distance(simplex.model, s2, 1.0 - simplex.model.curvature * s2, tols)
+    return _projection_minors(simplex, *face_complement(simplex, face), pv, tols)[2]
 
 
 def _vertex_minor_row(simplex: Simplex, face: Sequence[int], j: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -351,9 +354,9 @@ def _vertex_minor_row(simplex: Simplex, face: Sequence[int], j: int) -> tuple[np
     columns (face, s), over det M[face,face].
     """
     plan, j0 = _opposite_vertex(simplex, face, j)
-    s = _minor_ratios(simplex.edge_matrix, plan.comp0, plan.face0)
+    table, m_face = _minor_table(simplex.edge_matrix, plan.comp0, plan.face0)
     a = int(np.searchsorted(plan.comp0, j0))
-    return plan.comp0, s[a], a
+    return plan.comp0, table[a] / m_face, a
 
 
 def vertex_lambdas_by_minors(simplex: Simplex, face: Sequence[int], j: int) -> dict[int, float]:
@@ -387,9 +390,12 @@ def facet_altitude_by_determinants(
     """Altitude from p_j to its opposite facet: c2 = 1 - curvature * det M / M_jj.
 
     For the facet, m_face = M_jj and m_j^j = det M, so this is the Schur
-    altitude with the stored det M and one deleted minor.
+    altitude with the stored det M and one deleted minor.  j is a vertex:
+    an invalid one raises BadFace.
     """
-    s2 = simplex.edge_det / deleted_minor(simplex.edge_matrix, j, j)
+    (j0,) = _index_positions((j,), simplex.vertex_count, BadFace, "vertex")
+    rest = [_complement(simplex.vertex_count, [j0])]
+    s2 = simplex.edge_det / float(_minors(simplex.edge_matrix, rest, rest)[0])
     return _distance(simplex.model, s2, 1.0 - simplex.model.curvature * s2, tols)
 
 
@@ -409,7 +415,7 @@ def identity_residuals(simplex: Simplex, tols: Tolerances = DEFAULT_TOLS) -> dic
     for k in range(0, m - 1):
         residuals, a = _split_residuals(simplex, k, tols)
         block_inverse = max(block_inverse, max(residuals.values()))
-        b = _minor_ratios(M, np.arange(k + 1, m), np.arange(k + 1))
+        b = np.divide(*_minor_table(M, np.arange(k + 1, m), np.arange(k + 1)))
         schur_paths = max(schur_paths, float(np.abs(a - b).max()))
     res["block_inverse"] = block_inverse
     res["schur_paths"] = schur_paths

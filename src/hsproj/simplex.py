@@ -206,7 +206,7 @@ def _face_arrays(m: int, face0: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def face_complement(simplex: Simplex, face: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a face selector; return 0-based (face, complement) arrays.
+    """Validate a face selector; return 0-based (face, complement) arrays, without a face plan.
 
     A valid face is a strictly increasing tuple of 1-based vertex indices,
     at least one vertex and at most n (the complement must be nonempty).

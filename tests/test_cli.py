@@ -125,6 +125,25 @@ def test_project_minors_match_one_det_per_minor(tmp_path, capsys):
     }
 
 
+def test_project_takes_each_determinant_once(tmp_path, capsys, monkeypatch):
+    s = random_simplex(Model.hyperbolic(5), 4, seed=8)
+    path = write_doc(tmp_path, {"model": "hyperbolic", "vertices": s.vertices.tolist()})
+    point = ",".join(repr(float(x)) for x in random_point(s.model, 9))
+    det = np.linalg.det
+    calls = []
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    code, report, _ = run_json(capsys, "project", path, "--face", "1,3", f"--point={point}")
+    assert code == 0 and report["status"] == "ok"
+    # det M at the build, det M[face,face], then the table of bordered minors,
+    # whose diagonal is the report's and whose ratios give distance_paths
+    assert calls == [(5, 5), (2, 2), (3, 3, 3, 3)]
+
+
 def test_project_with_oracle_check(tmp_path, capsys):
     path = write_doc(tmp_path, OCTANT)
     x = 0.57735026918962576

@@ -10,16 +10,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hsproj import crosscheck, simplex
 from hsproj import (
     BadFace,
     BadIndexSet,
     Model,
     altitude,
-    bordered_minor,
     complement_gram_inverse,
-    deleted_minor,
     distance_to_face,
-    face_complement,
     oracle_project,
     project_to_face,
     project_to_hyperplane,
@@ -29,7 +27,15 @@ from hsproj import (
     vertex_foot,
 )
 from hsproj.generators import random_point, random_simplex
-from hsproj.crosscheck import distance_to_face_by_minors
+from hsproj.crosscheck import (
+    altitude_by_minors,
+    bordered_minor,
+    deleted_minor,
+    distance_to_face_by_minors,
+    facet_altitude_by_determinants,
+    vertex_lambdas_by_minors,
+)
+from hsproj.simplex import face_complement
 
 S = random_simplex(Model.hyperbolic(4), 3, seed=7)  # m = 4 vertices
 P = random_point(S.model, 8)
@@ -48,6 +54,17 @@ ENTRIES = {
     "vertex_foot.j": (BadFace, False, 1, 4, 2, lambda v: vertex_foot(S, (1, 3), v)),
     "altitude.face": (BadFace, True, 1, 4, (1, 3), lambda v: altitude(S, v, 4)),
     "altitude.j": (BadFace, False, 1, 4, 2, lambda v: altitude(S, (1, 3), v)),
+    "altitude_by_minors.face": (BadFace, True, 1, 4, (1, 3), lambda v: altitude_by_minors(S, v, 4)),
+    "altitude_by_minors.j": (BadFace, False, 1, 4, 2, lambda v: altitude_by_minors(S, (1, 3), v)),
+    "vertex_lambdas_by_minors.face": (
+        BadFace, True, 1, 4, (1, 3), lambda v: vertex_lambdas_by_minors(S, v, 4)
+    ),
+    "vertex_lambdas_by_minors.j": (
+        BadFace, False, 1, 4, 2, lambda v: vertex_lambdas_by_minors(S, (1, 3), v)
+    ),
+    "facet_altitude_by_determinants.j": (
+        BadFace, False, 1, 4, 2, lambda v: facet_altitude_by_determinants(S, v)
+    ),
     "project_to_hyperplane.j": (BadFace, False, 1, 4, 2, lambda v: project_to_hyperplane(S, v, P)),
     "deleted_minor.i": (BadIndexSet, False, 1, 4, 2, lambda v: deleted_minor(M, v, 3)),
     "deleted_minor.j": (BadIndexSet, False, 1, 4, 3, lambda v: deleted_minor(M, 2, v)),
@@ -80,6 +97,27 @@ def test_index_rule_refuses_with_typed_error(entry, label):
     error, is_set, lo, hi, _, call = ENTRIES[entry]
     with pytest.raises(error):
         call(_bad_argument(label, is_set, lo, hi))
+
+
+def test_minors_routes_run_the_index_rule_once(monkeypatch):
+    rule = simplex._index_positions
+    calls = []
+
+    def spy(indices, m, error, what, *args):
+        calls.append(what)
+        return rule(indices, m, error, what, *args)
+
+    # face_complement reads simplex's binding, the cross-checks their own
+    monkeypatch.setattr(simplex, "_index_positions", spy)
+    monkeypatch.setattr(crosscheck, "_index_positions", spy)
+    for call, rules in [
+        (lambda: distance_to_face_by_minors(S, (1, 3), P), ["face"]),
+        (lambda: complement_gram_inverse(S, (1, 3)), ["face"]),
+        (lambda: facet_altitude_by_determinants(S, 2), ["vertex"]),
+    ]:
+        calls.clear()
+        call()
+        assert calls == rules
 
 
 @pytest.mark.parametrize("face", [(), (1, 2, 3, 4)])

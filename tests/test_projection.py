@@ -503,8 +503,13 @@ def test_minors_route_raises_on_a_negative_radicand(model_name, monkeypatch):
     s = random_simplex(model, 3, seed=11)
     p = random_point(model, np.random.default_rng(5))
     assert distance_to_face_by_minors(s, (1, 2), p) > 1e-3
-    gram_inverse = crosscheck.complement_gram_inverse
-    monkeypatch.setattr(crosscheck, "complement_gram_inverse", lambda *a: -gram_inverse(*a))
+    by_minors = crosscheck._gram_inverse_by_minors
+
+    def flipped(*args):
+        table, m_face, gram_inverse = by_minors(*args)
+        return table, m_face, -gram_inverse
+
+    monkeypatch.setattr(crosscheck, "_gram_inverse_by_minors", flipped)
     with pytest.raises(DomainError):
         distance_to_face_by_minors(s, (1, 2), p)
 

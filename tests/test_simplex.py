@@ -15,10 +15,8 @@ from hsproj import (
     Tolerances,
     WrongSheet,
     altitude,
-    bordered_minor,
     build_simplex,
     complement_gram_inverse,
-    deleted_minor,
     distance_to_face,
     inner,
     project_to_face,
@@ -31,6 +29,7 @@ from hsproj import (
     vertex_foot,
 )
 from hsproj import crosscheck
+from hsproj.crosscheck import bordered_minor, deleted_minor
 from hsproj.generators import random_point, random_simplex
 
 from conftest import COSH1, REGULAR_CASES, SINH1, far_field_triangle, model_named, regular_simplex
