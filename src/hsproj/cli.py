@@ -172,7 +172,7 @@ def cmd_altitudes(args, tols: Tolerances) -> dict:
         ]
     rows = []
     for face, j in targets:
-        # one face-block solve per target: altitude is needed only where the foot is not
+        # one face-block product per target: altitude is needed only where the foot is not
         entry: dict = {"vertex": j, "face": list(face)}
         try:
             foot = vertex_foot(simplex, face, j, tols)

@@ -1,8 +1,8 @@
 """Cross-checks: the paper's independent routes, kept as verification only.
 
-Production computes every foot and distance with one solve of the face
-block of the edge matrix (``projection``) and T from the normal solve
-(``Simplex.scaling``).  The paper's determinant routes to the same
+Production computes every foot and distance through each face's frame,
+built from the face block of the edge matrix (``projection``), and T from
+the normal solve (``Simplex.scaling``).  The paper's determinant routes to the same
 numbers live here: deleted and bordered minors, T = diag(sqrt|M_ii/det M|)
 = diag(sqrt|G_ii/det G|), the inverse and block-inverse identities, Schur
 blocks as bordered-minor ratios, (G22)^-1 from them and the distance
@@ -15,7 +15,7 @@ Minors are computed in stacked determinants (``_minors``): a Schur block
 takes det M(A,A) and one det call over all its bordered minors, T all its
 principal minors in one call.  numpy runs the same LU on each stacked
 matrix as on that matrix alone, so each minor is bit-identical to its own
-det call, and none of them reuses the face-block solve of production.
+det call, and none of them reuses the face frame of production.
 Each route reads its face once, by ``simplex.face_complement`` (or the
 face plan, for the vertex routes), and passes the positions on.
 
@@ -101,10 +101,10 @@ def bordered_minor(matrix, base: Sequence[int], s: int, t: int) -> float:
     return float(_minors(A, [base0 + [s0]], [base0 + [t0]])[0])
 
 
-def _principal_deleted(A: np.ndarray) -> np.ndarray:
-    """The m principal minors M_ii of an m x m matrix, in one stacked det."""
+def _principal_deleted(A: np.ndarray, positions=slice(None)) -> np.ndarray:
+    """The principal minors M_ii, i at 0-based ``positions`` (default all), in one stacked det."""
     m = A.shape[0]
-    rows = np.nonzero(~np.eye(m, dtype=bool))[1].reshape(m, m - 1)
+    rows = np.nonzero(~np.eye(m, dtype=bool))[1].reshape(m, m - 1)[positions]
     return _minors(A, rows, rows)
 
 
@@ -234,15 +234,17 @@ def schur_complement_via_minors(matrix, retained: Sequence[int]) -> SchurBlock:
     return _schur_block(matrix, retained, lambda A, keep, elim: np.divide(*_minor_table(A, keep, elim)))
 
 
-def _minor_table(A: np.ndarray, keep: np.ndarray, elim: np.ndarray) -> tuple[np.ndarray, float]:
-    """Bordered minors det A(elim, s; elim, t), s, t in keep, and det A(elim, elim); unvalidated."""
+def _minor_table(
+    A: np.ndarray, keep: np.ndarray, elim: np.ndarray, rows=slice(None)
+) -> tuple[np.ndarray, float]:
+    """Unvalidated bordered minors det A(elim, s; elim, t), s in keep[rows], t in keep, and det A(elim, elim)."""
     denom = float(_minors(A, elim, elim))
     if denom == 0.0:
         raise SingularBlock(f"eliminated block {tuple((elim + 1).tolist())} is singular")
     border = np.empty((keep.size, elim.size + 1), dtype=np.intp)  # rows (elim, s), one per s
     border[:, :-1] = elim
     border[:, -1] = keep
-    return _minors(A, border[:, None], border[None, :]), denom
+    return _minors(A, border[rows, None], border), denom
 
 
 def _split_residuals(simplex: Simplex, split: int, tols: Tolerances) -> tuple[dict[str, float], np.ndarray]:
@@ -340,7 +342,7 @@ def distance_to_face_by_minors(
 
     Evaluates the closed-form radicand s2 = b' (G22)^-1 b, b_t = <p, e_t>,
     with (G22)^-1 from ``complement_gram_inverse``, independently of the
-    face-block solve, and c2 = 1 - curvature * s2.  The CLI's
+    face frame, and c2 = 1 - curvature * s2.  The CLI's
     ``distance_paths`` residual compares the two routes.
     """
     pv = _require_on_manifold(simplex.model, p, tols, "point")
@@ -351,12 +353,12 @@ def _vertex_minor_row(simplex: Simplex, face: Sequence[int], j: int) -> tuple[np
     """The complement, row j of the face block's Schur complement by minors, and j's place in it.
 
     S[j,s] = m_j^s / m_face: the bordered minor over rows (face, j) and
-    columns (face, s), over det M[face,face].
+    columns (face, s), over det M[face,face]; the row alone, one (k, b+1, b+1) det.
     """
     plan, j0 = _opposite_vertex(simplex, face, j)
-    table, m_face = _minor_table(simplex.edge_matrix, plan.comp0, plan.face0)
     a = int(np.searchsorted(plan.comp0, j0))
-    return plan.comp0, table[a] / m_face, a
+    row, m_face = _minor_table(simplex.edge_matrix, plan.comp0, plan.face0, a)
+    return plan.comp0, row / m_face, a
 
 
 def vertex_lambdas_by_minors(simplex: Simplex, face: Sequence[int], j: int) -> dict[int, float]:
@@ -367,7 +369,7 @@ def vertex_lambdas_by_minors(simplex: Simplex, face: Sequence[int], j: int) -> d
     stored T, so comparing with it would test T against itself.
     """
     comp0, row, _ = _vertex_minor_row(simplex, face, j)
-    t = np.sqrt(np.abs(_principal_deleted(simplex.edge_matrix)[comp0] / simplex.edge_det))
+    t = np.sqrt(np.abs(_principal_deleted(simplex.edge_matrix, comp0) / simplex.edge_det))
     return dict(zip((comp0 + 1).tolist(), (t * row).tolist()))
 
 

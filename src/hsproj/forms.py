@@ -25,7 +25,7 @@ asinh in H^n and atan2 in S^n, neither of which cancels near 0.  So
 something exists: near 1 a point or a projection's c2, near 0 a spherical
 foot; it never sets a distance.
 ``distance`` feeds ``_angle`` the half-chords p -/+ q; the projection
-feeds it the radicands of its face-block solve.
+feeds it the radicands of its face-block product.
 """
 
 from __future__ import annotations

@@ -2,22 +2,22 @@
 
 A k-face of the simplex (any k+1 of its vertices, 0 <= k <= n-1) spans a
 k-plane of the manifold.  Every foot and distance here, from a point or
-from a vertex, is one solve of the face block of the edge matrix, the same
-in both geometries:
+from a vertex, comes from the face block M_F = M[face,face] of the edge
+matrix, the same in both geometries:
 
-1. solve  M[face,face] . mu = w  with  w_i = <p_i, p>,
+1. mu = M_F^-1 w  with  w_i = <p_i, p>,
 2. form the pre-foot  p. = sum_i mu_i p_i  (the component of p in the span
    of the face vertices),
 3. rescale the pre-foot onto the manifold.
 
 Steps 1-2 and the normal coefficients read everything that does not depend
-on p from the face's plan (``simplex._face_plan``): the face vertices and
-their signed rows for w, the block M[face,face], the signed complement rows
-and -T over the complement for lambda, and the face's label.  The plan is
-gathered on the face's first use and kept on the Simplex; the index rule
-still runs on every call, and step 1's solve runs on every call on the
-same operands as a fresh gather would give, so warm and cold calls agree
-bit for bit.
+on p from the face's plan (``simplex._face_plan``): the face vertices, the
+frame [F_sig; M_F^-1 F_sig] of the signed face rows, the signed complement
+rows and -T over the complement for lambda, and the face's label.  Step 1
+is one product, (w, mu) = frame . p; the solve ran once, on the face's
+first use.  The index rule runs on every call, and warm and cold calls
+agree bit for bit.  The frame costs the distance no digits: p. stays in
+the face's span whatever mu is, and s2 is stationary in mu.
 
 The paper's route through the complement Gram block G22 gives the same
 foot, by the block-inverse identity (M^11)^-1 = T S(G22) T.  Step 1 yields
@@ -80,8 +80,7 @@ class ProjectionResult:
 
 def _face_solve(model: Model, plan: _FacePlan, pv: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Steps 1-2: the pre-foot and its radicands s2 = <p - p., p - p.>, c2 = curvature * mu . w."""
-    w = plan.face_pts_sig @ pv
-    mu = np.linalg.solve(plan.block, w)
+    w, mu = (plan.frame @ pv).reshape(2, -1)
     pre_foot = mu @ plan.face_pts
     r = pv - pre_foot
     return pre_foot, float((r * model.signature) @ r), model.curvature * float(mu @ w)
@@ -144,7 +143,7 @@ def project_to_face(
 ) -> ProjectionResult:
     """Orthogonal projection of p onto the k-plane of the selected face.
 
-    One solve of the face block of the edge matrix (steps 1-3 above).  The
+    One product with the face's frame (steps 1-3 above).  The
     foot is the unique geodesic-distance minimizer over the plane
     (spherical exception: ProjectionUndefined at distance pi/2).
     """
@@ -159,7 +158,7 @@ def distance_to_face(
     p,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> float:
-    """Distance to the face's k-plane: project_to_face's solve, stopped at its radicands.
+    """Distance to the face's k-plane: project_to_face's steps, stopped at its radicands.
 
     Defined where the spherical foot is not: a point at pi/2 - eps from
     the plane gets pi/2 - eps, however small eps is.
@@ -208,7 +207,7 @@ def vertex_foot(
 ) -> ProjectionResult:
     """Perpendicular foot from vertex p_j onto a face not containing it.
 
-    project_to_face's solve run on p_j, bit for bit, without checking the
+    project_to_face's steps run on p_j, bit for bit, without checking the
     vertex again; the coefficients are the paper's lambda_s = T_s m_j^s / m_face.
     """
     plan, j0 = _opposite_vertex(simplex, face, j)

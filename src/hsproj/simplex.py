@@ -24,11 +24,11 @@ index argument of the package passes through it, so ``1.5``, ``3.0``,
 error of the function that received them (``BadFace`` for faces and
 vertices, ``BadIndexSet`` for matrix index sets).
 
-Every face-block solve of ``projection`` reads the face through a face
-plan, ``_face_plan``: the index rule runs on every call, and the gathers
-that depend only on the face (its vertices, its block of M, the complement
-rows and scalings) are made once per face and kept, read-only, on the
-``Simplex``, as G is.
+Every face-block route of ``projection`` reads the face through a face
+plan, ``_face_plan``: the index rule runs on every call, and what depends
+only on the face (its vertices, its frame [F_sig; M[face,face]^-1 F_sig] of
+signed face rows, the complement rows and scalings) is made once per face,
+by one solve, and kept, read-only, on the ``Simplex``, as G is.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _FacePlan:
-    """The gathers of one face that do not depend on the point; arrays read-only.
+    """What every query on one face shares, independent of the point; arrays read-only.
 
     Built by ``_face_plan`` on the first call with a face and reused by every
     later call with it on the same simplex.
@@ -61,8 +61,7 @@ class _FacePlan:
     face0: np.ndarray          # 0-based face positions
     comp0: np.ndarray          # 0-based complement positions
     face_pts: np.ndarray       # vertices[face0]
-    face_pts_sig: np.ndarray   # vertices[face0] * signature
-    block: np.ndarray          # M[face0][:, face0]
+    frame: np.ndarray          # (2b, n+1): F_sig over M_F^-1 F_sig, F_sig = vertices[face0] * signature
     comp_pts_sig: np.ndarray   # vertices[comp0] * signature
     neg_scaling: np.ndarray    # -scaling[comp0]
     comp_keys: tuple[int, ...]  # complement, 1-based
@@ -231,12 +230,12 @@ def _face_plan(simplex: Simplex, face: Sequence[int]) -> _FacePlan:
         face0, comp0 = _face_arrays(m, key)
         sig = simplex.model.signature
         face_pts = simplex.vertices[face0]
+        face_sig = face_pts * sig
         plan = _FacePlan(
             _frozen(face0),
             _frozen(comp0),
             _frozen(face_pts),
-            _frozen(face_pts * sig),
-            _frozen(simplex.edge_matrix[face0][:, face0]),
+            _frozen(np.concatenate((face_sig, np.linalg.solve(simplex.edge_matrix[face0][:, face0], face_sig)))),
             _frozen(simplex.vertices[comp0] * sig),
             _frozen(-simplex.scaling[comp0]),
             tuple((comp0 + 1).tolist()),

@@ -9,6 +9,7 @@ and M, bit-identical to one Schur call per block.
 
 import dataclasses
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ import hsproj
 from hsproj import DEFAULT_TOLS, Model, altitude, build_simplex, distance_to_face, project_to_face, vertex_foot
 from hsproj import crosscheck, schur_complement_via_minors
 from hsproj import SingularBlock, schur_complement, verify_block_inverse_identities
-from hsproj.crosscheck import bordered_minor, deleted_minor, identity_residuals
+from hsproj.crosscheck import (
+    altitude_by_minors,
+    bordered_minor,
+    deleted_minor,
+    identity_residuals,
+    vertex_lambdas_by_minors,
+)
 from hsproj.generators import random_point, random_simplex
 
 from conftest import model_named
@@ -150,6 +157,36 @@ def test_minors_take_one_stacked_det(monkeypatch):
         calls.clear()
         crosscheck._principal_deleted(s.edge_matrix)
         assert calls == [(m, m - 1, m - 1)]
+
+
+def test_vertex_minor_routes_take_one_row(monkeypatch):
+    # vertex j's Schur row needs the k bordered minors of rows (face, j) and,
+    # for lambda, the k principal minors of the complement: never the k x k
+    # table or all m principal minors
+    s = random_simplex(Model.hyperbolic(9), 8, seed=3)
+    face, j, comp = (1, 2), 9, range(3, 10)
+    M = s.edge_matrix
+    m_face = float(np.linalg.det(M[:2, :2]))
+    expected = {
+        t: math.sqrt(abs(deleted_minor(M, t, t) / s.edge_det)) * (bordered_minor(M, face, j, t) / m_face)
+        for t in comp
+    }
+    det = np.linalg.det
+    calls = []
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    altitude_by_minors(s, face, j)
+    assert calls == [(2, 2), (7, 3, 3)]
+    calls.clear()
+    lambdas = vertex_lambdas_by_minors(s, face, j)
+    assert calls == [(2, 2), (7, 3, 3), (7, 8, 8)]
+    # each stacked minor keeps the bits of its own det call
+    assert list(lambdas) == list(comp)
+    assert [v.hex() for v in lambdas.values()] == [v.hex() for v in expected.values()]
 
 
 def _schur_complement_per_call(A, retained, tol_degenerate=DEFAULT_TOLS.degenerate):

@@ -148,7 +148,7 @@ def test_projection_invariants(case):
 
 @pytest.mark.parametrize("case", _cases(2000, 10), ids=lambda c: f"{c[0].name}-n{c[0].n}")
 def test_distance_to_face_matches_projection(case):
-    # the bordered-minor cross-check against the face-block solve of the projection
+    # the bordered-minor cross-check against the face frame of the projection
     model, s, face, p = case
     try:
         r = project_to_face(s, face, p)
@@ -317,21 +317,21 @@ def test_vertex_routes_compute_no_minor(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counted)
     for _, s, face, _ in cases:
+        _face_plan(s, face)
         for j in sorted(set(range(1, s.vertex_count + 1)) - set(face)):
             p_j = s.vertices[j - 1]
             calls.clear()
             alt = altitude(s, face, j)
-            assert len(calls) == 1  # one face-block solve per call
+            assert not calls  # the plan's frame serves the call: no solve
             assert alt == distance_to_face(s, face, p_j)
-            calls.clear()
             try:
                 foot = vertex_foot(s, face, j)
             except ProjectionUndefined:
-                assert len(calls) == 1
+                assert not calls
                 with pytest.raises(ProjectionUndefined):
                     project_to_face(s, face, p_j)
                 continue
-            assert len(calls) == 1
+            assert not calls
             general = project_to_face(s, face, p_j)
             assert foot.distance == general.distance == alt
             assert np.array_equal(foot.foot, general.foot)
@@ -442,22 +442,24 @@ def _near_plane_triangle(model_name):
 def test_domain_error_fires_on_a_wrong_solve(model_name, monkeypatch):
     # a face-block solve off by 1e-6 relative moves c2 ~ 1 by 1e-6 across 1:
     # below it in H^n, above it in S^n; the other direction is a valid c2
+    # (the solve builds the face's frame, so each call gets a fresh copy of
+    # the simplex and builds its plan under the patched solve)
     s, p = _near_plane_triangle(model_name)
     calls = [
-        lambda: distance_to_face(s, (1, 2), p),
-        lambda: project_to_face(s, (1, 2), p),
-        lambda: vertex_foot(s, (1, 2), 3),
-        lambda: altitude(s, (1, 2), 3),
+        lambda t: distance_to_face(t, (1, 2), p),
+        lambda t: project_to_face(t, (1, 2), p),
+        lambda t: vertex_foot(t, (1, 2), 3),
+        lambda t: altitude(t, (1, 2), 3),
     ]
     solve = np.linalg.solve
     wrong = 1.0 + s.model.curvature * 1e-6
     monkeypatch.setattr(np.linalg, "solve", lambda *a: solve(*a) * (2.0 - wrong))
     for call in calls:
-        call()
+        call(replace(s))
     monkeypatch.setattr(np.linalg, "solve", lambda *a: solve(*a) * wrong)
     for call in calls:
         with pytest.raises(DomainError, match=f"{model_name} radicand"):
-            call()
+            call(replace(s))
 
 
 @pytest.mark.parametrize("factor", [1.0, 10.0])
@@ -516,12 +518,17 @@ def test_minors_route_raises_on_a_negative_radicand(model_name, monkeypatch):
 
 # ----------------------------------------------------------------- face plans
 
+def _reference_frame(simplex, face0):
+    """The face's frame, built inline: the signed face rows over M_F^-1 times them."""
+    face_sig = simplex.vertices[face0] * simplex.model.signature
+    return np.vstack((face_sig, np.linalg.solve(simplex.edge_matrix[face0][:, face0], face_sig)))
+
+
 def _reference_face_solve(simplex, face0, pv):
-    """``projection._face_solve`` with every gather made inline, on every call."""
+    """``projection._face_solve`` with the frame and every gather made inline, on every call."""
     sig = simplex.model.signature
     face_pts = simplex.vertices[face0]
-    w = (face_pts * sig) @ pv
-    mu = np.linalg.solve(simplex.edge_matrix[face0][:, face0], w)
+    w, mu = np.split(_reference_frame(simplex, face0) @ pv, 2)
     pre_foot = mu @ face_pts
     r = pv - pre_foot
     return pre_foot, float((r * sig) @ r), simplex.model.curvature * float(mu @ w)
@@ -588,27 +595,38 @@ def test_face_solve_on_a_plan_matches_the_inline_gathers(case):
     assert list(lam) == list(ref) and [v.hex() for v in lam.values()] == [v.hex() for v in ref.values()]
 
 
-def test_one_solve_per_warm_call_on_the_plan_block(monkeypatch):
+def test_one_solve_per_face_plan_and_none_per_warm_call(monkeypatch):
+    # whichever route meets a face first solves M_F X = F_sig once, for the
+    # plan's frame; every later call on the face, by any route, solves nothing
+    cases = _cases(9100, 10)
     solve = np.linalg.solve
-    blocks = []
+    solves = []
 
     def counted(a, b):
-        blocks.append(a)
+        solves.append((a, b))
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    for _, s, face, p in _cases(9100, 10):
-        plan = _face_plan(s, face)
-        j = plan.comp_keys[0]
-        for call in (
-            lambda: project_to_face(s, face, p),
-            lambda: distance_to_face(s, face, p),
-            lambda: vertex_foot(s, face, j),
-            lambda: altitude(s, face, j),
-        ):
-            blocks.clear()
-            _outcome(call)
-            assert len(blocks) == 1 and blocks[0] is plan.block
+    for _, s, face, p in cases:
+        face0 = [i - 1 for i in face]
+        j = min(set(range(1, s.vertex_count + 1)) - set(face))
+        routes = (
+            lambda t: project_to_face(t, face, p),
+            lambda t: distance_to_face(t, face, p),
+            lambda t: vertex_foot(t, face, j),
+            lambda t: altitude(t, face, j),
+        )
+        for first in routes:
+            cold = replace(s)
+            solves.clear()
+            _outcome(lambda: first(cold))
+            ((block, rhs),) = solves
+            assert np.array_equal(block, s.edge_matrix[face0][:, face0])
+            assert np.array_equal(rhs, s.vertices[face0] * s.model.signature)
+            solves.clear()
+            for route in routes:
+                _outcome(lambda: route(cold))
+            assert not solves
 
 
 def test_index_rule_runs_before_the_plan_lookup(octant):
@@ -641,14 +659,14 @@ def test_plans_never_cross_simplices():
     plan_a, plan_b = _face_plan(a, face), _face_plan(b, face)
     assert plan_a is not plan_b
     assert_allclose(plan_b.face_pts, b.vertices[[0, 2]], rtol=0, atol=0)
-    assert_allclose(plan_b.block, b.edge_matrix[[0, 2]][:, [0, 2]], rtol=0, atol=0)
+    assert_allclose(plan_b.frame, _reference_frame(b, [0, 2]), rtol=0, atol=0)
     assert not replace(a)._face_plans
 
 
 def test_plan_arrays_are_read_only(hyp_triangle):
     plan = _face_plan(hyp_triangle, (1, 3))
     arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 7
+    assert len(arrays) == 6
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
