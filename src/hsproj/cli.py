@@ -29,7 +29,7 @@ from .forms import distance as geodesic
 from .generators import random_point, random_simplex
 from .oracle import OracleOptions, oracle_project
 from .projection import altitude, project_to_face, vertex_foot
-from .simplex import Simplex, _face_plan, build_simplex
+from .simplex import Simplex, build_simplex, face_complement
 from .crosscheck import _projection_minors, identity_residuals
 
 # check-suite bounds on the closed form vs oracle comparison
@@ -113,8 +113,8 @@ def cmd_validate(args, tols: Tolerances) -> dict:
 
 
 def _projection_block(simplex: Simplex, face, p, result, tols: Tolerances) -> tuple[dict, dict]:
-    plan = _face_plan(simplex, face)
-    face_minor, bordered, minors_distance = _projection_minors(simplex, plan.face0, plan.comp0, p, tols)
+    face0, comp0 = face_complement(simplex, face)
+    face_minor, bordered, minors_distance = _projection_minors(simplex, face0, comp0, p, tols)
     results = {
         "foot": _vec(result.foot),
         "distance": result.distance,
@@ -123,11 +123,11 @@ def _projection_block(simplex: Simplex, face, p, result, tols: Tolerances) -> tu
         "minors": {
             "det_edge_matrix": simplex.edge_det,
             "face_minor": face_minor,
-            "bordered_diagonal": dict(zip(map(str, plan.comp_keys), bordered.tolist())),
+            "bordered_diagonal": dict(zip(map(str, (comp0 + 1).tolist()), bordered.tolist())),
         },
     }
     r = (p - result.pre_foot) * simplex.model.signature
-    ortho = max(abs(float(r @ simplex.vertices[i])) for i in plan.face0)
+    ortho = max(abs(float(r @ simplex.vertices[i])) for i in face0)
     residuals = {
         "foot_manifold": _membership_residual(simplex.model, result.foot),
         "orthogonality": ortho,
@@ -165,7 +165,7 @@ def cmd_altitudes(args, tols: Tolerances) -> dict:
     simplex = _build(doc, tols)
     m = simplex.vertex_count
     if args.face:
-        targets = [(tuple(args.face), j) for j in _face_plan(simplex, args.face).comp_keys]
+        targets = [(tuple(args.face), j) for j in (face_complement(simplex, args.face)[1] + 1).tolist()]
     else:
         targets = [
             (tuple(i for i in range(1, m + 1) if i != j), j) for j in range(1, m + 1)

@@ -16,8 +16,8 @@ takes det M(A,A) and one det call over all its bordered minors, T all its
 principal minors in one call.  numpy runs the same LU on each stacked
 matrix as on that matrix alone, so each minor is bit-identical to its own
 det call, and none of them reuses the face frame of production.
-Each route reads its face once, by ``simplex.face_complement`` (or the
-face plan, for the vertex routes), and passes the positions on.
+Each route reads its face once, by ``simplex.face_complement``, and passes
+the positions on; none builds or reads a face plan, so none solves.
 
 Schur blocks by elimination share one kernel over a stack of matrices
 split into contiguous blocks: one stacked SVD gates every eliminated block
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import BadFace, BadIndexSet, DegenerateSimplex, SingularBlock
 from .forms import DEFAULT_TOLS, Tolerances, _require_on_manifold
-from .projection import _distance, _opposite_vertex
+from .projection import _distance
 from .simplex import Simplex, _complement, _frozen, _index_positions, _singular, face_complement
 
 __all__ = [
@@ -355,10 +355,13 @@ def _vertex_minor_row(simplex: Simplex, face: Sequence[int], j: int) -> tuple[np
     S[j,s] = m_j^s / m_face: the bordered minor over rows (face, j) and
     columns (face, s), over det M[face,face]; the row alone, one (k, b+1, b+1) det.
     """
-    plan, j0 = _opposite_vertex(simplex, face, j)
-    a = int(np.searchsorted(plan.comp0, j0))
-    row, m_face = _minor_table(simplex.edge_matrix, plan.comp0, plan.face0, a)
-    return plan.comp0, row / m_face, a
+    face0, comp0 = face_complement(simplex, face)
+    (j0,) = _index_positions((j,), simplex.vertex_count, BadFace, "vertex")
+    if j0 in face0:  # projection's rule and message for an opposite vertex
+        raise BadFace(f"vertex {j0 + 1} must lie outside the face {tuple((face0 + 1).tolist())}")
+    a = int(np.searchsorted(comp0, j0))
+    row, m_face = _minor_table(simplex.edge_matrix, comp0, face0, a)
+    return comp0, row / m_face, a
 
 
 def vertex_lambdas_by_minors(simplex: Simplex, face: Sequence[int], j: int) -> dict[int, float]:

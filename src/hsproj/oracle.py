@@ -30,9 +30,11 @@ and its antipode.  The reported distance is ``forms.distance`` from p to
 the foot found.
 
 This module is the independent check of the closed-form projection: its
-search never touches Gram matrices, minors or the normal frame.  It is
-allowed to be orders of magnitude slower.  The seeded random simplices
-and points it is checked on come from ``generators``.
+search never touches Gram matrices, minors, the normal frame or a face
+plan: it reads the face rows from the vertices by ``simplex.face_complement``
+and returns only what it finds, an ``OracleResult`` of foot and distance.
+It is allowed to be orders of magnitude slower.  The seeded random
+simplices and points it is checked on come from ``generators``.
 """
 
 from __future__ import annotations
@@ -44,10 +46,9 @@ import numpy as np
 
 from .errors import OracleFailure
 from .forms import DEFAULT_TOLS, Model, Tolerances, _require_on_manifold, distance, normalize_to_manifold
-from .projection import ProjectionResult, _lambdas
-from .simplex import Simplex, _face_plan
+from .simplex import Simplex, face_complement
 
-__all__ = ["OracleOptions", "oracle_project"]
+__all__ = ["OracleOptions", "OracleResult", "oracle_project"]
 
 PROBE_DIRECTIONS = 1024
 # initial Nelder-Mead step of the first refinement restart (radians)
@@ -68,11 +69,20 @@ class OracleOptions:
             raise ValueError(f"oracle seed must be an integer >= 0, got {self.seed!r}")
 
 
+@dataclass(frozen=True)
+class OracleResult:
+    """The foot the search found, and ``forms.distance`` from the point to it."""
+
+    foot: np.ndarray
+    distance: float
+
+
 def _score_block(V: np.ndarray, pv: np.ndarray, model: Model) -> np.ndarray:
     """Squared chord <p - v, p - v> of the candidate v = normalize(V_i) of
     each ambient pre-point row V_i (any positive scale); +inf where it is
     not normalizable (space-like or near-null in the Lorentzian case).
-    Probes and refinement steps alike: one candidate is a batch of one."""
+    The probe stage scores its whole batch here; the refinement scores one
+    pre-point at a time by ``_score_row``."""
     q = model.curvature * np.einsum("ni,i,ni->n", V, model.signature, V)
     ok = q > _LIGHT_TOL
     root = np.sqrt(np.where(ok, q, 1.0))
@@ -189,17 +199,15 @@ def oracle_project(
     p,
     opts: OracleOptions = OracleOptions(),
     tols: Tolerances = DEFAULT_TOLS,
-) -> ProjectionResult:
+) -> OracleResult:
     """Foot and distance found by direct minimization over the face's plane.
 
     Deterministic for a fixed ``opts.seed`` (the seed drives the random
     probe directions).
     """
     pv = _require_on_manifold(simplex.model, p, tols, "point")
-    plan = _face_plan(simplex, face)
+    face_pts = simplex.vertices[face_complement(simplex, face)[0]]
     model = simplex.model
-    hyper = model.curvature == -1
-    face_pts = plan.face_pts
     d = face_pts.shape[0]
 
     # probe stage: the best of a batch of seeded directions
@@ -239,11 +247,4 @@ def oracle_project(
                 mu = v / np.linalg.norm(v)
 
     foot = normalize_to_manifold(model, mu @ face_pts)
-    dist = distance(model, pv, foot, tols)
-    scale = math.cosh(dist) if hyper else math.cos(dist)
-    pre_foot = scale * foot
-
-    # coefficients of pre_foot - p in the complement normal basis by the
-    # projection's own formula (report decoration; the search above never
-    # used the normal frame)
-    return ProjectionResult(foot, dist, _lambdas(plan, pre_foot - pv), pre_foot)
+    return OracleResult(foot, distance(model, pv, foot, tols))

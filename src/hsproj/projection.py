@@ -11,13 +11,13 @@ matrix, the same in both geometries:
 3. rescale the pre-foot onto the manifold.
 
 Steps 1-2 and the normal coefficients read everything that does not depend
-on p from the face's plan (``simplex._face_plan``): the face vertices, the
-frame [F_sig; M_F^-1 F_sig] of the signed face rows, the signed complement
-rows and -T over the complement for lambda, and the face's label.  Step 1
-is one product, (w, mu) = frame . p; the solve ran once, on the face's
-first use.  The index rule runs on every call, and warm and cold calls
-agree bit for bit.  The frame costs the distance no digits: p. stays in
-the face's span whatever mu is, and s2 is stationary in mu.
+on p from the face's plan (``_face_plan``; no other module reads one): the
+face vertices, the frame [F_sig; M_F^-1 F_sig] of the signed face rows,
+the signed complement rows and -T over the complement for lambda, and the
+face's label.  Step 1 is one product, (w, mu) = frame . p; the solve ran
+once, on the face's first use.  The index rule runs on every call, and warm
+and cold calls agree bit for bit.  The frame costs the distance no digits:
+p. stays in the face's span whatever mu is, and s2 is stationary in mu.
 
 The paper's route through the complement Gram block G22 gives the same
 foot, by the block-inverse identity (M^11)^-1 = T S(G22) T.  Step 1 yields
@@ -38,7 +38,7 @@ nothing from ``crosscheck``.
 
 Any face is accepted, not only the leading vertex block in which the
 closed forms are stated.  All indices are 1-based and pass the index rule
-of ``simplex`` (through the face plan for faces); an invalid face or
+of ``simplex`` (before the plan lookup for faces); an invalid face or
 vertex raises BadFace.
 """
 
@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import BadFace, DomainError, ProjectionUndefined
 from .forms import DEFAULT_TOLS, Model, Tolerances, _angle, _require_on_manifold, normalize_to_manifold
-from .simplex import Simplex, _FacePlan, _face_plan, _index_positions
+from .simplex import Simplex, _face_arrays, _frozen, _index_positions
 
 __all__ = [
     "ProjectionResult",
@@ -76,6 +76,51 @@ class ProjectionResult:
     distance: float
     lambdas: dict[int, float]
     pre_foot: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class _FacePlan:
+    """What every query on one face shares, independent of the point; arrays read-only."""
+
+    face0: np.ndarray          # 0-based face positions
+    comp0: np.ndarray          # 0-based complement positions
+    face_pts: np.ndarray       # vertices[face0]
+    frame: np.ndarray          # (2b, n+1): F_sig over M_F^-1 F_sig, F_sig = vertices[face0] * signature
+    comp_pts_sig: np.ndarray   # vertices[comp0] * signature
+    neg_scaling: np.ndarray    # -scaling[comp0]
+    comp_keys: tuple[int, ...]  # complement, 1-based
+    label: str                 # "face (1, 3, 4)", for messages
+
+
+def _face_plan(simplex: Simplex, face: Sequence[int]) -> _FacePlan:
+    """The simplex's plan for a face selector, built on first use.
+
+    The index rule runs first on every call, so a face it refuses never
+    reaches a plan, and the plan is looked up by the validated positions:
+    ``(1, 3)`` and ``(np.int64(1), np.int64(3))`` share one.  At most one
+    plan per distinct face, 2^(n+1) - 2 in all; the function stays pure,
+    and a concurrent first use can at worst build the same plan twice.
+    """
+    m = simplex.vertex_count
+    key = tuple(_index_positions(face, m, BadFace, "face"))
+    plan = simplex._face_plans.get(key)
+    if plan is None:
+        face0, comp0 = _face_arrays(m, key)
+        sig = simplex.model.signature
+        face_pts = simplex.vertices[face0]
+        face_sig = face_pts * sig
+        plan = _FacePlan(
+            _frozen(face0),
+            _frozen(comp0),
+            _frozen(face_pts),
+            _frozen(np.concatenate((face_sig, np.linalg.solve(simplex.edge_matrix[face0][:, face0], face_sig)))),
+            _frozen(simplex.vertices[comp0] * sig),
+            _frozen(-simplex.scaling[comp0]),
+            tuple((comp0 + 1).tolist()),
+            f"face {tuple((face0 + 1).tolist())}",
+        )
+        simplex._face_plans[key] = plan
+    return plan
 
 
 def _face_solve(model: Model, plan: _FacePlan, pv: np.ndarray) -> tuple[np.ndarray, float, float]:

@@ -24,11 +24,11 @@ index argument of the package passes through it, so ``1.5``, ``3.0``,
 error of the function that received them (``BadFace`` for faces and
 vertices, ``BadIndexSet`` for matrix index sets).
 
-Every face-block route of ``projection`` reads the face through a face
-plan, ``_face_plan``: the index rule runs on every call, and what depends
-only on the face (its vertices, its frame [F_sig; M[face,face]^-1 F_sig] of
-signed face rows, the complement rows and scalings) is made once per face,
-by one solve, and kept, read-only, on the ``Simplex``, as G is.
+``face_complement`` is the one face reader outside the fast path: the
+cross-checks, the oracle and the CLI take their face positions from it and
+read the stored arrays, never a cache.  The fast path keeps the face
+plans that ``projection`` builds in ``Simplex._face_plans``, read-only, as
+G is; nothing else reads them, so a wrong plan cannot fool a check.
 """
 
 from __future__ import annotations
@@ -48,24 +48,6 @@ __all__ = ["Simplex", "build_simplex", "face_complement"]
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True, eq=False)
-class _FacePlan:
-    """What every query on one face shares, independent of the point; arrays read-only.
-
-    Built by ``_face_plan`` on the first call with a face and reused by every
-    later call with it on the same simplex.
-    """
-
-    face0: np.ndarray          # 0-based face positions
-    comp0: np.ndarray          # 0-based complement positions
-    face_pts: np.ndarray       # vertices[face0]
-    frame: np.ndarray          # (2b, n+1): F_sig over M_F^-1 F_sig, F_sig = vertices[face0] * signature
-    comp_pts_sig: np.ndarray   # vertices[comp0] * signature
-    neg_scaling: np.ndarray    # -scaling[comp0]
-    comp_keys: tuple[int, ...]  # complement, 1-based
-    label: str                 # "face (1, 3, 4)", for messages
 
 
 @dataclass(frozen=True)
@@ -101,8 +83,8 @@ class Simplex:
         return float(np.linalg.det(self.gram_matrix))
 
     @cached_property
-    def _face_plans(self) -> dict[tuple[int, ...], _FacePlan]:
-        """The face plans built so far, keyed by 0-based face positions."""
+    def _face_plans(self) -> dict:
+        """``projection``'s face plans built so far, keyed by 0-based face positions."""
         return {}
 
 
@@ -205,41 +187,10 @@ def _face_arrays(m: int, face0: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def face_complement(simplex: Simplex, face: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a face selector; return 0-based (face, complement) arrays, without a face plan.
+    """Validate a face selector; return 0-based (face, complement) arrays, reading no face plan.
 
     A valid face is a strictly increasing tuple of 1-based vertex indices,
     at least one vertex and at most n (the complement must be nonempty).
     """
     m = simplex.vertex_count
     return _face_arrays(m, _index_positions(face, m, BadFace, "face"))
-
-
-def _face_plan(simplex: Simplex, face: Sequence[int]) -> _FacePlan:
-    """The simplex's plan for a face selector, built on first use.
-
-    The index rule runs first on every call, so a face it refuses never
-    reaches a plan, and the plan is looked up by the validated positions:
-    ``(1, 3)`` and ``(np.int64(1), np.int64(3))`` share one.  At most one
-    plan per distinct face, 2^(n+1) - 2 in all; the function stays pure,
-    and a concurrent first use can at worst build the same plan twice.
-    """
-    m = simplex.vertex_count
-    key = tuple(_index_positions(face, m, BadFace, "face"))
-    plan = simplex._face_plans.get(key)
-    if plan is None:
-        face0, comp0 = _face_arrays(m, key)
-        sig = simplex.model.signature
-        face_pts = simplex.vertices[face0]
-        face_sig = face_pts * sig
-        plan = _FacePlan(
-            _frozen(face0),
-            _frozen(comp0),
-            _frozen(face_pts),
-            _frozen(np.concatenate((face_sig, np.linalg.solve(simplex.edge_matrix[face0][:, face0], face_sig)))),
-            _frozen(simplex.vertices[comp0] * sig),
-            _frozen(-simplex.scaling[comp0]),
-            tuple((comp0 + 1).tolist()),
-            f"face {tuple((face0 + 1).tolist())}",
-        )
-        simplex._face_plans[key] = plan
-    return plan

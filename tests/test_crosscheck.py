@@ -16,12 +16,14 @@ import pytest
 
 import hsproj
 from hsproj import DEFAULT_TOLS, Model, altitude, build_simplex, distance_to_face, project_to_face, vertex_foot
+from hsproj import BadFace, complement_gram_inverse, oracle_project
 from hsproj import crosscheck, schur_complement_via_minors
 from hsproj import SingularBlock, schur_complement, verify_block_inverse_identities
 from hsproj.crosscheck import (
     altitude_by_minors,
     bordered_minor,
     deleted_minor,
+    distance_to_face_by_minors,
     identity_residuals,
     vertex_lambdas_by_minors,
 )
@@ -187,6 +189,42 @@ def test_vertex_minor_routes_take_one_row(monkeypatch):
     # each stacked minor keeps the bits of its own det call
     assert list(lambdas) == list(comp)
     assert [v.hex() for v in lambdas.values()] == [v.hex() for v in expected.values()]
+
+
+def test_checks_read_the_simplex_and_build_no_face_plan(monkeypatch):
+    # every check reads its face by face_complement: on a fresh simplex none
+    # builds a face plan of the fast path, so none solves for its frame
+    s = random_simplex(Model.hyperbolic(9), 8, seed=3)
+    p = random_point(s.model, 4)
+    solve = np.linalg.solve
+    solves = []
+
+    def counted(*args):
+        solves.append(np.shape(args[0]))
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    altitude_by_minors(s, (1, 2), 9)
+    vertex_lambdas_by_minors(s, (1, 2), 9)
+    distance_to_face_by_minors(s, (1, 2), p)
+    complement_gram_inverse(s, (1, 2))
+    oracle_project(s, (1, 2, 3), p)
+    assert solves == [] and s._face_plans == {}
+
+
+def _message(call):
+    with pytest.raises(BadFace) as info:
+        call()
+    return str(info.value)
+
+
+def test_vertex_routes_refuse_a_face_vertex_as_production_does():
+    s = random_simplex(Model.spherical(5), 4, seed=5)
+    for face, j in [((1, 2), 2), ((2, 4, 5), 4), ((1,), 1)]:
+        expected = _message(lambda: vertex_foot(s, face, j))
+        assert expected == f"vertex {j} must lie outside the face {face}"
+        assert _message(lambda: altitude_by_minors(s, face, j)) == expected
+        assert _message(lambda: vertex_lambdas_by_minors(s, face, j)) == expected
 
 
 def _schur_complement_per_call(A, retained, tol_degenerate=DEFAULT_TOLS.degenerate):

@@ -114,6 +114,8 @@ def test_minors_routes_run_the_index_rule_once(monkeypatch):
         (lambda: distance_to_face_by_minors(S, (1, 3), P), ["face"]),
         (lambda: complement_gram_inverse(S, (1, 3)), ["face"]),
         (lambda: facet_altitude_by_determinants(S, 2), ["vertex"]),
+        (lambda: altitude_by_minors(S, (1, 3), 2), ["face", "vertex"]),
+        (lambda: vertex_lambdas_by_minors(S, (1, 3), 2), ["face", "vertex"]),
     ]:
         calls.clear()
         call()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -22,15 +23,18 @@ from hsproj import (
     oracle_project,
     project_to_face,
 )
+from hsproj.cli import ORACLE_DISTANCE_TOL
 from hsproj.forms import normalize_to_manifold
 from hsproj.oracle import (
     CONVERGENCE_TOL,
     FIRST_REFINE_STEP,
+    OracleResult,
     _nelder_mead,
     _score_block,
     _score_row,
 )
 from hsproj.generators import random_point, random_simplex
+from hsproj.projection import _face_plan
 
 from conftest import model_named
 
@@ -78,6 +82,28 @@ def test_oracle_resolves_points_in_the_plane(model_name):
         mu = np.abs(np.random.default_rng(k).normal(size=2))
         p = normalize_to_manifold(model, mu @ span)
         assert oracle_project(s, (1, 2), p).distance <= 1e-9
+
+
+@pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
+def test_a_poisoned_face_plan_cannot_fool_the_oracle(model_name):
+    # the oracle reads its face from the vertices, not the fast path's plan:
+    # with face (2, 3)'s plan in face (1, 2)'s slot the closed form is wrong,
+    # and the oracle tells it apart
+    model = model_named(model_name, 4)
+    for seed in range(5):
+        s = random_simplex(model, 3, seed=seed)
+        p = random_point(model, np.random.default_rng([seed, 1]))
+        honest = project_to_face(s, (1, 2), p).distance
+        assert abs(honest - oracle_project(s, (1, 2), p).distance) <= ORACLE_DISTANCE_TOL
+        s._face_plans[(0, 1)] = _face_plan(s, (2, 3))
+        poisoned = project_to_face(s, (1, 2), p).distance
+        assert abs(poisoned - oracle_project(s, (1, 2), p).distance) > ORACLE_DISTANCE_TOL
+
+
+def test_oracle_returns_only_its_foot_and_distance(octant):
+    r = oracle_project(octant, (1, 2), np.ones(3) / np.sqrt(3))
+    assert isinstance(r, OracleResult)
+    assert [f.name for f in dataclasses.fields(r)] == ["foot", "distance"]
 
 
 def test_oracle_is_deterministic(octant):

@@ -25,14 +25,13 @@ from hsproj import (
     distance_to_face,
     inner,
     on_manifold,
-    oracle_project,
     project_to_face,
     project_to_hyperplane,
     vertex_foot,
 )
 from hsproj import crosscheck, projection
 from hsproj.forms import normalize_to_manifold
-from hsproj.simplex import _face_plan
+from hsproj.projection import _face_plan
 from hsproj.generators import random_point, random_simplex
 from hsproj.crosscheck import (
     altitude_by_minors,
@@ -568,11 +567,7 @@ def test_warm_plan_equals_cold(model_name, n):
     for face in _all_faces(n + 1):
         p = random_point(s.model, rng)
         plan = _face_plan(warm, face)
-        routes = [
-            lambda t: project_to_face(t, face, p),
-            lambda t: distance_to_face(t, face, p),
-            lambda t: oracle_project(t, face, p),
-        ]
+        routes = [lambda t: project_to_face(t, face, p), lambda t: distance_to_face(t, face, p)]
         for j in plan.comp_keys:
             routes += [lambda t, j=j: vertex_foot(t, face, j), lambda t, j=j: altitude(t, face, j)]
         for route in routes:
