@@ -12,11 +12,14 @@ coordinate carries the Lorentzian sign in the hyperbolic case.  Coordinates
 are spoken of 1-based in documentation and error messages (x1 is the
 time-like one); array storage is 0-based as usual.
 
-This module owns the membership rule every closed form assumes (right
-length, |<x,x> - curvature| <= tols.manifold so that NaN, inf and an
-overflowing <x,x> fail without a numpy warning, upper sheet in H^n):
-every entry point checks its points and vertices through
-``_require_on_manifold``, and every reported residual is ``_membership_residual``.
+This module owns the one scalar product, ``_product``: every <x,y> it
+takes is an in-order sum on Python floats, which overflows to inf and
+carries NaN along without a warning, so no input needs screening first.
+It owns the membership rule every closed form assumes (right length,
+|<x,x> - curvature| <= tols.manifold, which NaN, inf and an overflowing
+<x,x> fail, upper sheet in H^n): every entry point checks its points and
+vertices through ``_require_on_manifold``, and every reported residual is
+``_membership_residual``.
 
 It also owns the angle rule: every distance in the package is ``_angle``
 of two radicands, sinh^2/sin^2 and cosh^2/cos^2 of the distance, read as
@@ -123,50 +126,35 @@ def _as_vector(model: Model, x, name: str = "vector") -> np.ndarray:
     return v
 
 
-# |x_i|, |y_i| <= 1e150 keeps <x,y> finite over any length below 1e8
-_SQUARE_SAFE = 1e150
 # unit roundoff of float64
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _square_safe(x: np.ndarray) -> bool:
-    """False for a coordinate beyond _SQUARE_SAFE, an inf, or a NaN that min or max lands on.
-
-    A product of vectors that pass cannot overflow, so it runs without
-    ``np.errstate``; the check is a plain-Python min and max of x.
-    """
-    coords = x.tolist()
-    return -_SQUARE_SAFE <= min(coords) and max(coords) <= _SQUARE_SAFE
-
-
 def _product(model: Model, x: np.ndarray, y: np.ndarray) -> float:
-    """<x,y> of float vectors of the right length; inf or NaN once it overflows.
+    """<x,y> of float vectors of the right length; every product this module takes.
 
-    Never warns: a pair that fails ``_square_safe`` (x once, for <x,x>) takes the errstate path.
+    An in-order sum of x_i s_i y_i on Python floats, s the signature, so it
+    is within gamma_m sum |x_i y_i| of the exact value (m = ambient_dim,
+    Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).  Float
+    arithmetic overflows to inf and carries NaN along without a warning.
     """
-    if not (_square_safe(x) and (y is x or _square_safe(y))):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float((x * model.signature).dot(y))
-    # .dot, not @: the same ddot, bit for bit, without matmul's dispatch
-    return float((x * model.signature).dot(y))
+    total = 0.0
+    for a, s, b in zip(x.tolist(), model.signature.tolist(), y.tolist()):
+        total += a * s * b
+    return total
 
 
 def inner(model: Model, x, y) -> float:
     """Curvature-signed scalar product: Lorentzian for H^n, Euclidean for S^n.
 
-    inf or NaN once it overflows, without a numpy warning.
+    inf or NaN once it overflows, without a warning.
     """
     return _product(model, _as_vector(model, x, "x"), _as_vector(model, y, "y"))
 
 
-def _self_product(model: Model, x: np.ndarray) -> float:
-    """<x,x> of a float vector of the right length, as ``inner`` gives it."""
-    return _product(model, x, x)
-
-
 def _membership_residual(model: Model, x: np.ndarray) -> float:
     """|<x,x> - curvature| of a float vector of the right length."""
-    return abs(_self_product(model, x) - model.curvature)
+    return abs(_product(model, x, x) - model.curvature)
 
 
 def _require_on_manifold(model: Model, x, tols: Tolerances, what: str) -> np.ndarray:
@@ -216,10 +204,9 @@ def distance(model: Model, p, q, tols: Tolerances = DEFAULT_TOLS) -> float:
     """
     pv = _require_on_manifold(model, p, tols, "p")
     qv = _require_on_manifold(model, q, tols, "q")
-    sig = model.signature
     chord, cochord = pv - qv, pv + qv
-    s2 = float((chord * sig) @ chord) / 4.0
-    c2 = model.curvature * float((cochord * sig) @ cochord) / 4.0
+    s2 = _product(model, chord, chord) / 4.0
+    c2 = model.curvature * _product(model, cochord, cochord) / 4.0
     return 2.0 * _angle(model, s2, c2)
 
 
@@ -230,25 +217,25 @@ def normalize_to_manifold(model: Model, v) -> np.ndarray:
     (upper sheet).  Raises NotNormalizable unless q = curvature * <v,v> is
     finite, normal (>= 2^-1022, so sqrt q keeps its relative precision)
     and, in H^n, above gamma_m * sum(v_i^2), gamma_m = m u / (1 - m u) for
-    unit roundoff u and m = ambient_dim: the rounding bound of the m-term
-    sum that computes <v,v> (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 3).  A refusal signals a space-like, light-like or zero
-    v upstream (a degenerate or undefined projection), or one too large or
-    too small for float64.
+    unit roundoff u and m = ambient_dim: the rounding bound of the in-order
+    m-term sum by which ``_product`` computes <v,v> (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3).  A refusal signals a
+    space-like, light-like or zero v upstream (a degenerate or undefined
+    projection), or one too large or too small for float64.
     """
     vv = _as_vector(model, v)
-    q = model.curvature * _self_product(model, vv)
+    q = model.curvature * _product(model, vv, vv)
     if not 2.0**-1022 <= q < math.inf:
         raise NotNormalizable(
             f"curvature*<v,v> = {q!r} is not a finite positive normal float; "
             f"cannot normalize onto {model.name} manifold"
         )
     if model.curvature == -1:
-        # a q within gamma_m <v,v>_E, the rounding bound of the sum that
-        # made it, is residue of a light-like v, not a length.  In H^n
-        # <v,v>_E = 2 v_1^2 - q, so q <= gamma_m <v,v>_E reads as below,
-        # which stays finite wherever q is; in S^n <v,v>_E is q itself and
-        # the bound never binds.
+        # _product sums <v,v> in index order, so q is within gamma_m <v,v>_E
+        # of the exact value: a q inside that bound is residue of a
+        # light-like v, not a length.  In H^n <v,v>_E = 2 v_1^2 - q, so
+        # q <= gamma_m <v,v>_E reads as below, which stays finite wherever
+        # q is; in S^n <v,v>_E is q itself and the bound never binds.
         m = model.ambient_dim
         gamma = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
         x1 = float(vv[0])

@@ -82,8 +82,6 @@ class ProjectionResult:
 class _FacePlan:
     """What every query on one face shares, independent of the point; arrays read-only."""
 
-    face0: np.ndarray          # 0-based face positions
-    comp0: np.ndarray          # 0-based complement positions
     face_pts: np.ndarray       # vertices[face0]
     frame: np.ndarray          # (2b, n+1): F_sig over M_F^-1 F_sig, F_sig = vertices[face0] * signature
     comp_pts_sig: np.ndarray   # vertices[comp0] * signature
@@ -110,8 +108,6 @@ def _face_plan(simplex: Simplex, face: Sequence[int]) -> _FacePlan:
         face_pts = simplex.vertices[face0]
         face_sig = face_pts * sig
         plan = _FacePlan(
-            _frozen(face0),
-            _frozen(comp0),
             _frozen(face_pts),
             _frozen(np.concatenate((face_sig, np.linalg.solve(simplex.edge_matrix[face0][:, face0], face_sig)))),
             _frozen(simplex.vertices[comp0] * sig),

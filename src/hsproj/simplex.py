@@ -10,11 +10,11 @@ its metric data:
 where e_i is the unit vector orthogonal to every vertex except p_i, signed
 so that <e_i, p_i> < 0 (outward).  M and G are mutually inverse up to the
 diagonal scaling T = diag(sqrt|M_ii / det M|).  Production reads M, the
-normals and T, so a ``Simplex`` stores those and det M, with T from the
-normal solve; G and det G, read only by the identities, are built on
-first use.  The paper's minors, Schur blocks and inverse identities are
-the independent routes to the same numbers; they live in ``crosscheck``,
-which nothing in the production path imports.
+normals and T, so a ``Simplex`` stores those, with T from the normal
+solve; det M, G and det G, read only by the cross-checks and the CLI's
+reports, are built on first use.  The paper's minors, Schur blocks and
+inverse identities are the independent routes to the same numbers; they
+live in ``crosscheck``, which nothing in the production path imports.
 
 All user-facing indices (vertices, faces, minor row/column sets, block
 splits) are 1-based, matching the mathematical notation; storage is
@@ -52,7 +52,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Simplex:
-    """Validated n-simplex: stored vertices, M, normals, T and det M; lazy G, det G.
+    """Validated n-simplex: stored vertices, M, normals and T; lazy det M, G, det G.
 
     Immutable (arrays are read-only); build via :func:`build_simplex`.
     """
@@ -62,7 +62,6 @@ class Simplex:
     edge_matrix: np.ndarray   # M, symmetric, diagonal = curvature
     normals: np.ndarray       # rows e_1 .. e_{n+1}
     scaling: np.ndarray       # diagonal of T; <e_i, p_i> = -1 / T_i
-    edge_det: float           # det M
 
     @property
     def n(self) -> int:
@@ -71,6 +70,11 @@ class Simplex:
     @property
     def vertex_count(self) -> int:
         return self.model.ambient_dim
+
+    @cached_property
+    def edge_det(self) -> float:
+        """det M."""
+        return float(np.linalg.det(self.edge_matrix))
 
     @cached_property
     def gram_matrix(self) -> np.ndarray:
@@ -122,7 +126,6 @@ def build_simplex(
     sv = np.linalg.svd(M, compute_uv=False)
     if _singular(sv, tols):
         raise DegenerateSimplex(f"edge matrix is singular (sigma_min/sigma_max = {sv[-1] / sv[0]:.3e})")
-    det_m = float(np.linalg.det(M))
     if model.curvature == -1:
         off = M[~np.eye(m, dtype=bool)]
         if off.max() >= -1.0:
@@ -143,7 +146,7 @@ def build_simplex(
     T = np.sqrt(sq)
     E = -(U / T).T
 
-    return Simplex(model, _frozen(P.copy()), _frozen(M), _frozen(E), _frozen(T), det_m)
+    return Simplex(model, _frozen(P.copy()), _frozen(M), _frozen(E), _frozen(T))
 
 
 def _index_positions(

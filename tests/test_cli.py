@@ -139,9 +139,10 @@ def test_project_takes_each_determinant_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "det", counted)
     code, report, _ = run_json(capsys, "project", path, "--face", "1,3", f"--point={point}")
     assert code == 0 and report["status"] == "ok"
-    # det M at the build, det M[face,face], then the table of bordered minors,
-    # whose diagonal is the report's and whose ratios give distance_paths
-    assert calls == [(5, 5), (2, 2), (3, 3, 3, 3)]
+    # det M[face,face], then the table of bordered minors, whose diagonal is
+    # the report's and whose ratios give distance_paths, then det M on its
+    # first read, for the minors' sign
+    assert calls == [(2, 2), (3, 3, 3, 3), (5, 5)]
 
 
 def test_project_with_oracle_check(tmp_path, capsys):

@@ -73,14 +73,15 @@ def test_production_modules_hold_no_crosscheck(name):
 @pytest.mark.parametrize("name", ["hyperbolic", "spherical"])
 def test_production_takes_no_determinant(name, monkeypatch):
     model = model_named(name, 5)
-    s = build_simplex(model, random_simplex(model, 4, seed=11).vertices)
+    vertices = random_simplex(model, 4, seed=11).vertices
     p = random_point(model, 12)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a production route took a determinant")
 
-    # building takes det M; nothing after it may
+    # neither the build nor any route after it takes one
     monkeypatch.setattr(np.linalg, "det", forbidden)
+    s = build_simplex(model, vertices)
     assert np.all(s.scaling > 0)
     project_to_face(s, (1, 3), p)
     distance_to_face(s, (1, 3), p)

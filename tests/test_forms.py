@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ def test_normalize_examples():
     assert_allclose(normalize_to_manifold(S3, (3.0, 4.0, 0.0)), [0.6, 0.8, 0.0], atol=1e-15)
     assert_allclose(normalize_to_manifold(Model.hyperbolic(2), (-2.0, 0.0)), [1.0, 0.0], atol=1e-15)
     assert_allclose(normalize_to_manifold(Model.hyperbolic(2), (COSH1, 0.0)), [1.0, 0.0], atol=1e-15)
-    # <v,v> = 2e302 is still finite, so the overflow guard must not refuse it
+    # <v,v> = 2e302 is still finite, so it is a length like any other
     assert_allclose(normalize_to_manifold(S3, (1e151, 1e151, 0.0)), [2**-0.5, 2**-0.5, 0.0])
 
 
@@ -185,20 +186,78 @@ def test_inner_overflows_without_a_warning(model_name, big):
         assert square == model.curvature * math.inf and math.isnan(crossed)
     else:
         assert square == model.curvature * math.inf and crossed == 0.0
-    # the largest coordinates that skip the guard still give the plain product
+    # coordinates whose squares stay finite give the plain product
     assert inner(model, (0.0, 1e150, 0.0), (0.0, 1e150, 0.0)) == 1e150 * 1e150
 
 
 @pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
 def test_inner_and_self_product_agree_bit_for_bit(model_name):
-    # inner and the membership rule's <x,x> read one guarded product
+    # inner and the membership rule's <x,x> read one product
     rng = np.random.default_rng(31)
     cases = [(model_named(model_name, 3), np.array(x, dtype=float)) for x in OVERFLOWING]
     for m in range(2, 12):
         model = model_named(model_name, m)
         cases += [(model, rng.normal(size=m) * 10.0 ** rng.uniform(-3.0, 3.0)) for _ in range(40)]
     for model, x in cases:
-        assert np.float64(inner(model, x, x)).tobytes() == np.float64(forms._self_product(model, x)).tobytes()
+        assert np.float64(inner(model, x, x)).tobytes() == np.float64(forms._product(model, x, x)).tobytes()
+
+
+def _product_pairs(model_name, seed):
+    """Random pairs for m = 2..11, each vector with its own scale, plus OVERFLOWING."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    model = model_named(model_name, 3)
+    for x in OVERFLOWING:
+        x = np.array(x, dtype=float)
+        pairs += [(model, x, x), (model, x, np.array([1.0, 2.0, 3.0]))]
+    for m in range(2, 12):
+        model = model_named(model_name, m)
+        for _ in range(40):
+            x, y = (rng.normal(size=m) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(2))
+            pairs += [(model, x, y), (model, x, x)]
+    return pairs
+
+
+@pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
+def test_product_is_the_in_order_float_sum(model_name):
+    # x_1 s_1 y_1 + x_2 s_2 y_2 + ..., left to right, one rounding per step
+    for model, x, y in _product_pairs(model_name, 37):
+        expected = 0.0
+        for i in range(model.ambient_dim):
+            expected = expected + float(x[i]) * float(model.signature[i]) * float(y[i])
+        assert forms._product(model, x, y).hex() == expected.hex()
+
+
+def _near_light_cone(m, rng):
+    """A time-like vector of H^(m-1) whose <x,x> cancels to a relative 1e-12..1e-4 of x_1^2."""
+    direction = rng.normal(size=m - 1)
+    x = np.empty(m)
+    x[1:] = direction / np.linalg.norm(direction)
+    x[0] = 1.0 + 10.0 ** rng.uniform(-12.0, -4.0)
+    return x * 10.0 ** rng.uniform(-3.0, 8.0)
+
+
+@pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])
+def test_product_error_is_within_gamma_m(model_name):
+    # |<x,y> - exact| <= gamma_m sum |x_i y_i|, gamma_m = m u / (1 - m u): the
+    # bound normalize_to_manifold's light-cone refusal reads
+    rng = np.random.default_rng(41)
+    u = Fraction(1, 2**53)
+    pairs = [pair for pair in _product_pairs(model_name, 43) if math.isfinite(forms._product(*pair))]
+    if model_name == "hyperbolic":
+        for m in range(2, 12):
+            for _ in range(40):
+                x = _near_light_cone(m, rng)
+                pairs += [(Model.hyperbolic(m), x, x), (Model.hyperbolic(m), x, _near_light_cone(m, rng))]
+    erred = 0
+    for model, x, y in pairs:
+        m = model.ambient_dim
+        sig = model.signature.tolist()
+        terms = [Fraction(a) * int(s) * Fraction(b) for a, s, b in zip(x.tolist(), sig, y.tolist())]
+        error = abs(Fraction(forms._product(model, x, y)) - sum(terms))
+        assert error <= m * u / (1 - m * u) * sum(abs(t) for t in terms)
+        erred += error > 0
+    assert erred > len(pairs) // 4
 
 
 @pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])

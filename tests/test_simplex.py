@@ -144,8 +144,10 @@ def test_build_takes_one_determinant_and_keeps_it(name, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "det", spy)
     s = build_simplex(model, vertices)
-    # the floor check's det M is the stored one: reading it takes no second
-    assert s.edge_det == dets[0]
+    assert dets == []
+    # det M is built on its first read, and kept
+    assert s.edge_det.hex() == float(real(s.edge_matrix)).hex()
+    assert s.edge_det is s.edge_det
     assert len(dets) == 1
 
 
