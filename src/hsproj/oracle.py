@@ -14,8 +14,10 @@ the refinement scores each step delta at the affine pre-point
 same order on Python floats (the tests hold it to the batch bit for
 bit).  Derivative-free on purpose: the score is +inf wherever a
 candidate is not normalizable.  The Nelder-Mead is this module's own
-``_nelder_mead``, a bit-identical port on Python floats of the branch of
-scipy's that the refinement uses, so the package needs numpy alone (and
+``_nelder_mead``, a port on Python floats of the branch of scipy's that
+the refinement uses; it hands the objective the same points in the same
+order, bit for bit, but inserts the one vertex a step replaces where
+scipy re-sorts all of them.  So the package needs numpy alone (and
 ``import hsproj`` loads no scipy).
 
 The score of a candidate is its squared chord <p - v, p - v>, computed
@@ -40,6 +42,7 @@ simplices and points it is checked on come from ``generators``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,29 +130,34 @@ def _nelder_mead(fun, sim: np.ndarray) -> tuple[np.ndarray, float]:
     contraction 1/2, shrink 1/2; stops when every vertex lies within
     CONVERGENCE_TOL of the best one and every value within
     CONVERGENCE_TOL * 1e-5 of its value, or after 200 N - 1 steps.  The
-    arithmetic, its order and the argsort after every step are those of
-    scipy's ``minimize(method="Nelder-Mead")`` at its default ``maxiter``
-    (200 N), ``xatol=CONVERGENCE_TOL`` and ``fatol=CONVERGENCE_TOL * 1e-5``,
-    so the iterates are bit-identical to it (``tests/test_oracle.py`` checks).
+    arithmetic, its order and the vertex order are those of scipy's
+    ``minimize(method="Nelder-Mead")`` at its default ``maxiter`` (200 N),
+    ``xatol=CONVERGENCE_TOL`` and ``fatol=CONVERGENCE_TOL * 1e-5``, so ``fun``
+    sees the same points in the same order (``tests/test_oracle.py`` checks).
 
     The simplex is held as lists of Python floats, since numpy's per-call
     cost dwarfs the arithmetic on a few coordinates: the centroid is the
     sequential row sum over N, as ``np.add.reduce`` forms it, and ``fun``
-    receives a list.  The order still comes from numpy's argsort, as in
-    scipy: it may order tied values (e.g. several inf vertices) unlike a
-    stable sort.  ``sim`` is not modified.
+    receives a list.  Where scipy argsorts after every step, a step that
+    moves only the worst vertex inserts it by bisection: N + 1 distinct
+    values without NaN have one sorting permutation, which any sort returns.
+    Only ties (several inf vertices, 0.0 and -0.0) and NaN reach numpy's
+    argsort, which may order them unlike a stable sort.  ``sim`` is not modified.
     """
     n = sim.shape[1]
     sim = sim.tolist()
     fsim = [fun(x) for x in sim]
 
     def ordered(sim, fsim):
-        order = np.array(fsim).argsort().tolist()
-        return [sim[k] for k in order], [fsim[k] for k in order]
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        strict = all(fsim[a] < fsim[b] for a, b in zip(order, order[1:]))
+        if not strict:  # a tie or a NaN: numpy's order, as in scipy
+            order = np.array(fsim).argsort().tolist()
+        return [sim[k] for k in order], [fsim[k] for k in order], strict
 
     # scipy sorts twice before its first step: the order of tied values
     # (e.g. several inf vertices) may depend on it
-    sim, fsim = ordered(*ordered(sim, fsim))
+    sim, fsim, strict = ordered(*ordered(sim, fsim)[:2])
     for _ in range(200 * n - 1):
         best, fbest = sim[0], fsim[0]
         # all(), not max(): a NaN difference fails the test, as under np.max
@@ -189,7 +197,13 @@ def _nelder_mead(fun, sim: np.ndarray) -> tuple[np.ndarray, float]:
                 for j in range(1, n + 1):
                     sim[j] = [a + 0.5 * (b - a) for a, b in zip(best, sim[j])]
                     fsim[j] = fun(sim[j])
-        sim, fsim = ordered(sim, fsim)
+                strict = False  # N vertices moved: sort them all
+        k = bisect_left(fsim, fsim[-1], 0, n)
+        if strict and (k == n or fsim[-1] < fsim[k]):  # the new value ties none and is no NaN
+            sim.insert(k, sim.pop())
+            fsim.insert(k, fsim.pop())
+        else:
+            sim, fsim, strict = ordered(sim, fsim)
     return np.array(sim[0]), float(np.min(fsim))
 
 
@@ -228,14 +242,10 @@ def oracle_project(
     # numpy product (a Python sum rounds otherwise and would move the
     # iterates); only its score runs on floats
     if d > 1:
-        point, sig = pv.tolist(), model.signature.tolist()
+        point, sig, curvature, dot = pv.tolist(), model.signature.tolist(), model.curvature, np.dot
 
         def objective_at(origin, steps):
-            def g(delta):
-                v = origin + np.asarray(delta) @ steps
-                return _score_row(v.tolist(), point, sig, model.curvature)
-
-            return g
+            return lambda delta: _score_row((origin + dot(delta, steps)).tolist(), point, sig, curvature)
 
         for h in (FIRST_REFINE_STEP, 1e-3, 1e-6):
             basis = _tangent_basis(mu)

@@ -328,6 +328,89 @@ def test_nelder_mead_is_bit_identical_to_scipy_where_objective_is_inf(monkeypatc
     assert _bits(f) == _bits(ref_f)
 
 
+def _evaluations(nelder_mead, fun, sim):
+    """The bytes of every point ``nelder_mead`` hands ``fun``, in call order."""
+    log = []
+
+    def logged(x):
+        log.append(_bits(x))
+        return fun(x)
+
+    nelder_mead(logged, sim)
+    return log
+
+
+def _plateau(x):
+    # integer levels: most values tie
+    return float(math.floor(4 * sum(abs(a) for a in x)))
+
+
+def _walled_bowl(x):
+    # a quadratic with an inf half-space, x_0 >= 0.5
+    return math.inf if x[0] >= 0.5 else sum((a - 0.3) ** 2 for a in x)
+
+
+def _bowl(x):
+    # strictly convex, minimum 0 at an irrational point
+    return sum((k + 1) * (a - math.sqrt(k + 2)) ** 2 for k, a in enumerate(x))
+
+
+def _toy_simplices(x0):
+    """Initial simplices x0 + h e_i for N 1, 2, 3, 5 and three steps h."""
+    for n in (1, 2, 3, 5):
+        for h in (0.5, 0.1, -0.2):
+            yield np.vstack([np.zeros(n), h * np.eye(n)]) + x0(n)
+
+
+def _cases(name, monkeypatch):
+    if name == "restarts":
+        return _oracle_restarts(monkeypatch)
+    if name == "plateau":
+        return [(_plateau, sim) for sim in _toy_simplices(lambda n: np.linspace(0.3, 0.9, n))]
+    # every simplex starts on the wall, and some with several inf vertices
+    cases = [(_walled_bowl, sim) for sim in _toy_simplices(lambda n: np.full(n, 0.6))]
+    walled = [sum(map(math.isinf, map(_walled_bowl, sim))) for _, sim in cases]
+    assert min(walled) >= 1 and max(walled) > 1
+    return cases
+
+
+@pytest.mark.parametrize("name", ["restarts", "plateau", "inf_region"])
+def test_nelder_mead_evaluations_are_bit_identical_to_scipy(monkeypatch, name):
+    # call for call: the same points, bit for bit, in the same order
+    pytest.importorskip("scipy.optimize")
+    for fun, sim in _cases(name, monkeypatch):
+        log = _evaluations(_nelder_mead, fun, sim)
+        with np.errstate(invalid="ignore"):  # scipy's inf - inf where every vertex is on the wall
+            assert log == _evaluations(_scipy_nelder_mead, fun, sim)
+        assert len(log) > 2 * len(sim)
+
+
+def test_nelder_mead_leaves_only_ties_to_numpy_argsort(monkeypatch):
+    # an argsort counted wherever _nelder_mead asks numpy for one: distinct
+    # values are ordered by insertion and Python's sort, ties by numpy
+    calls = []
+
+    class Counted(np.ndarray):
+        def argsort(self, *args, **kwargs):
+            calls.append(self.size)
+            return np.asarray(self).argsort(*args, **kwargs)
+
+    class NumpySpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def array(self, *args, **kwargs):
+            return np.array(*args, **kwargs).view(Counted)
+
+    monkeypatch.setattr(oracle, "np", NumpySpy())
+    for sim in _toy_simplices(lambda n: np.zeros(n)):
+        _nelder_mead(_bowl, sim)
+    assert calls == []
+    for sim in _toy_simplices(lambda n: np.linspace(0.3, 0.9, n)):
+        _nelder_mead(_plateau, sim)
+    assert len(calls) > 100
+
+
 def test_import_loads_no_scipy():
     # the closed forms and the oracle need numpy alone; scipy would cost
     # most of a cold `import hsproj` and of every CLI call
