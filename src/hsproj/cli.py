@@ -75,10 +75,6 @@ def _build(doc: SimplexDocument, tols: Tolerances) -> Simplex:
     return build_simplex(doc.to_model(), doc.vertex_array(), tols)
 
 
-def _vec(a) -> list[float]:
-    return [float(x) for x in np.asarray(a).ravel()]
-
-
 def _echo_inputs(doc: SimplexDocument, **extra) -> dict:
     inputs = doc.as_dict()
     inputs.update({k: v for k, v in extra.items() if v is not None})
@@ -116,20 +112,21 @@ def _projection_block(simplex: Simplex, face, p, result, tols: Tolerances) -> tu
     face0, comp0 = face_complement(simplex, face)
     face_minor, bordered, minors_distance = _projection_minors(simplex, face0, comp0, p, tols)
     results = {
-        "foot": _vec(result.foot),
+        "foot": result.foot,
         "distance": result.distance,
-        "lambda": {str(k): v for k, v in sorted(result.lambdas.items())},
-        "pre_foot": _vec(result.pre_foot),
+        "lambda": result.lambdas,
         "minors": {
             "det_edge_matrix": simplex.edge_det,
             "face_minor": face_minor,
             "bordered_diagonal": dict(zip(map(str, (comp0 + 1).tolist()), bordered.tolist())),
         },
     }
-    r = (p - result.pre_foot) * simplex.model.signature
+    model = simplex.model
+    s = math.cosh if model.curvature == -1 else math.cos  # the reported p. = s(d) foot
+    r = (p - s(result.distance) * result.foot) * model.signature
     ortho = max(abs(float(r @ simplex.vertices[i])) for i in face0)
     residuals = {
-        "foot_manifold": _membership_residual(simplex.model, result.foot),
+        "foot_manifold": _membership_residual(model, result.foot),
         "orthogonality": ortho,
         "distance_paths": abs(result.distance - minors_distance),
     }
@@ -153,7 +150,7 @@ def cmd_project(args, tols: Tolerances) -> dict:
     report["results"], report["residuals"] = _projection_block(simplex, args.face, p, result, tols)
     if args.check:
         oracle = oracle_project(simplex, args.face, p, OracleOptions(seed=args.seed), tols)
-        report["results"]["oracle"] = {"foot": _vec(oracle.foot), "distance": oracle.distance}
+        report["results"]["oracle"] = {"foot": oracle.foot, "distance": oracle.distance}
         dist_dev, foot_dev = _oracle_deviation(simplex, result, oracle, tols)
         report["residuals"].update(oracle_distance_deviation=dist_dev, oracle_foot_deviation=foot_dev)
     return report
@@ -179,7 +176,7 @@ def cmd_altitudes(args, tols: Tolerances) -> dict:
         except ProjectionUndefined:
             entry.update(distance=altitude(simplex, face, j, tols), foot_undefined=True)
         else:
-            entry.update(distance=foot.distance, foot=_vec(foot.foot), foot_undefined=False)
+            entry.update(distance=foot.distance, foot=foot.foot, foot_undefined=False)
         rows.append(entry)
     report["results"]["altitudes"] = rows
     return report

@@ -193,16 +193,20 @@ def _gate(svals: list[float], tols: Tolerances, elim_rows: tuple[int, ...]) -> N
         raise SingularBlock(f"eliminated block {elim_rows} is singular")
 
 
-def _schur_stack(stack: np.ndarray, elim: slice, keep: slice) -> list[np.ndarray]:
+def _schur_stack(stack: np.ndarray, elim: slice, keep: slice, elim_rows: tuple[int, ...]) -> list[np.ndarray]:
     """D - C A^-1 B of every matrix in ``stack``, A its [elim, elim] block and D its [keep, keep].
 
-    One stacked solve; the caller gates A first.  Stacked solve and SVD run
-    one LAPACK call per matrix, so each matrix gets the bits of its own call.
-    C X is one 2-D matmul per matrix, the product a single Schur call forms;
-    a stacked matmul gave the same bits on numpy 2.4, but nothing pins that
-    on other builds.
+    One stacked solve; the caller gates A first, and an A that passes a
+    lowered gate but not the solve raises SingularBlock naming
+    ``elim_rows``.  Stacked solve and SVD run one LAPACK call per matrix, so
+    each matrix gets the bits of its own call.  C X is one 2-D matmul per
+    matrix, the product a single Schur call forms; a stacked matmul gave the
+    same bits on numpy 2.4, but nothing pins that on other builds.
     """
-    x = np.linalg.solve(stack[:, elim, elim], stack[:, elim, keep])
+    try:
+        x = np.linalg.solve(stack[:, elim, elim], stack[:, elim, keep])
+    except np.linalg.LinAlgError:
+        raise SingularBlock(f"eliminated block {elim_rows} is singular") from None
     return [d - c @ xi for d, c, xi in zip(stack[:, keep, keep], stack[:, keep, elim], x)]
 
 
@@ -219,8 +223,9 @@ def schur_complement(matrix, retained: Sequence[int], tols: Tolerances = DEFAULT
         stack = A.take(order, axis=0).take(order, axis=1)[None]
         front, back = slice(0, elim.size), slice(elim.size, None)
         (svals,) = _singular_values(stack, front)
-        _gate(svals, tols, tuple((elim + 1).tolist()))
-        return _schur_stack(stack, front, back)[0]
+        elim_rows = tuple((elim + 1).tolist())
+        _gate(svals, tols, elim_rows)
+        return _schur_stack(stack, front, back, elim_rows)[0]
 
     return _schur_block(matrix, retained, eliminate)
 
@@ -265,8 +270,8 @@ def _split_residuals(simplex: Simplex, split: int, tols: Tolerances) -> tuple[di
     for sv_trail, sv_lead in zip(svals_trail, svals_lead):
         _gate(sv_trail, tols, trail_rows)
         _gate(sv_lead, tols, lead_rows)
-    g_lead, m_lead = _schur_stack(stack, trail, lead)
-    g_trail, m_trail = _schur_stack(stack, lead, trail)
+    g_lead, m_lead = _schur_stack(stack, trail, lead, trail_rows)
+    g_trail, m_trail = _schur_stack(stack, lead, trail, lead_rows)
     t = simplex.scaling
 
     def residual(block_of, idx, s):

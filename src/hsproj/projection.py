@@ -49,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadFace, DomainError, ProjectionUndefined
+from .errors import BadFace, DegenerateSimplex, DomainError, ProjectionUndefined
 from .forms import DEFAULT_TOLS, Model, Tolerances, _angle, _require_on_manifold, normalize_to_manifold
 from .simplex import Simplex, _face_arrays, _frozen, _index_positions
 
@@ -68,14 +68,13 @@ class ProjectionResult:
     """Foot of the perpendicular, its distance, and the normal coefficients.
 
     ``lambdas`` maps each complement vertex index (1-based) to the
-    coefficient of its facet normal in pre_foot - p; ``pre_foot`` is the
-    unnormalized projection (the point called p-dot in the derivation).
+    coefficient of its facet normal in p. - p, where p. = s(distance) foot,
+    s = cosh in H^n and cos in S^n, is the unnormalized projection (p-dot).
     """
 
     foot: np.ndarray
     distance: float
     lambdas: dict[int, float]
-    pre_foot: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,23 +96,30 @@ def _face_plan(simplex: Simplex, face: Sequence[int]) -> _FacePlan:
     reaches a plan, and the plan is looked up by the validated positions:
     ``(1, 3)`` and ``(np.int64(1), np.int64(3))`` share one.  At most one
     plan per distinct face, 2^(n+1) - 2 in all; the function stays pure,
-    and a concurrent first use can at worst build the same plan twice.
+    and a concurrent first use can at worst build the same plan twice.  A
+    face block that passes a lowered ``degenerate`` floor but not the solve
+    raises DegenerateSimplex and leaves no plan.
     """
     m = simplex.vertex_count
     key = tuple(_index_positions(face, m, BadFace, "face"))
     plan = simplex._face_plans.get(key)
     if plan is None:
         face0, comp0 = _face_arrays(m, key)
+        label = f"face {tuple((face0 + 1).tolist())}"
         sig = simplex.model.signature
         face_pts = simplex.vertices[face0]
         face_sig = face_pts * sig
+        try:
+            solved = np.linalg.solve(simplex.edge_matrix[face0][:, face0], face_sig)
+        except np.linalg.LinAlgError:
+            raise DegenerateSimplex(f"edge-matrix block of the {label} is singular") from None
         plan = _FacePlan(
             _frozen(face_pts),
-            _frozen(np.concatenate((face_sig, np.linalg.solve(simplex.edge_matrix[face0][:, face0], face_sig)))),
+            _frozen(np.concatenate((face_sig, solved))),
             _frozen(simplex.vertices[comp0] * sig),
             _frozen(-simplex.scaling[comp0]),
             tuple((comp0 + 1).tolist()),
-            f"face {tuple((face0 + 1).tolist())}",
+            label,
         )
         simplex._face_plans[key] = plan
     return plan
@@ -167,8 +173,7 @@ def _finish(
         raise ProjectionUndefined(
             f"{what}: point is at distance pi/2 from the plane; the foot is not unique"
         )
-    foot = normalize_to_manifold(model, pre_foot)
-    return ProjectionResult(foot, _distance(model, s2, c2, tols), lambdas, pre_foot)
+    return ProjectionResult(normalize_to_manifold(model, pre_foot), _distance(model, s2, c2, tols), lambdas)
 
 
 def _project(simplex: Simplex, plan: _FacePlan, pv: np.ndarray, tols: Tolerances, what: str) -> ProjectionResult:

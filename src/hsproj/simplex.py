@@ -109,7 +109,8 @@ def build_simplex(
 
     Raises OffManifold / WrongSheet for bad points, DimensionMismatch for a
     wrong vertex count or coordinate length, and DegenerateSimplex when the
-    edge matrix is singular by ``_singular`` (linearly dependent vertices).
+    edge matrix is singular by ``_singular`` (linearly dependent vertices),
+    or, under a floor low enough to pass that, when the normal solve fails.
     """
     P = np.asarray(vertices, dtype=float)
     m = model.ambient_dim
@@ -139,7 +140,10 @@ def build_simplex(
     # e_i = -u_i / T_i is unit, orthogonal to the other vertices and pairs
     # with p_i as -1 / T_i.  T_i^2 is 1/sinh^2 (H^n) or 1/sin^2 (S^n) of p_i's
     # facet altitude, never near 0, so no slack: only its sign (and NaN) fail.
-    U = np.linalg.solve(P * sig, np.eye(m))
+    try:
+        U = np.linalg.solve(P * sig, np.eye(m))
+    except np.linalg.LinAlgError:
+        raise DegenerateSimplex("vertex matrix is singular; the normal solve failed") from None
     sq = np.einsum("ji,j,ji->i", U, sig, U)
     if not np.all(sq > 0.0):
         raise DegenerateSimplex("facet normal is not space-like; simplex is degenerate")

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hsproj import Model, ProjectionUndefined, build_simplex, cli, project_to_face
-from hsproj import crosscheck
+from hsproj import crosscheck, projection
 from hsproj.cli import main
 from hsproj.generators import random_point, random_simplex
 
@@ -63,6 +63,16 @@ def test_validate_duplicate_vertex_fails(tmp_path, capsys):
     assert report["status"] == "DegenerateSimplex"
 
 
+@pytest.mark.parametrize("tol", ["1e-320", "1e-290", "1e-7"])
+def test_validate_duplicate_vertex_fails_under_a_lowered_floor(tmp_path, capsys, tol):
+    # degenerate floors 0.0 (1e-10 * 1e-320 underflows), 1e-300 and 1e-17:
+    # the repeated vertex passes the gate, and the failed solve is still typed
+    doc = {"model": "spherical", "vertices": [[1, 0, 0], [1, 0, 0], [0, 0, 1]]}
+    code, report, _ = run_json(capsys, "validate", write_doc(tmp_path, doc), "--tol", tol)
+    assert code == 1
+    assert report["status"] == "DegenerateSimplex"
+
+
 def test_validate_off_manifold_by_1e3(tmp_path, capsys):
     doc = {"model": "spherical", "vertices": [[1, 0, 0.001], [0, 1, 0], [0, 0, 1]]}
     code, report, _ = run_json(capsys, "validate", write_doc(tmp_path, doc))
@@ -90,6 +100,12 @@ def test_usage_error_is_exit_2(tmp_path, capsys):
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "argument --seed" in err
+    for argv, message in (
+        (["project", path, "--face", "1,x", "--point", "1,0,0"], "argument --face: expected comma-separated integers"),
+        (["project", path, "--face", "1,2", "--point", "1,a,0"], "argument --point: expected comma-separated numbers"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and message in err
 
 
 # ------------------------------------------------------------------- project
@@ -109,6 +125,19 @@ def test_project_octant(tmp_path, capsys):
     assert report["residuals"]["foot_manifold"] <= 1e-12
     assert report["residuals"]["orthogonality"] <= 1e-12
     assert report["residuals"]["distance_paths"] <= 1e-12
+
+
+@pytest.mark.parametrize("doc, point", [
+    (OCTANT, "0.57735026918962576,0.57735026918962576,0.57735026918962576"),
+    (TRIANGLE, f"{COSH1},0,{SINH1}"),
+], ids=["octant", "hyperbolic_triangle"])
+def test_project_residuals_read_the_reported_foot(tmp_path, capsys, monkeypatch, doc, point):
+    # the foot negated after normalization: the antipode in S^n, the lower sheet in H^n
+    normalize = projection.normalize_to_manifold
+    monkeypatch.setattr(projection, "normalize_to_manifold", lambda *args: -normalize(*args))
+    code, report, _ = run_json(capsys, "project", write_doc(tmp_path, doc), "--face", "1,2", "--point", point)
+    assert code == 0
+    assert report["residuals"]["orthogonality"] >= 1
 
 
 def test_project_minors_match_one_det_per_minor(tmp_path, capsys):
@@ -197,7 +226,7 @@ def test_report_roundtrip_is_bit_identical(tmp_path, capsys):
     # floats echo back as floats, integral ones (1.0, 0.0) included
     echoed = [x for row in inputs["vertices"] for x in row] + inputs["point"]
     results = report["results"]
-    produced = results["foot"] + results["pre_foot"] + list(results["lambda"].values())
+    produced = results["foot"] + list(results["lambda"].values())
     produced += [results["distance"], results["minors"]["det_edge_matrix"]]
     assert all(type(x) is float for x in echoed + produced)
 

@@ -139,10 +139,15 @@ def test_normalize_rejects_bad_vectors():
 
 @pytest.mark.parametrize("sheet", [1.0, -1.0])
 def test_normalize_rejects_light_like_rounding_residue(sheet):
-    # <v,v> = -1.0e-8 is what is left of two 1.5e8 squares that cancel:
-    # a normal float, yet within the rounding bound of the sum
-    with pytest.raises(NotNormalizable):
-        normalize_to_manifold(H3, (sheet * 12345.678, sheet * 12345.678, 0.0))
+    a = 12345.678
+    # two equal 1.5e8 squares cancel exactly: <v,v> = -0.0, below the
+    # smallest normal float
+    with pytest.raises(NotNormalizable, match="normal float"):
+        normalize_to_manifold(H3, (sheet * a, sheet * a, 0.0))
+    # one ulp apart they leave -<v,v> = 5.96e-8: a normal float, yet inside
+    # the rounding bound 2 gamma_3 a^2 ~ 1.0e-7 of the sum, so light-like
+    with pytest.raises(NotNormalizable, match="light-like"):
+        normalize_to_manifold(H3, (sheet * a, sheet * math.nextafter(a, 0.0), 0.0))
     # a time-like vector of the same size range still normalizes, onto the
     # upper sheet; <v,v> = -9 carries a relative error up to gamma_3 cosh 16 ~ 1.5e-9
     x = normalize_to_manifold(H3, (sheet * 3 * math.cosh(8.0), sheet * 3 * math.sinh(8.0), 0.0))

@@ -78,10 +78,14 @@ ENTRIES = {
     ),
 }
 
-BAD = ("1.5", "3.0", "True", "np.True_", "str", "below", "above", "duplicate", "decreasing")
+BAD = ("1.5", "3.0", "True", "np.True_", "str", "below", "above", "duplicate", "decreasing", "non-sequence")
+# a bare integer is a bad set, but what a scalar entry takes
+REFUSALS = [(entry, label) for entry, spec in ENTRIES.items() for label in BAD if spec[1] or label != "non-sequence"]
 
 
 def _bad_argument(label, is_set, lo, hi):
+    if label == "non-sequence":
+        return lo
     value = {
         "1.5": 1.5, "3.0": 3.0, "True": True, "np.True_": np.True_, "str": "1",
         "below": lo - 1, "above": hi + 1, "duplicate": (1, 1), "decreasing": (3, 1),
@@ -91,8 +95,7 @@ def _bad_argument(label, is_set, lo, hi):
     return value
 
 
-@pytest.mark.parametrize("label", BAD)
-@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("entry, label", REFUSALS, ids=[f"{e}-{l}" for e, l in REFUSALS])
 def test_index_rule_refuses_with_typed_error(entry, label):
     error, is_set, lo, hi, _, call = ENTRIES[entry]
     with pytest.raises(error):

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from hsproj import (
     DEFAULT_TOLS,
     BadFace,
+    DegenerateSimplex,
     DimensionMismatch,
     DomainError,
     Model,
@@ -66,6 +67,11 @@ def _cases(seed0, count, dims=(2, 3, 4, 5, 6)):
     return out
 
 
+def _pre_foot(model, r):
+    """p. = s(d) foot, s = cosh in H^n and cos in S^n: the unnormalized projection."""
+    return (math.cosh(r.distance) if model.curvature == -1 else math.cos(r.distance)) * r.foot
+
+
 # ----------------------------------------------------------- project_to_face
 
 def test_project_vertex_of_face_is_fixed(octant):
@@ -86,7 +92,7 @@ def test_project_octant_diagonal(octant):
 def test_project_hyperbolic_example(hyp_triangle):
     r = project_to_face(hyp_triangle, (1, 2), hyp_triangle.vertices[2])
     assert_allclose(r.foot, [1.0, 0.0, 0.0], rtol=0, atol=1e-12)
-    assert_allclose(r.pre_foot, [COSH1, 0.0, 0.0], rtol=0, atol=1e-12)
+    assert_allclose(_pre_foot(hyp_triangle.model, r), [COSH1, 0.0, 0.0], rtol=0, atol=1e-12)
     assert_allclose(r.distance, 1.0, rtol=0, atol=1e-12)
 
 
@@ -130,8 +136,8 @@ def test_projection_invariants(case):
     _, res, _, _ = np.linalg.lstsq(span, r.foot, rcond=None)
     if res.size:
         assert math.sqrt(res[0]) <= 1e-8
-    # the displacement p - pre_foot lies in the orthogonal complement
-    disp = p - r.pre_foot
+    # the displacement p - s(d) foot lies in the orthogonal complement
+    disp = p - _pre_foot(model, r)
     for i in face:
         assert abs(inner(model, disp, s.vertices[i - 1])) <= 1e-8
     # distance is consistent with the pairing of p and the foot
@@ -264,7 +270,7 @@ def test_vertex_foot_hyperbolic_example(hyp_triangle):
     r = vertex_foot(hyp_triangle, (1, 2), 3)
     assert_allclose(r.foot, [1.0, 0.0, 0.0], atol=1e-12)
     assert r.distance == pytest.approx(1.0, abs=1e-12)
-    assert_allclose(r.pre_foot, [COSH1, 0.0, 0.0], atol=1e-12)
+    assert_allclose(_pre_foot(hyp_triangle.model, r), [COSH1, 0.0, 0.0], atol=1e-12)
 
 
 def test_vertex_foot_validation(octant):
@@ -290,7 +296,8 @@ def test_vertex_foot_matches_general_path(case):
         # of the paper's altitude from the radicand 1 - curvature * m_j^j / m_face
         alt = altitude_by_minors(s, face, j)
         c = math.cosh(alt) if model.curvature == -1 else math.cos(alt)
-        assert inner(model, a.pre_foot, a.pre_foot) == pytest.approx(model.curvature * c * c, abs=1e-9)
+        pre_foot = _pre_foot(model, a)
+        assert inner(model, pre_foot, pre_foot) == pytest.approx(model.curvature * c * c, abs=1e-9)
         # the paper's vertex-specialized coefficients lambda_s = T_s m_j^s / m_face,
         # with the minors T = sqrt|M_ss / det M|, independent of the production T
         paper = vertex_lambdas_by_minors(s, face, j)
@@ -335,7 +342,6 @@ def test_vertex_routes_compute_no_minor(monkeypatch):
             general = project_to_face(s, face, p_j)
             assert foot.distance == general.distance == alt
             assert np.array_equal(foot.foot, general.foot)
-            assert np.array_equal(foot.pre_foot, general.pre_foot)
             assert foot.lambdas == general.lambdas
 
 
@@ -550,7 +556,7 @@ def _outcome(call):
     if isinstance(r, float):
         return r.hex()
     lam = tuple((k, v.hex()) for k, v in r.lambdas.items())
-    return r.foot.tobytes(), r.distance.hex(), lam, r.pre_foot.tobytes()
+    return r.foot.tobytes(), r.distance.hex(), lam
 
 
 def _all_faces(m):
@@ -688,6 +694,25 @@ def test_a_raising_call_raises_the_same_when_repeated(octant):
     assert _outcome(lambda: project_to_face(octant, (1, 2), OCTANT_DIAG)) == _outcome(
         lambda: project_to_face(replace(octant), (1, 2), OCTANT_DIAG)
     )
+
+
+@pytest.mark.parametrize("floor", [0.0, 1e-300, 1e-17])
+def test_a_face_block_the_solve_cannot_factor_is_degenerate_and_never_cached(floor):
+    # vertex 2 at 1e-9 from vertex 1: the simplex passes a floor this low,
+    # but M[(1, 2), (1, 2)] rounds to all ones, so the plan's solve fails
+    tols = Tolerances(degenerate=floor)
+    eps = 1e-9
+    s = build_simplex(Model.spherical(3), [[1, 0, 0], [np.cos(eps), np.sin(eps), 0], [0, 0, 1]], tols)
+    for call in (
+        lambda: project_to_face(s, (1, 2), (0.0, 0.0, 1.0), tols),
+        lambda: distance_to_face(s, (1, 2), (0.0, 0.0, 1.0), tols),
+        lambda: vertex_foot(s, (1, 2), 3, tols),
+        lambda: altitude(s, (1, 2), 3, tols),
+    ):
+        for _ in range(2):
+            with pytest.raises(DegenerateSimplex, match=r"face \(1, 2\)"):
+                call()
+    assert not s._face_plans
 
 
 @pytest.mark.parametrize("model_name", ["hyperbolic", "spherical"])

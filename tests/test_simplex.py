@@ -58,6 +58,25 @@ def test_build_rejects_repeated_vertex():
         build_simplex(Model.hyperbolic(3), [[1, 0, 0], [COSH1, SINH1, 0], [COSH1, SINH1, 0]])
 
 
+@pytest.mark.parametrize("floor", [0.0, 1e-300, 1e-17])
+def test_a_solve_that_fails_past_a_lowered_floor_raises_the_gates_error(floor):
+    # exactly dependent rows can pass a floor this low; the solve after the
+    # gate then fails, and it fails with the gate's typed error, not numpy's
+    tols = Tolerances(degenerate=floor)
+    with pytest.raises(DegenerateSimplex):
+        build_simplex(Model.spherical(3), [[1, 0, 0], [1, 0, 0], [0, 0, 1]], tols)
+    with pytest.raises(DegenerateSimplex):
+        build_simplex(Model.hyperbolic(3), [[1, 0, 0], [COSH1, SINH1, 0], [COSH1, SINH1, 0]], tols)
+    with pytest.raises(SingularBlock, match=r"\(2, 3\)"):
+        schur_complement([[2, 1, 1], [1, 1, 1], [1, 1, 1]], (1,), tols)
+    # vertex 2 at 1e-9 from vertex 1 builds (cond 6e16), but its block
+    # M[(1, 2), (1, 2)] rounds to all ones
+    eps = 1e-9
+    thin = build_simplex(Model.spherical(3), [[1, 0, 0], [np.cos(eps), np.sin(eps), 0], [0, 0, 1]], tols)
+    with pytest.raises(SingularBlock, match=r"\(1, 2\)"):
+        verify_block_inverse_identities(thin, 1, tols)
+
+
 def test_build_rejects_a_vertex_just_off_the_great_circle():
     # 1e-6 off the great circle of the other two: sigma_min / sigma_max of
     # M is ~1e-12, below degenerate = 1e-10
