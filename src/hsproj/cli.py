@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .documents import SimplexDocument, digest, dumps, parse_simplex_document
+from .documents import _MODEL_NAMES, SimplexDocument, digest, dumps, parse_simplex_document
 from .errors import DocumentError, GeometryError, ProjectionUndefined
 from .forms import DEFAULT_TOLS, Model, Tolerances, _membership_residual
 from .forms import distance as geodesic
@@ -206,14 +206,14 @@ def cmd_check(args, tols: Tolerances) -> dict:
         if args.file is not None:
             raise DocumentError("check takes a FILE or --random, not both")
         model_name, n_str, seed_str, count_str = args.random
-        if model_name not in ("hyperbolic", "spherical"):
-            raise DocumentError(f"--random model must be hyperbolic|spherical, got {model_name!r}")
+        if model_name not in _MODEL_NAMES:
+            raise DocumentError(f"--random model must be one of {_MODEL_NAMES}, got {model_name!r}")
         try:
             n, gen_seed, count = int(n_str), int(seed_str), int(count_str)
         except ValueError:
             raise DocumentError("--random N SEED COUNT must be integers")
-        if n < 2 or gen_seed < 0 or count < 1:
-            raise DocumentError("--random needs n >= 2, SEED >= 0 and count >= 1")
+        if n < 1 or gen_seed < 0 or count < 1:
+            raise DocumentError("--random needs n >= 1, SEED >= 0 and count >= 1")
         inputs = {
             "random": {"model": model_name, "n": n, "seed": gen_seed, "count": count},
             "check_seed": args.seed,

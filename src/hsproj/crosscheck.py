@@ -31,7 +31,8 @@ Sign policy: in the Lorentzian signature det M, the minors M_ii and det G
 are negative, so every radical of a ratio or product of them is taken of
 the absolute value.  The residual signs are pinned by checkable facts
 (unit normals, outwardness, the inverse identities themselves), not by
-the radicand.
+the radicand.  The sign of (G^22)^-1 is pinned by the block-inverse
+identity, (G^22)^-1 = T_c S T_c, not by det M, which it never reads.
 """
 
 from __future__ import annotations
@@ -311,14 +312,13 @@ def _gram_inverse_by_minors(
     """The face's bordered minors, m_face = det M[face,face] and (G^22)^-1; positions validated."""
     table, m_face = _minor_table(simplex.edge_matrix, comp0, face0)
     t_comp = simplex.scaling[comp0]
-    sign = np.sign(simplex.edge_det) * simplex.model.curvature
-    return table, m_face, sign * t_comp[:, None] * (table / m_face) * t_comp[None, :]
+    return table, m_face, t_comp[:, None] * (table / m_face) * t_comp[None, :]
 
 
 def complement_gram_inverse(simplex: Simplex, face: Sequence[int]) -> np.ndarray:
     """(G^22)^-1 over the complement normals, built from edge-matrix minors.
 
-    Equals sign(det M) * curvature * T_c S T_c, with T_c = ``simplex.scaling``
+    T_c S T_c by the block-inverse identity, with T_c = ``simplex.scaling``
     over the complement and S the face block's Schur complement as the
     bordered-minor ratios of ``schur_complement_via_minors``: the paper's
     closed-form route, which ``distance_to_face_by_minors`` takes too.

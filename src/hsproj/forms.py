@@ -68,7 +68,12 @@ class Tolerances:
     identity: float = 1e-8
 
     def scaled(self, factor: float) -> "Tolerances":
-        """Scale every tolerance uniformly (the CLI --tol knob)."""
+        """Scale every tolerance uniformly (the CLI --tol knob).
+
+        The rule is on the factor, finite and positive, not on the
+        products: a factor small enough scales a tolerance to 0.0, which
+        asks for exact arithmetic (``--tol 1e-320`` zeroes every one).
+        """
         if not (math.isfinite(factor) and factor > 0):
             raise ValueError(f"tolerance scale factor must be finite and positive, got {factor!r}")
         return replace(self, **{f.name: getattr(self, f.name) * factor for f in fields(self)})

@@ -127,13 +127,6 @@ def build_simplex(
     sv = np.linalg.svd(M, compute_uv=False)
     if _singular(sv, tols):
         raise DegenerateSimplex(f"edge matrix is singular (sigma_min/sigma_max = {sv[-1] / sv[0]:.3e})")
-    if model.curvature == -1:
-        off = M[~np.eye(m, dtype=bool)]
-        if off.max() >= -1.0:
-            # distinct upper-sheet points always pair below -1 = -cosh(0)
-            raise DegenerateSimplex(
-                f"edge-matrix off-diagonal {off.max()!r} >= -1; coincident vertices"
-            )
 
     # Normals from the orthogonality system: the columns u_i of (P*sig)^-1
     # satisfy <u_i, p_j> = delta_ij, so <u_i, u_i> = (M^-1)_ii = T_i^2 and

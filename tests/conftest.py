@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from hsproj import Model, build_simplex
+from hsproj import GeometryError, Model, build_simplex, distance_to_face
 
 COSH1 = 1.5430806348152437
 SINH1 = 1.1752011936438014
@@ -21,6 +22,23 @@ def far_field_triangle(r: float, d: float) -> list[tuple[float, float, float]]:
     """
     c, s = math.cosh(r), math.sinh(r)
     return [(c, s, 0.0), (c, -s * math.cos(d), s * math.sin(d)), (c, -s * math.cos(d), -s * math.sin(d))]
+
+
+def degenerate_outcome(model, vertices, face, tols):
+    """(stage, error type, message) of building a triangle and reading ``face``, which must fail.
+
+    The stage is "build" or "face".  The measured sigma_min / sigma_max of
+    a singular-M message is masked: it is a property of each M, not of the
+    decision.
+    """
+    try:
+        s = build_simplex(model, vertices, tols)
+    except GeometryError as exc:
+        return "build", type(exc), re.sub(r"= \S+\)", "= #)", str(exc))
+    (far,) = set(range(len(vertices))) - {i - 1 for i in face}
+    with pytest.raises(GeometryError) as info:
+        distance_to_face(s, face, vertices[far], tols)
+    return "face", type(info.value), str(info.value)
 
 
 # regular simplices (n, edge) that a det floor of 1e-10 * max|M|^(n+1) would

@@ -405,6 +405,16 @@ def test_check_rejects_bad_random_args(capsys):
     assert code == 2
     code, out, err = run(capsys, "check", "--random", "spherical", "3", "-5", "2")
     assert code == 2 and "SEED >= 0" in err
+    code, out, err = run(capsys, "check", "--random", "hyperbolic", "0", "0", "2")
+    assert code == 2 and "n >= 1" in err
+
+
+@pytest.mark.parametrize("model", ["hyperbolic", "spherical"])
+def test_check_random_takes_a_segment(capsys, model):
+    # a 1-simplex builds and checks from a FILE and from random_simplex alike
+    code, report, _ = run_json(capsys, "check", "--random", model, "1", "0", "2")
+    assert code == 0 and report["status"] == "ok"
+    assert report["results"]["simplex_count"] == 2
 
 
 def test_check_rejects_a_document_with_random(tmp_path, capsys):

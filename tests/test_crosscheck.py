@@ -213,6 +213,16 @@ def test_checks_read_the_simplex_and_build_no_face_plan(monkeypatch):
     assert solves == [] and s._face_plans == {}
 
 
+@pytest.mark.parametrize("name", ["hyperbolic", "spherical"])
+def test_gram_inverse_by_minors_reads_no_edge_det(name):
+    # the block-inverse identity pins (G22)^-1 = T_c S T_c: no sign of det M
+    s = random_simplex(model_named(name, 5), 4, seed=7)
+    complement_gram_inverse(s, (1, 3))
+    assert "edge_det" not in s.__dict__
+    distance_to_face_by_minors(s, (1, 3), random_point(s.model, 8))
+    assert "edge_det" not in s.__dict__
+
+
 def _message(call):
     with pytest.raises(BadFace) as info:
         call()

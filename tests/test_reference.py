@@ -2,7 +2,8 @@
 
 The reference projects onto the span of the face vertices in mpmath at 50
 significant digits, taking the float vertices and point exactly as given:
-it solves the face block Q mu = w, forms p. = sum mu_i p_i and reads the
+it solves the face block Q mu = w (Q = M[face, face] factored once per
+face; a vertex's w is a column of M), forms p. = sum mu_i p_i and reads the
 distance from s2 = <p - p., p - p.> and c2 = curvature * <p., p.>.  The
 foot is p. / sqrt(c2), and lambda_t = <p. - p, p_t> / <e_t, p_t> with the
 exact normal of the float vertices, <e_t, p_t> = -1 / sqrt((M^-1)_tt).
@@ -82,10 +83,12 @@ class _Exact:
         with mpmath.workdps(DIGITS):
             self.sig = [mpmath.mpf(float(x)) for x in simplex.model.signature]
             self.rows = [[mpmath.mpf(float(x)) for x in v] for v in simplex.vertices]
-            minv = mpmath.matrix([[self.inner(a, b) for b in self.rows] for a in self.rows]) ** -1
+            self.edge = mpmath.matrix([[self.inner(a, b) for b in self.rows] for a in self.rows])
+            minv = self.edge ** -1
             # T_t = sqrt|(M^-1)_tt|, and <e_t, p_t> = -1 / T_t for the exact normals of these vertices
             self.scaling = [mpmath.sqrt(abs(minv[t, t])) for t in range(len(self.rows))]
             self.normal_pairing = [-1 / t for t in self.scaling]
+        self._face_lu = {}
 
     def inner(self, a, b):
         return mpmath.fsum(s * x * y for s, x, y in zip(self.sig, a, b))
@@ -94,24 +97,47 @@ class _Exact:
         """Distance, foot and lambdas (keyed 1-based) of the projection of p onto the face's span."""
         with mpmath.workdps(DIGITS):
             pt = [mpmath.mpf(float(x)) for x in p]
-            pts = [self.rows[i - 1] for i in face]
-            q = mpmath.matrix([[self.inner(a, b) for b in pts] for a in pts])
-            mu = mpmath.lu_solve(q, mpmath.matrix([self.inner(a, pt) for a in pts]))
-            pre = [mpmath.fsum(mu[i] * v[c] for i, v in enumerate(pts)) for c in range(len(pt))]
-            r = [x - y for x, y in zip(pt, pre)]
-            s2, c2 = self.inner(r, r), self.curvature * self.inner(pre, pre)
-            if self.curvature == -1:
-                dist = mpmath.asinh(mpmath.sqrt(s2))
-                scale = mpmath.sqrt(c2) * mpmath.sign(pre[0])
-            else:
-                dist = mpmath.atan2(mpmath.sqrt(s2), mpmath.sqrt(c2))
-                scale = mpmath.sqrt(c2)
-            lambdas = {
-                t: float(-self.inner(r, self.rows[t - 1]) / self.normal_pairing[t - 1])
-                for t in range(1, len(self.rows) + 1)
-                if t not in face
-            }
-            return float(dist), np.array([float(x / scale) for x in pre]), lambdas
+            return self._project(face, pt, [self.inner(self.rows[i - 1], pt) for i in face])
+
+    def project_vertex(self, face, j):
+        """``project`` of vertex j, with w = <p_i, p_j> read off column j of M."""
+        with mpmath.workdps(DIGITS):
+            return self._project(face, self.rows[j - 1], [self.edge[i - 1, j - 1] for i in face])
+
+    def _lu(self, face):
+        """The face block Q = M[face, face] in LU factors, at lu_solve's working precision.
+
+        Factored once per face: lu_solve copies its matrix, so mpmath's own
+        LU cache never hits.  Call at DIGITS digits.
+        """
+        if face not in self._face_lu:
+            q = mpmath.matrix([[self.edge[a - 1, b - 1] for b in face] for a in face])
+            with mpmath.workprec(mpmath.mp.prec + 10):
+                self._face_lu[face] = mpmath.mp.LU_decomp(q)
+        return self._face_lu[face]
+
+    def _project(self, face, pt, w):
+        """``project`` of pt, given w_i = <p_i, pt> over the face; at DIGITS digits."""
+        pts = [self.rows[i - 1] for i in face]
+        lu, perm = self._lu(face)
+        # lu_solve's own steps on the stored factors: solve Q mu = w
+        with mpmath.workprec(mpmath.mp.prec + 10):
+            mu = mpmath.mp.U_solve(lu, mpmath.mp.L_solve(lu, mpmath.matrix(w), perm))
+        pre = [mpmath.fsum(mu[i] * v[c] for i, v in enumerate(pts)) for c in range(len(pt))]
+        r = [x - y for x, y in zip(pt, pre)]
+        s2, c2 = self.inner(r, r), self.curvature * self.inner(pre, pre)
+        if self.curvature == -1:
+            dist = mpmath.asinh(mpmath.sqrt(s2))
+            scale = mpmath.sqrt(c2) * mpmath.sign(pre[0])
+        else:
+            dist = mpmath.atan2(mpmath.sqrt(s2), mpmath.sqrt(c2))
+            scale = mpmath.sqrt(c2)
+        lambdas = {
+            t: float(-self.inner(r, self.rows[t - 1]) / self.normal_pairing[t - 1])
+            for t in range(1, len(self.rows) + 1)
+            if t not in face
+        }
+        return float(dist), np.array([float(x / scale) for x in pre]), lambdas
 
 
 def _random_face(rng, m):
@@ -267,7 +293,7 @@ def test_every_face_and_vertex(name):
     for s, items in vertex_cases(name):
         exact = _Exact(s)
         for face, j in items:
-            dist, foot, lambdas = exact.project(face, s.vertices[j - 1])
+            dist, foot, lambdas = exact.project_vertex(face, j)
             assert abs(altitude(s, face, j) - dist) <= VERTEX_DISTANCE_BOUND[name]
             try:
                 r = vertex_foot(s, face, j)
@@ -327,7 +353,7 @@ def test_spherical_altitude_near_pi_half():
 def test_far_field_altitude():
     # r = 6, d = 0.01: the vertex-1 altitude of 11.19 measured 5.0e-14 off
     s = build_simplex(Model.hyperbolic(3), far_field_triangle(6.0, 0.01))
-    dist, _, _ = _Exact(s).project((2, 3), s.vertices[0])
+    dist, _, _ = _Exact(s).project_vertex((2, 3), 1)
     assert abs(altitude(s, (2, 3), 1) - dist) <= 1e-12 * dist
 
 
@@ -352,7 +378,7 @@ def test_query_seed_21_vertex_near_pi_half():
     s = random_simplex(Model.spherical(6), 5, seed=1583875550)
     face, j = (6,), 3
     p_j = s.vertices[j - 1]
-    dist, foot, lambdas = _Exact(s).project(face, p_j)
+    dist, foot, lambdas = _Exact(s).project_vertex(face, j)
     r = vertex_foot(s, face, j)
     for got in (altitude(s, face, j), r.distance, distance_to_face(s, face, p_j)):
         assert abs(got - dist) <= 1e-13

@@ -32,7 +32,9 @@ from hsproj import crosscheck
 from hsproj.crosscheck import bordered_minor, deleted_minor
 from hsproj.generators import random_point, random_simplex
 
-from conftest import COSH1, REGULAR_CASES, SINH1, far_field_triangle, model_named, regular_simplex
+from conftest import (
+    COSH1, REGULAR_CASES, SINH1, degenerate_outcome, far_field_triangle, model_named, regular_simplex,
+)
 
 
 # ---------------------------------------------------------------- build
@@ -75,6 +77,22 @@ def test_a_solve_that_fails_past_a_lowered_floor_raises_the_gates_error(floor):
     thin = build_simplex(Model.spherical(3), [[1, 0, 0], [np.cos(eps), np.sin(eps), 0], [0, 0, 1]], tols)
     with pytest.raises(SingularBlock, match=r"\(1, 2\)"):
         verify_block_inverse_identities(thin, 1, tols)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+@pytest.mark.parametrize("floor", [1e-10, 1e-17, 1e-300, 0.0])
+def test_a_degenerate_triangle_fails_alike_in_both_models(floor, eps):
+    # _singular alone refuses a degenerate M, in H^n as in S^n: past a
+    # lowered floor a repeated vertex fails the normal solve, and a
+    # near-repeat builds and its face fails on first use
+    tols = Tolerances(degenerate=floor)
+    hyp = [[1, 0, 0], [np.cosh(eps), np.sinh(eps), 0], [COSH1, 0, SINH1]]
+    sph = [[1, 0, 0], [np.cos(eps), np.sin(eps), 0], [0, 0, 1]]
+    outcome = degenerate_outcome(Model.spherical(3), sph, (1, 2), tols)
+    assert degenerate_outcome(Model.hyperbolic(3), hyp, (1, 2), tols) == outcome
+    stage, error, message = outcome
+    assert error is DegenerateSimplex
+    assert stage == "build" or "face (1, 2)" in message
 
 
 def test_build_rejects_a_vertex_just_off_the_great_circle():
