@@ -30,7 +30,7 @@ from .generators import random_point, random_simplex
 from .oracle import OracleOptions, oracle_project
 from .projection import altitude, project_to_face, vertex_foot
 from .simplex import Simplex, build_simplex, face_complement
-from .crosscheck import _projection_minors, identity_residuals
+from .crosscheck import IDENTITY_TOL, _projection_minors, identity_residuals
 
 # check-suite bounds on the closed form vs oracle comparison
 ORACLE_DISTANCE_TOL = 1e-6
@@ -62,13 +62,20 @@ def _float_csv(text: str) -> tuple[float, ...]:
 
 
 def _read_document(path: str | None) -> SimplexDocument:
-    if path is None or path == "-":
-        return parse_simplex_document(sys.stdin.read())
+    """The document in file ``path``, or on stdin for None or '-'.
+
+    Input that cannot be read, decoded as UTF-8 or parsed raises
+    DocumentError, which ``main`` turns into exit 2.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_simplex_document(fh.read())
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from exc
+        if path is None or path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # stdin is '-', as on the command line
+        raise DocumentError(f"cannot read {path or '-'}: {exc}") from exc
+    return parse_simplex_document(text)
 
 
 def _build(doc: SimplexDocument, tols: Tolerances) -> Simplex:
@@ -239,7 +246,7 @@ def cmd_check(args, tols: Tolerances) -> dict:
             worst[key] = max(worst.get(key, 0.0), val)
 
     # every row but the oracle's is an identity_residuals row
-    bounds = dict.fromkeys(worst, tols.identity)
+    bounds = dict.fromkeys(worst, IDENTITY_TOL * args.tol)
     bounds.update(
         oracle_distance=ORACLE_DISTANCE_TOL * args.tol,
         oracle_foot=ORACLE_FOOT_TOL * args.tol,

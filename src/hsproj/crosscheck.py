@@ -55,6 +55,9 @@ __all__ = [
     "identity_residuals",
 ]
 
+# pass bound of every identity residual, the scaling agreement included
+IDENTITY_TOL = 1e-8
+
 
 def _check_square(matrix) -> np.ndarray:
     A = np.asarray(matrix, dtype=float)
@@ -116,17 +119,17 @@ class ScalingMatrix:
     diag: np.ndarray
 
 
-def scaling_matrix(simplex: Simplex, tols: Tolerances = DEFAULT_TOLS) -> ScalingMatrix:
+def scaling_matrix(simplex: Simplex) -> ScalingMatrix:
     """The stored T of ``simplex.scaling``, cross-checked against the Gram side.
 
     Raises DegenerateSimplex when sqrt|G_ii / det G| disagrees with it by
-    more than ``tols.identity`` (relative).
+    more than ``IDENTITY_TOL`` (relative).
     """
     from_m = simplex.scaling
     g_ii = _principal_deleted(simplex.gram_matrix)
     from_g = np.sqrt(np.abs(g_ii / simplex.gram_det))
     rel = np.abs(from_m - from_g) / np.maximum(np.abs(from_m), 1e-300)
-    if rel.max() > tols.identity:
+    if rel.max() > IDENTITY_TOL:
         raise DegenerateSimplex(
             f"scaling-matrix expressions disagree (rel {rel.max():.3e}); simplex too ill-conditioned"
         )
@@ -135,10 +138,9 @@ def scaling_matrix(simplex: Simplex, tols: Tolerances = DEFAULT_TOLS) -> Scaling
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Max-norm residuals of a family of matrix identities, with a pass bound."""
+    """Max-norm residuals of a family of matrix identities; they pass at ``IDENTITY_TOL``."""
 
     residuals: dict[str, float]
-    tol: float
 
     @property
     def max_residual(self) -> float:
@@ -146,22 +148,19 @@ class IdentityReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tol
+        return self.max_residual <= IDENTITY_TOL
 
 
-def verify_inverse_identity(simplex: Simplex, tols: Tolerances = DEFAULT_TOLS) -> IdentityReport:
-    """Residuals of M^-1 = T G T and G^-1 = T M T (as ||M (TGT) - I|| etc.) against tols.identity."""
+def verify_inverse_identity(simplex: Simplex) -> IdentityReport:
+    """Residuals of M^-1 = T G T and G^-1 = T M T (as ||M (TGT) - I|| etc.)."""
     t = simplex.scaling
     eye = np.eye(simplex.vertex_count)
     tgt = t[:, None] * simplex.gram_matrix * t[None, :]
     tmt = t[:, None] * simplex.edge_matrix * t[None, :]
-    return IdentityReport(
-        {
-            "edge_inverse": float(np.abs(simplex.edge_matrix @ tgt - eye).max()),
-            "gram_inverse": float(np.abs(simplex.gram_matrix @ tmt - eye).max()),
-        },
-        tols.identity,
-    )
+    return IdentityReport({
+        "edge_inverse": float(np.abs(simplex.edge_matrix @ tgt - eye).max()),
+        "gram_inverse": float(np.abs(simplex.gram_matrix @ tmt - eye).max()),
+    })
 
 
 @dataclass(frozen=True)
@@ -297,13 +296,14 @@ def verify_block_inverse_identities(
     The matrices are split into the leading block {1..split_k+1} and the
     trailing block {split_k+2..n+1}; both must be nonempty.  The identities
     checked are (M^11)^-1 = T^11 S_{G^22} T^11 and the three companions,
-    reported as products-with-inverse residuals and bounded by
-    ``tols.identity``; ``_split_residuals`` gates and solves the blocks.
+    reported as products-with-inverse residuals that pass at
+    ``IDENTITY_TOL``; ``_split_residuals`` gates every eliminated block at
+    ``tols.degenerate`` and solves them.
     """
     m = simplex.vertex_count
     (split,) = _index_positions((split_k,), m - 2, BadIndexSet, "split_k", first=0)
     residuals, _ = _split_residuals(simplex, split, tols)
-    return IdentityReport(residuals, tols.identity)
+    return IdentityReport(residuals)
 
 
 def _gram_inverse_by_minors(
@@ -412,15 +412,16 @@ def facet_altitude_by_determinants(
 def identity_residuals(simplex: Simplex, tols: Tolerances = DEFAULT_TOLS) -> dict[str, float]:
     """Max residual of each matrix identity on one simplex, keyed by ``check`` row.
 
-    Every row is bounded by ``tols.identity``, and every Schur block it
-    reads is gated at ``tols.degenerate``.  T is rebuilt here from the
+    The rows are bare residuals, and every Schur block they read is
+    gated at ``tols.degenerate``; ``check`` bounds each row by
+    ``IDENTITY_TOL`` times its ``--tol`` factor.  T is rebuilt here from the
     edge matrix's principal minors, so that the duality and agreement rows
     test the production T (the norms of the normal solve's dual vectors)
     against an independent route instead of against itself.
     """
     m = simplex.vertex_count
     M, G = simplex.edge_matrix, simplex.gram_matrix
-    res = {"inverse_identity": verify_inverse_identity(simplex, tols).max_residual}
+    res = {"inverse_identity": verify_inverse_identity(simplex).max_residual}
     block_inverse = schur_paths = 0.0
     for k in range(0, m - 1):
         residuals, a = _split_residuals(simplex, k, tols)

@@ -56,11 +56,13 @@ class SimplexDocument:
 
 
 def parse_simplex_document(text: str) -> SimplexDocument:
-    """Parse and structurally validate a simplex document."""
+    """Parse and structurally validate a simplex document; DocumentError on any fault."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # json's decoder recurses once per nesting level
+        raise DocumentError("JSON nested too deep") from exc
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
     model = raw.get("model")

@@ -60,12 +60,13 @@ class Tolerances:
                 (DomainError) near 1, the spherical-foot floor near 0
     degenerate  the floor on sigma_min / sigma_max of M (build_simplex)
                 and of every eliminated Schur block (crosscheck's gates)
-    identity    residual bound of the identity checks and of T's Gram side
+
+    The identity checks are verification, not decisions: they pass at
+    ``crosscheck.IDENTITY_TOL``, which this record does not carry.
     """
 
     manifold: float = 1e-9
     degenerate: float = 1e-10
-    identity: float = 1e-8
 
     def scaled(self, factor: float) -> "Tolerances":
         """Scale every tolerance uniformly (the CLI --tol knob).

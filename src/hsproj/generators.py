@@ -26,8 +26,8 @@ __all__ = ["random_simplex", "random_point"]
 
 # random_simplex builds with degenerate >= 1 / this, so it rejects draws with
 # a worse-conditioned M: barely-nondegenerate simplices (cond ~ 1e8) void the
-# 1e-8 identity tolerances the test populations are measured against; 1e5
-# keeps residuals ~1e-10 and costs < ~6% retries.
+# 1e-8 identity bound (crosscheck.IDENTITY_TOL) the test populations are
+# measured against; 1e5 keeps residuals ~1e-10 and costs < ~6% retries.
 GENERATOR_CONDITION_LIMIT = 1e5
 GENERATOR_MAX_TRIES = 1000
 # spherical candidate vertex sets drawn and screened per numpy call; at

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 
@@ -85,6 +86,20 @@ def test_validate_parse_error_names_row(tmp_path, capsys):
     code, out, err = run(capsys, "validate", write_doc(tmp_path, doc))
     assert code == 2
     assert "row 1" in err
+
+
+def test_undecodable_document_is_exit_2(tmp_path, capsys, monkeypatch):
+    # not UTF-8: a document error like any other, from a file or from stdin
+    raw = b"\xff\xfe\x00bad"
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read ") and "Traceback" not in err
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="strict"))
+    code, out, err = run(capsys, "validate", "-")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read -") and "Traceback" not in err
 
 
 def test_usage_error_is_exit_2(tmp_path, capsys):
@@ -273,8 +288,6 @@ def test_geometry_error_human_output_has_error_line(tmp_path, capsys):
 
 
 def test_project_reads_stdin(tmp_path, capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(OCTANT)))
     code, report, _ = run_json(capsys, "project", "-", "--face", "2,3", "--point", "0,1,0")
     assert code == 0
@@ -474,6 +487,20 @@ def test_tol_scaling_flag(tmp_path, capsys):
         "inverse_identity", "block_inverse", "schur_paths", "vertex_normal_duality",
         "gram_minor_identity", "scaling_agreement", "oracle_distance", "oracle_foot",
     ]
+
+
+@pytest.mark.parametrize("factor", ["1", "10", "0.01"])
+def test_tol_scales_every_check_bound(tmp_path, capsys, factor):
+    # --tol F bounds the identity rows at 1e-8 F and the oracle rows at
+    # 1e-6 F and 1e-5 F, the same float products as the defaults scaled
+    f = float(factor)
+    code, report, _ = run_json(capsys, "check", write_doc(tmp_path, OCTANT), "--tol", factor)
+    assert code in (0, 1)
+    bounds = {row["check"]: row["tol"] for row in report["results"]["checks"]}
+    assert bounds.pop("oracle_distance") == 1e-6 * f
+    assert bounds.pop("oracle_foot") == 1e-5 * f
+    assert len(bounds) == 6
+    assert all(tol == 1e-8 * f for tol in bounds.values()), bounds
 
 
 def test_tol_scaling_never_refuses_a_far_field_normal(tmp_path, capsys):

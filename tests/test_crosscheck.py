@@ -97,10 +97,10 @@ def test_duality_row_catches_a_wrong_production_scaling():
         "inverse_identity", "block_inverse", "schur_paths",
         "vertex_normal_duality", "gram_minor_identity", "scaling_agreement",
     ]
-    assert max(before.values()) <= DEFAULT_TOLS.identity
+    assert max(before.values()) <= crosscheck.IDENTITY_TOL
     s.__dict__["scaling"] = s.scaling * (1 + 1e-6)
     after = identity_residuals(s)
-    assert after["vertex_normal_duality"] > DEFAULT_TOLS.identity
+    assert after["vertex_normal_duality"] > crosscheck.IDENTITY_TOL
     # the minors T, not the stored one, feeds the agreement with the Gram side
     assert after["scaling_agreement"] == before["scaling_agreement"]
 

@@ -62,6 +62,12 @@ def test_parse_errors(text, needle):
         parse_simplex_document(text)
 
 
+def test_deep_nesting_is_a_document_error():
+    # json's decoder recurses once per level, past the interpreter's limit
+    with pytest.raises(DocumentError, match="nested too deep"):
+        parse_simplex_document("[" * 1000)
+
+
 def test_row_length_error_names_the_row():
     bad = '{"model": "spherical", "vertices": [[1,0,0,0],[0,1,0,0],[0,0,1,0]]}'
     with pytest.raises(DocumentError, match="row 1 has length 4"):

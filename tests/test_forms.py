@@ -286,9 +286,9 @@ def test_normalize_lands_on_manifold(model_name):
 
 def test_tolerance_scaling():
     t = Tolerances().scaled(10.0)
-    assert t.manifold == 1e-8 and t.identity == 1e-7
+    assert t.manifold == 1e-8
     names = {f.name for f in dataclasses.fields(Tolerances)}
-    assert names == {"manifold", "degenerate", "identity"}
+    assert names == {"manifold", "degenerate"}
     # distinct values per field, so a field scaled into another one shows
     base = Tolerances(**{name: float(i + 1) for i, name in enumerate(sorted(names))})
     scaled = base.scaled(10.0)

@@ -11,8 +11,11 @@ per case:
 * random spatial rotations, O(n) on x2.. in H^n and O(n+1) in S^n, with
   the rotated point renormalized onto the manifold.
 
-Boosts, the Lorentz maps that mix x1 into the rest, are not here: they
-move points far from the origin, where the far-field cases belong.
+Boosts, the Lorentz maps that mix x1 into the rest, have a test of
+their own in H^n at the same n, seeds and faces: a random spatial
+rotation, then a boost of rapidity rho in {1, 2, 3} along x2, which
+takes the vertices out to radius 4.43 at rho = 3.  The foot moves by the
+same map.  Larger rho belongs with the far-field cases.
 
 Each bound is about 10 times the worst difference measured on these
 cases, written beside it; the distance is compared relatively, the foot
@@ -46,6 +49,13 @@ BOUNDS = {
     "relabel": (2e-13, 1e-13, 3e-13),             # 1.9e-14, 1.2e-14, 2.7e-14
     "signed_permutation": (7e-14, 2e-13, 5e-13),  # 7.2e-15, 1.7e-14, 4.6e-14
     "rotation": (2e-13, 3e-13, 4e-13),            # 1.6e-14, 2.7e-14, 4.3e-14
+}
+
+# the same bounds per boost rapidity rho, on H^n only
+BOOST_BOUNDS = {
+    1: (1.5e-12, 6e-13, 7e-13),  # 1.4e-13, 6.1e-14, 6.9e-14
+    2: (1e-11, 1e-11, 3e-12),    # 9.3e-13, 1.0e-12, 3.1e-13
+    3: (6e-11, 1.3e-10, 3e-11),  # 6.0e-12, 1.3e-11, 2.6e-12
 }
 
 
@@ -112,6 +122,36 @@ def test_projection_is_invariant(name, n, transform):
             assert sorted(after.lambdas) == sorted(label(k) for k in before.lambdas)
             for k, v in before.lambdas.items():
                 assert abs(after.lambdas[label(k)] - v) <= lambda_bound * max(1.0, abs(v))
+
+
+def _boost(ambient_dim, rho):
+    """The Lorentz boost of rapidity ``rho`` in the (x1, x2) plane."""
+    L = np.eye(ambient_dim)
+    L[:2, :2] = [[np.cosh(rho), np.sinh(rho)], [np.sinh(rho), np.cosh(rho)]]
+    return L
+
+
+@pytest.mark.parametrize("rho", sorted(BOOST_BOUNDS))
+@pytest.mark.parametrize("n", DIMENSIONS)
+def test_projection_commutes_with_a_boost(n, rho):
+    dist_bound, foot_bound, lambda_bound = BOOST_BOUNDS[rho]
+    model = model_named("hyperbolic", n + 1)
+    for seed in SEEDS:
+        s = random_simplex(model, n, seed)
+        rng = np.random.default_rng([78, n, seed])
+        p = random_point(model, rng)
+        L = _boost(n + 1, rho) @ _spatial_map(model, rng, "rotation")
+        t, q = build_simplex(model, s.vertices @ L.T), normalize_to_manifold(model, L @ p)
+        for face in _faces(n):
+            d = distance_to_face(s, face, p)
+            assert abs(distance_to_face(t, face, q) - d) <= dist_bound * d
+            before = project_to_face(s, face, p)
+            after = project_to_face(t, face, q)
+            assert abs(after.distance - before.distance) <= dist_bound * before.distance
+            assert float(np.abs(after.foot - L @ before.foot).max()) <= foot_bound
+            assert sorted(after.lambdas) == sorted(before.lambdas)
+            for k, v in before.lambdas.items():
+                assert abs(after.lambdas[k] - v) <= lambda_bound * max(1.0, abs(v))
 
 
 @pytest.mark.parametrize("floor", [1e-10, 0.0])
