@@ -9,7 +9,10 @@ simplex, undefined projection, failed invariant check, ...), 2 usage or
 parse error.  All vertex and face indices are 1-based.
 
 The cross-checks a report sets beside the production results come whole
-from ``crosscheck``: the ``check`` rows, and the minors of ``project``.
+from ``crosscheck``: the ``check`` rows, the minors of ``project``, the
+``foot_manifold`` and ``orthogonality`` rows of ``project`` (``certify``)
+and the oracle rows of ``project --check`` and ``check``
+(``oracle_deviation``).
 """
 
 from __future__ import annotations
@@ -25,12 +28,11 @@ from . import __version__
 from .documents import _MODEL_NAMES, SimplexDocument, digest, dumps, parse_simplex_document
 from .errors import DocumentError, GeometryError, ProjectionUndefined
 from .forms import DEFAULT_TOLS, Model, Tolerances, _membership_residual
-from .forms import distance as geodesic
 from .generators import random_point, random_simplex
 from .oracle import OracleOptions, oracle_project
 from .projection import altitude, project_to_face, vertex_foot
 from .simplex import Simplex, build_simplex, face_complement
-from .crosscheck import IDENTITY_TOL, _projection_minors, identity_residuals
+from .crosscheck import IDENTITY_TOL, _projection_minors, certify, identity_residuals, oracle_deviation
 
 # check-suite bounds on the closed form vs oracle comparison
 ORACLE_DISTANCE_TOL = 1e-6
@@ -128,21 +130,8 @@ def _projection_block(simplex: Simplex, face, p, result, tols: Tolerances) -> tu
             "bordered_diagonal": dict(zip(map(str, (comp0 + 1).tolist()), bordered.tolist())),
         },
     }
-    model = simplex.model
-    s = math.cosh if model.curvature == -1 else math.cos  # the reported p. = s(d) foot
-    r = (p - s(result.distance) * result.foot) * model.signature
-    ortho = max(abs(float(r @ simplex.vertices[i])) for i in face0)
-    residuals = {
-        "foot_manifold": _membership_residual(model, result.foot),
-        "orthogonality": ortho,
-        "distance_paths": abs(result.distance - minors_distance),
-    }
-    return results, residuals
-
-
-def _oracle_deviation(simplex: Simplex, closed, oracle, tols: Tolerances) -> tuple[float, float]:
-    """The closed form's distance and foot against the oracle's: |difference| and geodesic gap."""
-    return abs(closed.distance - oracle.distance), geodesic(simplex.model, closed.foot, oracle.foot, tols)
+    distance_paths = abs(result.distance - minors_distance)
+    return results, {**certify(simplex, face, p, result, tols), "distance_paths": distance_paths}
 
 
 def cmd_project(args, tols: Tolerances) -> dict:
@@ -158,7 +147,7 @@ def cmd_project(args, tols: Tolerances) -> dict:
     if args.check:
         oracle = oracle_project(simplex, args.face, p, OracleOptions(seed=args.seed), tols)
         report["results"]["oracle"] = {"foot": oracle.foot, "distance": oracle.distance}
-        dist_dev, foot_dev = _oracle_deviation(simplex, result, oracle, tols)
+        dist_dev, foot_dev = oracle_deviation(simplex, result, oracle, tols)
         report["residuals"].update(oracle_distance_deviation=dist_dev, oracle_foot_deviation=foot_dev)
     return report
 
@@ -203,7 +192,7 @@ def _check_one(simplex: Simplex, rng, opts: OracleOptions, tols: Tolerances) -> 
         except ProjectionUndefined:
             skipped += 1
             continue
-        d, f = _oracle_deviation(simplex, closed, oracle_project(simplex, face, p, opts, tols), tols)
+        d, f = oracle_deviation(simplex, closed, oracle_project(simplex, face, p, opts, tols), tols)
         dist_dev, foot_dev = max(dist_dev, d), max(foot_dev, f)
     return {"oracle_distance": dist_dev, "oracle_foot": foot_dev}, skipped
 

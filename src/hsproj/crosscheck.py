@@ -11,6 +11,15 @@ Schur altitude and the facet determinant ratio.  Nothing in ``simplex``,
 ``projection`` or ``oracle`` imports this module; the CLI (its ``check``
 rows and ``project`` minors), the tests and the benchmark compare routes.
 
+Two checks judge a result rather than rebuild it, and this module is their
+one home.  ``certify`` reads a projection's foot and distance and returns
+the two facts the paper's perpendicular must satisfy: the foot lies on the
+manifold (``foot_manifold``) and p - s(d) foot is orthogonal to every
+vertex of the face (``orthogonality``, s = cosh in H^n, cos in S^n).
+``oracle_deviation`` sets the closed form beside the brute-force oracle:
+the distance gap and the geodesic distance between the two feet.  The
+``project`` report, ``check`` and acceptance criteria 3 and 4 read them.
+
 Minors are computed in stacked determinants (``_minors``): a Schur block
 takes det M(A,A) and one det call over all its bordered minors, T all its
 principal minors in one call.  numpy runs the same LU on each stacked
@@ -37,13 +46,14 @@ identity, (G^22)^-1 = T_c S T_c, not by det M, which it never reads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BadFace, BadIndexSet, DegenerateSimplex, SingularBlock
-from .forms import DEFAULT_TOLS, Tolerances, _require_on_manifold
+from .forms import DEFAULT_TOLS, Tolerances, _membership_residual, _require_on_manifold, distance
 from .projection import _distance
 from .simplex import Simplex, _complement, _frozen, _index_positions, _singular, face_complement
 
@@ -52,7 +62,7 @@ __all__ = [
     "scaling_matrix", "verify_inverse_identity", "schur_complement", "schur_complement_via_minors",
     "verify_block_inverse_identities", "complement_gram_inverse", "distance_to_face_by_minors",
     "vertex_lambdas_by_minors", "altitude_by_minors", "facet_altitude_by_determinants",
-    "identity_residuals",
+    "identity_residuals", "certify", "oracle_deviation",
 ]
 
 # pass bound of every identity residual, the scaling agreement included
@@ -448,3 +458,28 @@ def identity_residuals(simplex: Simplex, tols: Tolerances = DEFAULT_TOLS) -> dic
     t_gram = np.sqrt(np.abs(g_ii / simplex.gram_det))
     res["scaling_agreement"] = float((np.abs(t - t_gram) / np.abs(t)).max())
     return res
+
+
+def certify(simplex: Simplex, face: Sequence[int], p, result, tols: Tolerances = DEFAULT_TOLS) -> dict:
+    """The ``project`` report's ``foot_manifold`` and ``orthogonality`` rows of a projection.
+
+    Reads only ``result.foot`` and ``result.distance``: the foot's
+    membership residual, and max_i |<p - s(d) foot, p_i>| over the face
+    vertices, s = cosh in H^n and cos in S^n.  The face comes from
+    ``face_complement`` and p is checked for membership, so a bad face or
+    point raises what ``project_to_face`` raises.
+    """
+    model = simplex.model
+    pv = _require_on_manifold(model, p, tols, "point")
+    face0, _ = face_complement(simplex, face)
+    s = math.cosh if model.curvature == -1 else math.cos  # the reported p. = s(d) foot
+    r = (pv - s(result.distance) * result.foot) * model.signature
+    return {
+        "foot_manifold": _membership_residual(model, result.foot),
+        "orthogonality": max(abs(float(r @ simplex.vertices[i])) for i in face0),
+    }
+
+
+def oracle_deviation(simplex: Simplex, closed, oracle, tols: Tolerances = DEFAULT_TOLS) -> tuple[float, float]:
+    """The closed form's distance and foot against the oracle's: |difference| and geodesic gap."""
+    return abs(closed.distance - oracle.distance), distance(simplex.model, closed.foot, oracle.foot, tols)

@@ -19,7 +19,9 @@ It owns the membership rule every closed form assumes (right length,
 |<x,x> - curvature| <= tols.manifold, which NaN, inf and an overflowing
 <x,x> fail, upper sheet in H^n): every entry point checks its points and
 vertices through ``_require_on_manifold``, and every reported residual is
-``_membership_residual``.
+``_membership_residual``.  It owns the integer rule too, ``_is_integer``:
+indices, seeds and the fields of ``Model`` are Python or numpy integers,
+never ``bool``.
 
 It also owns the angle rule: every distance in the package is ``_angle``
 of two radicands, sinh^2/sin^2 and cosh^2/cos^2 of the distance, read as
@@ -52,6 +54,12 @@ __all__ = [
 ]
 
 
+def _is_integer(x) -> bool:
+    """The package's integer rule: a Python ``int`` or a numpy integer, never ``bool``."""
+    # type(), not isinstance(): bool is an int subclass
+    return type(x) is int or isinstance(x, np.integer)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical tolerances; every public call that decides takes one as ``tols``.
@@ -61,12 +69,21 @@ class Tolerances:
     degenerate  the floor on sigma_min / sigma_max of M (build_simplex)
                 and of every eliminated Schur block (crosscheck's gates)
 
-    The identity checks are verification, not decisions: they pass at
-    ``crosscheck.IDENTITY_TOL``, which this record does not carry.
+    Each field must be finite and >= 0, or the record raises ValueError;
+    0.0 asks for exact arithmetic.  The identity checks are verification,
+    not decisions: they pass at ``crosscheck.IDENTITY_TOL``, which this
+    record does not carry.
     """
 
     manifold: float = 1e-9
     degenerate: float = 1e-10
+
+    def __post_init__(self) -> None:
+        # NaN fails both comparisons
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, (int, float)) and 0.0 <= value < math.inf):
+                raise ValueError(f"tolerance {f.name} must be finite and >= 0, got {value!r}")
 
     def scaled(self, factor: float) -> "Tolerances":
         """Scale every tolerance uniformly (the CLI --tol knob).
@@ -85,12 +102,14 @@ DEFAULT_TOLS = Tolerances()
 
 @dataclass(frozen=True)
 class Model:
-    """Geometry selector: curvature in {-1, +1} plus the ambient dimension n+1."""
+    """Geometry selector: curvature in {-1, +1} plus the ambient dimension n+1, both integers."""
 
     curvature: int
     ambient_dim: int
 
     def __post_init__(self) -> None:
+        if not (_is_integer(self.curvature) and _is_integer(self.ambient_dim)):
+            raise ValueError(f"curvature and ambient_dim must be integers, got {self!r}")
         if self.curvature not in (-1, 1):
             raise ValueError(f"curvature must be -1 or +1, got {self.curvature}")
         if self.ambient_dim < 2:

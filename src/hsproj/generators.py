@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DegenerateSimplex, DimensionMismatch, GenerationExhausted
-from .forms import DEFAULT_TOLS, Model, Tolerances
+from .forms import DEFAULT_TOLS, Model, Tolerances, _is_integer
 from .simplex import Simplex, build_simplex
 
 __all__ = ["random_simplex", "random_point"]
@@ -36,7 +36,9 @@ _SCREEN_BATCH = 32
 
 
 def random_point(model: Model, rng) -> np.ndarray:
-    """Random on-manifold point; rng is a numpy Generator or a seed."""
+    """Random on-manifold point; rng is a numpy Generator or an integer seed >= 0."""
+    if not (isinstance(rng, np.random.Generator) or _is_integer(rng) and rng >= 0):
+        raise ValueError(f"rng must be a numpy Generator or an integer seed >= 0, got {rng!r}")
     rng = np.random.default_rng(rng)
     n = model.n
     if model.curvature == -1:
@@ -72,7 +74,7 @@ def random_simplex(
     seed: int,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> Simplex:
-    """Random valid n-simplex, deterministic per seed (PCG64).
+    """Random valid n-simplex, deterministic per integer seed >= 0 (PCG64).
 
     Hyperbolic vertices are exponential-map style points (cosh r, sinh r u)
     with radius uniform in [0.2, 1.5]; spherical vertices are uniform on
@@ -85,8 +87,10 @@ def random_simplex(
     blocks (``_spherical_draws``), which yields the same simplex per seed
     as drawing and screening one vertex set per try.
     """
-    if n < 1:
-        raise ValueError(f"simplex dimension must be >= 1, got {n}")
+    if not _is_integer(n) or n < 1:
+        raise ValueError(f"simplex dimension must be an integer >= 1, got {n!r}")
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if model.ambient_dim != n + 1:
         raise DimensionMismatch(
             f"model ambient_dim {model.ambient_dim} does not match n+1 = {n + 1}"

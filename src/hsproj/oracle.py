@@ -48,7 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OracleFailure
-from .forms import DEFAULT_TOLS, Model, Tolerances, _require_on_manifold, distance, normalize_to_manifold
+from .forms import (
+    DEFAULT_TOLS, Model, Tolerances, _is_integer, _require_on_manifold, distance, normalize_to_manifold,
+)
 from .simplex import Simplex, face_complement
 
 __all__ = ["OracleOptions", "OracleResult", "oracle_project"]
@@ -67,8 +69,7 @@ class OracleOptions:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # type(), not isinstance(): bool is an int subclass
-        if not (type(self.seed) is int or isinstance(self.seed, np.integer)) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"oracle seed must be an integer >= 0, got {self.seed!r}")
 
 

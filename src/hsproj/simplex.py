@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadFace, DegenerateSimplex, DimensionMismatch, GeometryError
-from .forms import DEFAULT_TOLS, Model, Tolerances, _require_on_manifold
+from .forms import DEFAULT_TOLS, Model, Tolerances, _is_integer, _require_on_manifold
 
 __all__ = ["Simplex", "build_simplex", "face_complement"]
 
@@ -164,8 +164,7 @@ def _index_positions(
     positions: list[int] = []
     last = first - 1
     for i in items:
-        # type(), not isinstance(): bool is an int subclass
-        if not (type(i) is int or isinstance(i, np.integer)) or not last < i <= m:
+        if not _is_integer(i) or not last < i <= m:
             raise error(
                 f"{what} {items!r} invalid: expected integers in {first}..{m}, strictly increasing"
             )

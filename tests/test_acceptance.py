@@ -18,7 +18,6 @@ from hsproj import (
     OracleOptions,
     ProjectionUndefined,
     altitude,
-    distance,
     distance_to_face,
     oracle_project,
     project_to_face,
@@ -26,7 +25,7 @@ from hsproj import (
     verify_inverse_identity,
     vertex_foot,
 )
-from hsproj.crosscheck import facet_altitude_by_determinants, identity_residuals
+from hsproj.crosscheck import certify, facet_altitude_by_determinants, identity_residuals, oracle_deviation
 from hsproj.documents import dumps
 from hsproj.generators import random_point, random_simplex
 
@@ -115,8 +114,7 @@ def test_criterion_2_block_inverse_suite(identity_population):
 
 def test_criterion_3_projection_vs_oracle(projection_records):
     records, skipped, elapsed = projection_records
-    worst_d = max(abs(c.distance - o.distance) for _, _, _, _, c, o in records)
-    worst_f = max(distance(m, c.foot, o.foot) for m, _, _, _, c, o in records)
+    worst_d, worst_f = map(max, zip(*(oracle_deviation(s, c, o) for _, s, _, _, c, o in records)))
     _report(
         3, "closed form vs oracle on 100 triples/model, n in 2..6",
         worst_d <= 1e-6 and worst_f <= 1e-5 and elapsed <= 300.0,
@@ -127,18 +125,9 @@ def test_criterion_3_projection_vs_oracle(projection_records):
 
 def test_criterion_4_orthogonality_and_membership(projection_records):
     records, _, _ = projection_records
-    worst_manifold = 0.0
-    worst_ortho = 0.0
-    for model, s, face, p, closed, _ in records:
-        sig = model.signature
-        worst_manifold = max(
-            worst_manifold,
-            abs(float((closed.foot * sig) @ closed.foot) - model.curvature),
-        )
-        scale = math.cosh(closed.distance) if model.curvature == -1 else math.cos(closed.distance)
-        r = p - scale * closed.foot
-        for i in face:
-            worst_ortho = max(worst_ortho, abs(float((r * sig) @ s.vertices[i - 1])))
+    rows = [certify(s, face, p, closed) for _, s, face, p, closed, _ in records]
+    worst_manifold = max(r["foot_manifold"] for r in rows)
+    worst_ortho = max(r["orthogonality"] for r in rows)
     _report(
         4, "foot membership and residual orthogonality",
         worst_manifold <= 1e-9 and worst_ortho <= 1e-8,

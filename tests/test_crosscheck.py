@@ -4,11 +4,14 @@ Production modules hold no cross-check and take no determinant after a
 simplex is built; the ``check`` rows test the production T against T from
 the minors, not against itself.  The minors are stacked determinants,
 bit-identical to one det per entry, and the block-inverse suite stacks G
-and M, bit-identical to one Schur call per block.
+and M, bit-identical to one Schur call per block.  ``certify`` and
+``oracle_deviation`` are the rows the ``project`` report prints, and the
+certificate catches a corrupted foot.
 """
 
 import dataclasses
 import importlib
+import json
 import math
 
 import numpy as np
@@ -16,15 +19,19 @@ import pytest
 
 import hsproj
 from hsproj import DEFAULT_TOLS, Model, altitude, build_simplex, distance_to_face, project_to_face, vertex_foot
-from hsproj import BadFace, complement_gram_inverse, oracle_project
+from hsproj import BadFace, OffManifold, OracleOptions, ProjectionUndefined, inner
+from hsproj import complement_gram_inverse, oracle_project
 from hsproj import crosscheck, schur_complement_via_minors
 from hsproj import SingularBlock, schur_complement, verify_block_inverse_identities
+from hsproj.cli import main
 from hsproj.crosscheck import (
     altitude_by_minors,
     bordered_minor,
+    certify,
     deleted_minor,
     distance_to_face_by_minors,
     identity_residuals,
+    oracle_deviation,
     vertex_lambdas_by_minors,
 )
 from hsproj.generators import random_point, random_simplex
@@ -376,3 +383,90 @@ def test_block_inverse_suite_takes_two_gates_and_two_solves_per_split(n, monkeyp
     calls.update(svd=0, solve=0)
     identity_residuals(s)
     assert calls == {"svd": 2 * n, "solve": 2 * n}
+
+
+# ------------------------------------------------------- the certificate
+
+@pytest.mark.parametrize("fixture", ["octant", "hyp_triangle"])
+def test_certify_and_oracle_deviation_are_the_project_reports_rows(fixture, request, tmp_path, capsys):
+    s = request.getfixturevalue(fixture)
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps({"model": s.model.name, "vertices": s.vertices.tolist()}))
+    face, p = (1, 2), random_point(s.model, 5)
+    argv = ["project", str(path), "--face", "1,2", "--point=" + ",".join(map(repr, p.tolist())), "--json"]
+    assert main(argv + ["--check"]) == 0
+    residuals = json.loads(capsys.readouterr().out)["residuals"]
+    closed = project_to_face(s, face, p)
+    rows = certify(s, face, p, closed)
+    assert list(residuals)[:2] == list(rows) == ["foot_manifold", "orthogonality"]
+    assert [residuals[k].hex() for k in rows] == [v.hex() for v in rows.values()]
+    deviation = oracle_deviation(s, closed, oracle_project(s, face, p, OracleOptions(seed=0)))
+    reported = (residuals["oracle_distance_deviation"], residuals["oracle_foot_deviation"])
+    assert [v.hex() for v in reported] == [v.hex() for v in deviation]
+
+
+def _certify_cases():
+    """(simplex, face, point, projection) on 40 seeds per model, n 2..6, faces of 2..n vertices."""
+    for name in ("hyperbolic", "spherical"):
+        for seed in range(40):
+            n = 2 + seed % 5
+            model = model_named(name, n + 1)
+            s = random_simplex(model, n, seed=seed)
+            rng = np.random.default_rng([seed, 15])
+            size = int(rng.integers(2, n + 1))
+            face = tuple(sorted(int(i) + 1 for i in rng.choice(n + 1, size=size, replace=False)))
+            p = random_point(model, rng)
+            try:
+                yield s, face, p, project_to_face(s, face, p)
+            except ProjectionUndefined:
+                continue
+
+
+def _moved_along_the_plane(s, face, foot, eps):
+    """The point a geodesic eps from ``foot`` toward the face vertex farthest from it, in its plane."""
+    model, k = s.model, s.model.curvature
+    tangents = [q - k * inner(model, q, foot) * foot for q in s.vertices[np.array(face) - 1]]
+    t = max(tangents, key=lambda v: inner(model, v, v))
+    t = t / math.sqrt(inner(model, t, t))
+    c, sn = (math.cosh(eps), math.sinh(eps)) if k == -1 else (math.cos(eps), math.sin(eps))
+    return c * foot + sn * t
+
+
+# Over the 80 cases, the least factor by which a corruption exceeds
+# criterion 4's bound (foot_manifold 1e-9, orthogonality 1e-8) was 1.6e7
+# for the negated foot, 2,000 for the scaled foot and 9.8 for the moved
+# foot.  A known blind spot: the distance raised by 1e-6 reaches only 0.42
+# of the bound (spherical, d = 0.0047), since p - s(d) foot then moves by
+# just sinh d or sin d times 1e-6; a distance row will cover it.
+@pytest.mark.parametrize("corrupt", [
+    lambda s, face, r: dataclasses.replace(r, foot=-r.foot),
+    lambda s, face, r: dataclasses.replace(r, foot=r.foot * (1.0 + 1e-6)),
+    lambda s, face, r: dataclasses.replace(r, foot=_moved_along_the_plane(s, face, r.foot, 1e-6)),
+], ids=["negated", "scaled_1e-6", "moved_1e-6_along_the_plane"])
+def test_certify_catches_a_corrupted_foot(corrupt):
+    cases = list(_certify_cases())
+    assert len(cases) == 80
+    for s, face, p, closed in cases:
+        clean = certify(s, face, p, closed)
+        assert clean["foot_manifold"] <= 1e-9 and clean["orthogonality"] <= 1e-8
+        rows = certify(s, face, p, corrupt(s, face, closed))
+        assert rows["foot_manifold"] > 1e-9 or rows["orthogonality"] > 1e-8, (s.model.name, face)
+
+
+def _refusal(call):
+    with pytest.raises((BadFace, OffManifold)) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+ON, OFF = [0.6, 0.0, 0.8], [1.2, 0.0, 1.6]
+
+
+@pytest.mark.parametrize("face, p, error", [
+    ((0, 1), ON, BadFace), ((2, 1), ON, BadFace), ((1, 2, 3), ON, BadFace), ((1.0, 2), ON, BadFace),
+    ((1, 2), OFF, OffManifold), ((0, 1), OFF, OffManifold),
+], ids=["vertex_0", "decreasing", "whole_simplex", "float_index", "point_off", "point_off_and_vertex_0"])
+def test_certify_refuses_what_project_to_face_refuses(octant, face, p, error):
+    expected = _refusal(lambda: project_to_face(octant, face, p))
+    assert expected[0] is error
+    assert _refusal(lambda: certify(octant, face, p, project_to_face(octant, (1, 2), ON))) == expected

@@ -39,6 +39,35 @@ def test_model_validation():
         Model(1, 1)
 
 
+@pytest.mark.parametrize("fields", [
+    (1, 3.0), (True, 3), (1, True), (1.0, 3), (1, "3"), (1, None), (np.bool_(True), 3), (1, np.float64(3.0)),
+], ids=["float_dim", "bool_curvature", "bool_dim", "float_curvature", "str_dim", "none_dim",
+        "numpy_bool_curvature", "numpy_float_dim"])
+def test_model_refuses_fields_that_are_not_integers(fields):
+    with pytest.raises(ValueError, match="must be integers"):
+        Model(*fields)
+
+
+def test_model_takes_numpy_integers():
+    assert Model(np.int64(-1), np.int32(3)) == H3
+
+
+@pytest.mark.parametrize("value", [math.nan, -1e-9, -1.0, math.inf, -math.inf, "1e-9", None])
+@pytest.mark.parametrize("name", ["manifold", "degenerate"])
+def test_tolerances_refuse_a_field_they_cannot_decide_with(name, value):
+    with pytest.raises(ValueError, match=f"tolerance {name} must be finite and >= 0"):
+        Tolerances(**{name: value})
+    with pytest.raises(ValueError, match=f"tolerance {name} must be finite and >= 0"):
+        dataclasses.replace(DEFAULT_TOLS, **{name: value})
+
+
+def test_tolerances_take_zero_and_check_what_scaled_returns():
+    # --tol 1e-320 zeroes both fields: exact arithmetic, still a decision
+    assert Tolerances(0.0, 0) == Tolerances().scaled(1e-320) == Tolerances(0.0, 0.0)
+    with pytest.raises(ValueError, match="tolerance manifold must be finite"):
+        Tolerances(manifold=1e10).scaled(1e300)
+
+
 def test_inner_basis_values():
     assert inner(H3, (1, 0, 0), (1, 0, 0)) == -1.0
     assert inner(S3, (1, 0, 0), (0, 1, 0)) == 0.0

@@ -443,6 +443,34 @@ def test_random_simplex_validates_dimension():
         random_simplex(Model.hyperbolic(2), 0, seed=0)
 
 
+@pytest.mark.parametrize("n, seed, message", [
+    (2.0, 1, "simplex dimension must be an integer >= 1"),
+    (True, 1, "simplex dimension must be an integer >= 1"),
+    (2, True, "seed must be an integer >= 0"),
+    (2, 1.5, "seed must be an integer >= 0"),
+    (2, -1, "seed must be an integer >= 0"),
+    (2, None, "seed must be an integer >= 0"),
+    (2, np.random.default_rng(1), "seed must be an integer >= 0"),
+], ids=["n_float", "n_bool", "seed_bool", "seed_float", "seed_negative", "seed_none", "seed_generator"])
+def test_random_simplex_refuses_a_dimension_or_seed_that_is_not_a_natural_number(n, seed, message):
+    with pytest.raises(ValueError, match=message):
+        random_simplex(Model.spherical(3), n, seed)
+
+
+@pytest.mark.parametrize("rng", [True, 1.5, -1, None, "3", [1, 2], np.random.PCG64(1)],
+                         ids=["bool", "float", "negative", "none", "str", "list", "bit_generator"])
+def test_random_point_refuses_an_rng_that_is_neither_a_generator_nor_a_seed(rng):
+    with pytest.raises(ValueError, match="rng must be a numpy Generator or an integer seed >= 0"):
+        random_point(Model.spherical(3), rng)
+
+
+def test_generators_take_numpy_integer_seeds_and_generators():
+    model = Model.hyperbolic(3)
+    a, b = random_simplex(model, np.int64(2), np.int64(7)), random_simplex(model, 2, 7)
+    assert np.array_equal(a.vertices, b.vertices)
+    assert np.array_equal(random_point(model, np.int64(7)), random_point(model, np.random.default_rng(7)))
+
+
 def _random_simplex_one_draw_per_try(model, n, seed):
     """random_simplex drawn and screened one vertex set per try: the
     definition its batched spherical screening reproduces bit for bit."""
