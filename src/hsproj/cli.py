@@ -8,6 +8,14 @@ Exit codes: 0 success, 1 domain error (off-manifold point, degenerate
 simplex, undefined projection, failed invariant check, ...), 2 usage or
 parse error.  All vertex and face indices are 1-based.
 
+Handlers compute and ``main`` assembles.  Each ``cmd_*`` reads its
+document through ``_load`` and returns ``(inputs, results, residuals)``;
+``main`` alone writes the report envelope, ``command``, ``inputs``,
+``inputs_digest``, ``results``, ``residuals`` and ``status`` (with
+``failed_checks`` last when a ``results["checks"]`` row did not pass),
+and the error report ``command``, ``status``, ``error`` of a
+GeometryError.
+
 The cross-checks a report sets beside the production results come whole
 from ``crosscheck``: the ``check`` rows, the minors of ``project``, the
 ``foot_manifold`` and ``orthogonality`` rows of ``project`` (``certify``)
@@ -25,9 +33,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .documents import _MODEL_NAMES, SimplexDocument, digest, dumps, parse_simplex_document
+from .documents import _MODEL_NAMES, _model, digest, dumps, parse_simplex_document
 from .errors import DocumentError, GeometryError, ProjectionUndefined
-from .forms import DEFAULT_TOLS, Model, Tolerances, _membership_residual
+from .forms import DEFAULT_TOLS, Tolerances, _membership_residual
 from .generators import random_point, random_simplex
 from .oracle import OracleOptions, oracle_project
 from .projection import altitude, project_to_face, vertex_foot
@@ -63,12 +71,15 @@ def _float_csv(text: str) -> tuple[float, ...]:
     return values
 
 
-def _read_document(path: str | None) -> SimplexDocument:
-    """The document in file ``path``, or on stdin for None or '-'.
+def _load(args, tols: Tolerances, **echo) -> tuple[dict, Simplex]:
+    """The echoed inputs and the built simplex of the document ``args.file``.
 
+    The document is read from the file, or from stdin for None or '-'; the
+    inputs are the document plus the ``echo`` extras that are not None.
     Input that cannot be read, decoded as UTF-8 or parsed raises
     DocumentError, which ``main`` turns into exit 2.
     """
+    path = args.file
     try:
         if path is None or path == "-":
             text = sys.stdin.read()
@@ -77,48 +88,28 @@ def _read_document(path: str | None) -> SimplexDocument:
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:  # stdin is '-', as on the command line
         raise DocumentError(f"cannot read {path or '-'}: {exc}") from exc
-    return parse_simplex_document(text)
+    doc = parse_simplex_document(text)
+    inputs = {**doc.as_dict(), **{k: v for k, v in echo.items() if v is not None}}
+    return inputs, build_simplex(doc.to_model(), doc.vertex_array(), tols)
 
 
-def _build(doc: SimplexDocument, tols: Tolerances) -> Simplex:
-    return build_simplex(doc.to_model(), doc.vertex_array(), tols)
-
-
-def _echo_inputs(doc: SimplexDocument, **extra) -> dict:
-    inputs = doc.as_dict()
-    inputs.update({k: v for k, v in extra.items() if v is not None})
-    return inputs
-
-
-def _report(command: str, inputs: dict) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "inputs_digest": digest(inputs),
-        "results": {},
-        "residuals": {},
-        "status": "ok",
-    }
-
-
-def cmd_validate(args, tols: Tolerances) -> dict:
-    doc = _read_document(args.file)
-    report = _report("validate", _echo_inputs(doc))
-    simplex = _build(doc, tols)
-    report["results"] = {
+def cmd_validate(args, tols: Tolerances) -> tuple[dict, dict, dict]:
+    inputs, simplex = _load(args, tols)
+    results = {
         "model": simplex.model.name,
         "dimension": simplex.n,
         "det_edge_matrix": simplex.edge_det,
         "det_gram_matrix": simplex.gram_det,
     }
-    report["residuals"] = {
-        "vertex_membership": [_membership_residual(simplex.model, v) for v in simplex.vertices]
-    }
-    return report
+    residuals = {"vertex_membership": [_membership_residual(simplex.model, v) for v in simplex.vertices]}
+    return inputs, results, residuals
 
 
-def _projection_block(simplex: Simplex, face, p, result, tols: Tolerances) -> tuple[dict, dict]:
-    face0, comp0 = face_complement(simplex, face)
+def cmd_project(args, tols: Tolerances) -> tuple[dict, dict, dict]:
+    inputs, simplex = _load(args, tols, face=list(args.face), point=list(args.point), seed=args.seed)
+    p = np.asarray(args.point, dtype=float)
+    result = project_to_face(simplex, args.face, p, tols)
+    face0, comp0 = face_complement(simplex, args.face)
     face_minor, bordered, minors_distance = _projection_minors(simplex, face0, comp0, p, tols)
     results = {
         "foot": result.foot,
@@ -130,32 +121,20 @@ def _projection_block(simplex: Simplex, face, p, result, tols: Tolerances) -> tu
             "bordered_diagonal": dict(zip(map(str, (comp0 + 1).tolist()), bordered.tolist())),
         },
     }
-    distance_paths = abs(result.distance - minors_distance)
-    return results, {**certify(simplex, face, p, result, tols), "distance_paths": distance_paths}
-
-
-def cmd_project(args, tols: Tolerances) -> dict:
-    doc = _read_document(args.file)
-    report = _report(
-        "project",
-        _echo_inputs(doc, face=list(args.face), point=list(args.point), seed=args.seed),
-    )
-    simplex = _build(doc, tols)
-    p = np.asarray(args.point, dtype=float)
-    result = project_to_face(simplex, args.face, p, tols)
-    report["results"], report["residuals"] = _projection_block(simplex, args.face, p, result, tols)
+    residuals = {
+        **certify(simplex, args.face, p, result, tols),
+        "distance_paths": abs(result.distance - minors_distance),
+    }
     if args.check:
         oracle = oracle_project(simplex, args.face, p, OracleOptions(seed=args.seed), tols)
-        report["results"]["oracle"] = {"foot": oracle.foot, "distance": oracle.distance}
+        results["oracle"] = {"foot": oracle.foot, "distance": oracle.distance}
         dist_dev, foot_dev = oracle_deviation(simplex, result, oracle, tols)
-        report["residuals"].update(oracle_distance_deviation=dist_dev, oracle_foot_deviation=foot_dev)
-    return report
+        residuals.update(oracle_distance_deviation=dist_dev, oracle_foot_deviation=foot_dev)
+    return inputs, results, residuals
 
 
-def cmd_altitudes(args, tols: Tolerances) -> dict:
-    doc = _read_document(args.file)
-    report = _report("altitudes", _echo_inputs(doc, face=list(args.face) if args.face else None))
-    simplex = _build(doc, tols)
+def cmd_altitudes(args, tols: Tolerances) -> tuple[dict, dict, dict]:
+    inputs, simplex = _load(args, tols, face=list(args.face) if args.face else None)
     m = simplex.vertex_count
     if args.face:
         targets = [(tuple(args.face), j) for j in (face_complement(simplex, args.face)[1] + 1).tolist()]
@@ -174,8 +153,7 @@ def cmd_altitudes(args, tols: Tolerances) -> dict:
         else:
             entry.update(distance=foot.distance, foot=foot.foot, foot_undefined=False)
         rows.append(entry)
-    report["results"]["altitudes"] = rows
-    return report
+    return inputs, {"altitudes": rows}, {}
 
 
 def _check_one(simplex: Simplex, rng, opts: OracleOptions, tols: Tolerances) -> tuple[dict, int]:
@@ -197,7 +175,7 @@ def _check_one(simplex: Simplex, rng, opts: OracleOptions, tols: Tolerances) -> 
     return {"oracle_distance": dist_dev, "oracle_foot": foot_dev}, skipped
 
 
-def cmd_check(args, tols: Tolerances) -> dict:
+def cmd_check(args, tols: Tolerances) -> tuple[dict, dict, dict]:
     if args.random:
         if args.file is not None:
             raise DocumentError("check takes a FILE or --random, not both")
@@ -214,14 +192,12 @@ def cmd_check(args, tols: Tolerances) -> dict:
             "random": {"model": model_name, "n": n, "seed": gen_seed, "count": count},
             "check_seed": args.seed,
         }
-        model = Model.hyperbolic(n + 1) if model_name == "hyperbolic" else Model.spherical(n + 1)
+        model = _model(model_name, n + 1)
         simplices = [random_simplex(model, n, gen_seed + i, tols=tols) for i in range(count)]
     else:
-        doc = _read_document(args.file)
-        inputs = _echo_inputs(doc, check_seed=args.seed)
-        simplices = [_build(doc, tols)]
+        inputs, simplex = _load(args, tols, check_seed=args.seed)
+        simplices = [simplex]
 
-    report = _report("check", inputs)
     opts = OracleOptions(seed=args.seed)
     worst: dict[str, float] = {}
     skipped = 0
@@ -244,17 +220,8 @@ def cmd_check(args, tols: Tolerances) -> dict:
         {"check": key, "max_residual": worst[key], "tol": bounds[key], "passed": worst[key] <= bounds[key]}
         for key in bounds
     ]
-    report["results"] = {
-        "simplex_count": len(simplices),
-        "checks": rows,
-        "projection_undefined_skipped": skipped,
-    }
-    report["residuals"] = {row["check"]: row["max_residual"] for row in rows}
-    if not all(row["passed"] for row in rows):
-        failed = [row["check"] for row in rows if not row["passed"]]
-        report["status"] = "CheckFailed"
-        report["failed_checks"] = failed
-    return report
+    results = {"simplex_count": len(simplices), "checks": rows, "projection_undefined_skipped": skipped}
+    return inputs, results, {row["check"]: row["max_residual"] for row in rows}
 
 
 def _print_human(report: dict) -> None:
@@ -361,21 +328,27 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        report = args.handler(args, tols)
+        inputs, results, residuals = args.handler(args, tols)
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GeometryError as exc:
-        report = {
-            "command": args.command,
-            "status": type(exc).__name__,
-            "error": str(exc),
-        }
-        _emit(report, args.json)
+        _emit({"command": args.command, "status": type(exc).__name__, "error": str(exc)}, args.json)
         return 1
 
+    failed = [row["check"] for row in results.get("checks", ()) if not row["passed"]]
+    report = {
+        "command": args.command,
+        "inputs": inputs,
+        "inputs_digest": digest(inputs),
+        "results": results,
+        "residuals": residuals,
+        "status": "CheckFailed" if failed else "ok",
+    }
+    if failed:
+        report["failed_checks"] = failed
     _emit(report, args.json)
-    return 0 if report["status"] == "ok" else 1
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -35,6 +35,11 @@ __all__ = ["SimplexDocument", "parse_simplex_document", "dumps", "digest"]
 _MODEL_NAMES = ("hyperbolic", "spherical")
 
 
+def _model(name: str, ambient_dim: int) -> Model:
+    """The ``Model`` a document's model name stands for, in ``ambient_dim`` coordinates."""
+    return Model(-1 if name == "hyperbolic" else +1, ambient_dim)
+
+
 @dataclass
 class SimplexDocument:
     model: str
@@ -42,8 +47,7 @@ class SimplexDocument:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def to_model(self) -> Model:
-        curvature = -1 if self.model == "hyperbolic" else +1
-        return Model(curvature, len(self.vertices))
+        return _model(self.model, len(self.vertices))
 
     def vertex_array(self) -> np.ndarray:
         return np.asarray(self.vertices, dtype=float)

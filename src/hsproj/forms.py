@@ -21,7 +21,7 @@ It owns the membership rule every closed form assumes (right length,
 vertices through ``_require_on_manifold``, and every reported residual is
 ``_membership_residual``.  It owns the integer rule too, ``_is_integer``:
 indices, seeds and the fields of ``Model`` are Python or numpy integers,
-never ``bool``.
+never ``bool``; and the real-number rule of ``Tolerances``, ``_as_real``.
 
 It also owns the angle rule: every distance in the package is ``_angle``
 of two radicands, sinh^2/sin^2 and cosh^2/cos^2 of the distance, read as
@@ -36,6 +36,7 @@ feeds it the radicands of its face-block product.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
@@ -60,6 +61,21 @@ def _is_integer(x) -> bool:
     return type(x) is int or isinstance(x, np.integer)
 
 
+def _as_real(x) -> float:
+    """``x`` as a Python float when it is a Python or numpy real, never ``bool``.
+
+    Anything else is NaN and an int past the float range is inf, so one
+    range comparison on the result refuses both.
+    """
+    # numpy's bool_ is no numbers.Real; Python's bool is, as an int subclass
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return math.nan
+    try:
+        return float(x)
+    except OverflowError:  # an int past the float range
+        return math.inf
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical tolerances; every public call that decides takes one as ``tols``.
@@ -69,10 +85,11 @@ class Tolerances:
     degenerate  the floor on sigma_min / sigma_max of M (build_simplex)
                 and of every eliminated Schur block (crosscheck's gates)
 
-    Each field must be finite and >= 0, or the record raises ValueError;
-    0.0 asks for exact arithmetic.  The identity checks are verification,
-    not decisions: they pass at ``crosscheck.IDENTITY_TOL``, which this
-    record does not carry.
+    Each field must be a real number (Python or numpy, not a bool), finite
+    and >= 0, or the record raises ValueError; it is stored as a Python
+    float.  0.0 asks for exact arithmetic.  The identity checks are
+    verification, not decisions: they pass at ``crosscheck.IDENTITY_TOL``,
+    which this record does not carry.
     """
 
     manifold: float = 1e-9
@@ -82,19 +99,23 @@ class Tolerances:
         # NaN fails both comparisons
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (isinstance(value, (int, float)) and 0.0 <= value < math.inf):
+            number = _as_real(value)
+            if not 0.0 <= number < math.inf:
                 raise ValueError(f"tolerance {f.name} must be finite and >= 0, got {value!r}")
+            object.__setattr__(self, f.name, number)
 
     def scaled(self, factor: float) -> "Tolerances":
         """Scale every tolerance uniformly (the CLI --tol knob).
 
-        The rule is on the factor, finite and positive, not on the
-        products: a factor small enough scales a tolerance to 0.0, which
-        asks for exact arithmetic (``--tol 1e-320`` zeroes every one).
+        The rule is on the factor, a real number (not a bool), finite and
+        positive, not on the products: a factor small enough scales a
+        tolerance to 0.0, which asks for exact arithmetic (``--tol 1e-320``
+        zeroes every one).
         """
-        if not (math.isfinite(factor) and factor > 0):
+        number = _as_real(factor)
+        if not 0.0 < number < math.inf:
             raise ValueError(f"tolerance scale factor must be finite and positive, got {factor!r}")
-        return replace(self, **{f.name: getattr(self, f.name) * factor for f in fields(self)})
+        return replace(self, **{f.name: getattr(self, f.name) * number for f in fields(self)})
 
 
 DEFAULT_TOLS = Tolerances()

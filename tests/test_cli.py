@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hsproj import Model, ProjectionUndefined, build_simplex, cli, project_to_face
-from hsproj import crosscheck, projection
+from hsproj import crosscheck, documents, oracle, projection
 from hsproj.cli import main
 from hsproj.generators import random_point, random_simplex
 
@@ -36,6 +36,63 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json")
     return code, (json.loads(out) if out.strip() else {}), err
+
+
+ENVELOPE = ["command", "inputs", "inputs_digest", "results", "residuals", "status"]
+DUPLICATE = {"model": "spherical", "vertices": [[1, 0, 0], [1, 0, 0], [0, 0, 1]]}
+
+
+# ------------------------------------------------------------------ envelope
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "DOC"],
+    ["project", "DOC", "--face", "1,2", "--point", "0.6,0,0.8"],
+    ["project", "DOC", "--face", "1,2", "--point", "0.6,0,0.8", "--check", "--seed", "4"],
+    ["altitudes", "DOC"],
+    ["altitudes", "DOC", "--face", "1,2"],
+    ["check", "DOC", "--seed", "2"],
+    ["check"],
+    ["check", "--random", "hyperbolic", "2", "0", "2"],
+], ids=["validate", "project", "project_check", "altitudes", "altitudes_face", "check", "check_stdin",
+        "check_random"])
+def test_report_envelope(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(OCTANT)))
+    path = write_doc(tmp_path, OCTANT)
+    code, report, _ = run_json(capsys, *(path if arg == "DOC" else arg for arg in argv))
+    assert code == 0
+    assert list(report) == ENVELOPE
+    assert report["command"] == argv[0] and report["status"] == "ok"
+    assert report["inputs_digest"] == documents.digest(report["inputs"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["project", "--face", "1,2", "--point", "0.6,0,0.8"],
+    ["altitudes"],
+    ["check"],
+], ids=["validate", "project", "altitudes", "check"])
+def test_geometry_error_envelope(tmp_path, capsys, argv):
+    command, *options = argv
+    code, report, _ = run_json(capsys, command, write_doc(tmp_path, DUPLICATE), *options)
+    assert code == 1
+    assert list(report) == ["command", "status", "error"]
+    assert report["command"] == command and report["status"] == "DegenerateSimplex"
+
+
+def test_oracle_failure_is_exit_1(tmp_path, capsys, monkeypatch):
+    # one probe direction, which no normalizable foot comes from
+    monkeypatch.setattr(oracle, "PROBE_DIRECTIONS", 1)
+    model = Model.hyperbolic(4)
+    path = write_doc(tmp_path, {"model": "hyperbolic", "vertices": random_simplex(model, 3, 0).vertices.tolist()})
+    point = ",".join(repr(float(x)) for x in random_point(model, 0))
+    argv = ("project", path, "--face", "1,2,3", f"--point={point}", "--check", "--seed", "3")
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 1
+    assert report == {
+        "command": "project",
+        "status": "OracleFailure",
+        "error": "no normalizable candidate direction among the probes",
+    }
 
 
 # ------------------------------------------------------------------ validate
@@ -185,7 +242,7 @@ def test_project_takes_each_determinant_once(tmp_path, capsys, monkeypatch):
     assert code == 0 and report["status"] == "ok"
     # det M[face,face], then the table of bordered minors, whose diagonal is
     # the report's and whose ratios give distance_paths, then det M on its
-    # first read, for the minors' sign
+    # first read, for the report's det_edge_matrix
     assert calls == [(2, 2), (3, 3, 3, 3), (5, 5)]
 
 
@@ -345,16 +402,16 @@ def test_altitudes_solve_one_face_block_per_target(tmp_path, capsys, monkeypatch
         calls.append(args)
         return solve(*args, **kwargs)
 
-    build = cli._build
+    build = cli.build_simplex
 
-    def build_then_spy(doc, tols):
+    def build_then_spy(*args):
         # building takes det M and solves for the normals; the spies start after it
-        simplex = build(doc, tols)
+        simplex = build(*args)
         monkeypatch.setattr(np.linalg, "det", forbidden)
         monkeypatch.setattr(np.linalg, "solve", counted)
         return simplex
 
-    monkeypatch.setattr(cli, "_build", build_then_spy)
+    monkeypatch.setattr(cli, "build_simplex", build_then_spy)
     code, report, _ = run_json(capsys, "altitudes", write_doc(tmp_path, TRIANGLE))
     assert code == 0
     rows = report["results"]["altitudes"]
@@ -409,6 +466,10 @@ def test_check_reports_scaling_disagreement(tmp_path, capsys):
     assert report["status"] == "CheckFailed"
     assert {"scaling_agreement", "gram_minor_identity"} <= set(report["failed_checks"])
     assert len(report["results"]["checks"]) == 8
+    # the envelope, with failed_checks last, naming every row that did not pass
+    assert list(report) == ENVELOPE + ["failed_checks"]
+    assert report["failed_checks"] == [row["check"] for row in report["results"]["checks"] if not row["passed"]]
+    assert report["inputs_digest"] == documents.digest(report["inputs"])
 
 
 def test_check_rejects_bad_random_args(capsys):

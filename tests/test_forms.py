@@ -52,13 +52,31 @@ def test_model_takes_numpy_integers():
     assert Model(np.int64(-1), np.int32(3)) == H3
 
 
-@pytest.mark.parametrize("value", [math.nan, -1e-9, -1.0, math.inf, -math.inf, "1e-9", None])
+@pytest.mark.parametrize("value", [
+    math.nan, -1e-9, -1.0, math.inf, -math.inf, "1e-9", None, True,
+    pytest.param(np.True_, id="numpy_True"), pytest.param(10**400, id="int_past_float_range"),
+])
 @pytest.mark.parametrize("name", ["manifold", "degenerate"])
 def test_tolerances_refuse_a_field_they_cannot_decide_with(name, value):
     with pytest.raises(ValueError, match=f"tolerance {name} must be finite and >= 0"):
         Tolerances(**{name: value})
     with pytest.raises(ValueError, match=f"tolerance {name} must be finite and >= 0"):
         dataclasses.replace(DEFAULT_TOLS, **{name: value})
+
+
+def test_tolerances_store_numpy_scalars_as_python_floats():
+    tols = Tolerances(manifold=np.float32(1e-9), degenerate=np.int64(0))
+    assert tols == Tolerances(float(np.float32(1e-9)), 0.0)
+    assert type(tols.manifold) is float and type(tols.degenerate) is float
+    for factor in (np.float32(10), np.int64(10)):
+        scaled = DEFAULT_TOLS.scaled(factor)
+        assert scaled == DEFAULT_TOLS.scaled(10.0)
+        # the fields' repr is what an OffManifold message prints
+        assert "np." not in repr(scaled)
+    # a bool compares as 1 but is no factor, and an int past the float range is no finite one
+    for factor in (True, np.True_, 10**400):
+        with pytest.raises(ValueError, match="scale factor must be finite and positive"):
+            DEFAULT_TOLS.scaled(factor)
 
 
 def test_tolerances_take_zero_and_check_what_scaled_returns():

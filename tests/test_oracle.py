@@ -16,6 +16,7 @@ from hsproj import (
     GenerationExhausted,
     Model,
     OffManifold,
+    OracleFailure,
     OracleOptions,
     ProjectionUndefined,
     distance,
@@ -138,6 +139,16 @@ def test_score_block_invalid_directions_are_inf():
     p = np.array([1.0, 0.0])
     out = _score_block(np.array([[1.0], [-1.0]]) @ F, p, Model.hyperbolic(2))
     assert np.all(np.isinf(out))
+
+
+def test_oracle_fails_when_every_probe_scores_inf(monkeypatch):
+    # one probe, of mixed signs, whose combination of the three H^3 vertices
+    # is space-like: no probe gives a foot to start from
+    monkeypatch.setattr(oracle, "PROBE_DIRECTIONS", 1)
+    model = Model.hyperbolic(4)
+    s, p = random_simplex(model, 3, 0), random_point(model, 0)
+    with pytest.raises(OracleFailure, match="^no normalizable candidate direction among the probes$"):
+        oracle_project(s, (1, 2, 3), p, OracleOptions(seed=3))
 
 
 def _pre_point_blocks(model_name):
