@@ -89,8 +89,8 @@ def _load(args, tols: Tolerances, **echo) -> tuple[dict, Simplex]:
     except (OSError, UnicodeDecodeError) as exc:  # stdin is '-', as on the command line
         raise DocumentError(f"cannot read {path or '-'}: {exc}") from exc
     doc = parse_simplex_document(text)
-    inputs = {**doc.as_dict(), **{k: v for k, v in echo.items() if v is not None}}
-    return inputs, build_simplex(doc.to_model(), doc.vertex_array(), tols)
+    simplex = build_simplex(_model(doc["model"], len(doc["vertices"])), doc["vertices"], tols)
+    return {**doc, **{k: v for k, v in echo.items() if v is not None}}, simplex
 
 
 def cmd_validate(args, tols: Tolerances) -> tuple[dict, dict, dict]:
@@ -107,10 +107,9 @@ def cmd_validate(args, tols: Tolerances) -> tuple[dict, dict, dict]:
 
 def cmd_project(args, tols: Tolerances) -> tuple[dict, dict, dict]:
     inputs, simplex = _load(args, tols, face=list(args.face), point=list(args.point), seed=args.seed)
-    p = np.asarray(args.point, dtype=float)
-    result = project_to_face(simplex, args.face, p, tols)
+    result = project_to_face(simplex, args.face, args.point, tols)
     face0, comp0 = face_complement(simplex, args.face)
-    face_minor, bordered, minors_distance = _projection_minors(simplex, face0, comp0, p, tols)
+    face_minor, bordered, minors_distance = _projection_minors(simplex, face0, comp0, args.point, tols)
     results = {
         "foot": result.foot,
         "distance": result.distance,
@@ -122,11 +121,11 @@ def cmd_project(args, tols: Tolerances) -> tuple[dict, dict, dict]:
         },
     }
     residuals = {
-        **certify(simplex, args.face, p, result, tols),
+        **certify(simplex, args.face, args.point, result, tols),
         "distance_paths": abs(result.distance - minors_distance),
     }
     if args.check:
-        oracle = oracle_project(simplex, args.face, p, OracleOptions(seed=args.seed), tols)
+        oracle = oracle_project(simplex, args.face, args.point, OracleOptions(seed=args.seed), tols)
         results["oracle"] = {"foot": oracle.foot, "distance": oracle.distance}
         dist_dev, foot_dev = oracle_deviation(simplex, result, oracle, tols)
         residuals.update(oracle_distance_deviation=dist_dev, oracle_foot_deviation=foot_dev)

@@ -337,15 +337,16 @@ def complement_gram_inverse(simplex: Simplex, face: Sequence[int]) -> np.ndarray
 
 
 def _projection_minors(
-    simplex: Simplex, face0: np.ndarray, comp0: np.ndarray, pv: np.ndarray, tols: Tolerances
+    simplex: Simplex, face0: np.ndarray, comp0: np.ndarray, p, tols: Tolerances
 ) -> tuple[float, np.ndarray, float]:
     """m_face, the bordered diagonal det M(face, t; face, t) and ``distance_to_face_by_minors``.
 
-    Positions and point already validated.  The diagonal is read off the
-    stacked table, so each entry has the bits of its own det call.
+    Positions and point already validated; p may be the float sequence the
+    point was read from.  The diagonal is read off the stacked table, so
+    each entry has the bits of its own det call.
     """
     table, m_face, gram_inverse = _gram_inverse_by_minors(simplex, face0, comp0)
-    b = (simplex.normals[comp0] * simplex.model.signature) @ pv
+    b = (simplex.normals[comp0] * simplex.model.signature) @ p
     s2 = float(b @ gram_inverse @ b)
     return m_face, table.diagonal(), _distance(simplex.model, s2, 1.0 - simplex.model.curvature * s2, tols)
 

@@ -8,6 +8,11 @@ The input grammar is plain JSON (documented in the README):
       "metadata": {"any": "strings"}           # optional, string values only
     }
 
+:func:`parse_simplex_document` returns the dict that reports echo as
+their ``inputs``: ``model``, then ``vertices`` as rows of Python floats,
+then ``metadata`` only when it is not empty.  ``_model`` reads the model
+name as a ``Model``; ``build_simplex`` takes the rows as they are.
+
 Vertex rows are 1-based in all diagnostics, matching the rest of the
 package.  Structural problems (bad JSON, wrong row lengths, unknown
 model) raise DocumentError, which the CLI maps to exit code 2; geometric
@@ -23,14 +28,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DocumentError
 from .forms import Model
 
-__all__ = ["SimplexDocument", "parse_simplex_document", "dumps", "digest"]
+__all__ = ["parse_simplex_document", "dumps", "digest"]
 
 _MODEL_NAMES = ("hyperbolic", "spherical")
 
@@ -40,26 +44,7 @@ def _model(name: str, ambient_dim: int) -> Model:
     return Model(-1 if name == "hyperbolic" else +1, ambient_dim)
 
 
-@dataclass
-class SimplexDocument:
-    model: str
-    vertices: list[list[float]]
-    metadata: dict[str, str] = field(default_factory=dict)
-
-    def to_model(self) -> Model:
-        return _model(self.model, len(self.vertices))
-
-    def vertex_array(self) -> np.ndarray:
-        return np.asarray(self.vertices, dtype=float)
-
-    def as_dict(self) -> dict:
-        out = {"model": self.model, "vertices": self.vertices}
-        if self.metadata:
-            out["metadata"] = self.metadata
-        return out
-
-
-def parse_simplex_document(text: str) -> SimplexDocument:
+def parse_simplex_document(text: str) -> dict:
     """Parse and structurally validate a simplex document; DocumentError on any fault."""
     try:
         raw = json.loads(text)
@@ -103,7 +88,10 @@ def parse_simplex_document(text: str) -> SimplexDocument:
         raise DocumentError("metadata must be an object")
     if not all(isinstance(v, str) for v in metadata.values()):
         raise DocumentError("metadata values must be strings")
-    return SimplexDocument(model, rows, metadata)
+    doc = {"model": model, "vertices": rows}
+    if metadata:
+        doc["metadata"] = metadata
+    return doc
 
 
 def _numpy(obj):

@@ -15,10 +15,14 @@ time-like one); array storage is 0-based as usual.
 This module owns the one scalar product, ``_product``: every <x,y> it
 takes is an in-order sum on Python floats, which overflows to inf and
 carries NaN along without a warning, so no input needs screening first.
-It owns the membership rule every closed form assumes (right length,
-|<x,x> - curvature| <= tols.manifold, which NaN, inf and an overflowing
-<x,x> fail, upper sheet in H^n): every entry point checks its points and
-vertices through ``_require_on_manifold``, and every reported residual is
+It owns the array rule, ``_as_array``: every point, vector and vertex
+array the package takes is read through it as floats of the expected
+shape, and entries numpy cannot read as real numbers raise
+DimensionMismatch as a wrong shape does.  It owns the membership rule
+every closed form assumes (right length, |<x,x> - curvature| <=
+tols.manifold, which NaN, inf and an overflowing <x,x> fail, upper sheet
+in H^n): every entry point checks its points and vertices through
+``_require_on_manifold``, and every reported residual is
 ``_membership_residual``.  It owns the integer rule too, ``_is_integer``:
 indices, seeds and the fields of ``Model`` are Python or numpy integers,
 never ``bool``; and the real-number rule of ``Tolerances``, ``_as_real``.
@@ -163,13 +167,20 @@ class Model:
         return s
 
 
-def _as_vector(model: Model, x, name: str = "vector") -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.shape != (model.ambient_dim,):
-        raise DimensionMismatch(
-            f"{name} has shape {v.shape}, expected ({model.ambient_dim},)"
-        )
-    return v
+def _as_array(x, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The package's one array rule: ``x`` as a float array of ``shape``.
+
+    DimensionMismatch for a wrong shape and for entries numpy cannot read
+    as real numbers (a non-numeric string, a ragged row, a complex number,
+    a mapping), where numpy itself raises ValueError or TypeError.
+    """
+    try:
+        a = np.asarray(x, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise DimensionMismatch(f"{what} is not an array of real numbers: {exc}") from None
+    if a.shape != shape:
+        raise DimensionMismatch(f"{what} has shape {a.shape}, expected {shape}")
+    return a
 
 
 # unit roundoff of float64
@@ -195,7 +206,8 @@ def inner(model: Model, x, y) -> float:
 
     inf or NaN once it overflows, without a warning.
     """
-    return _product(model, _as_vector(model, x, "x"), _as_vector(model, y, "y"))
+    shape = (model.ambient_dim,)
+    return _product(model, _as_array(x, shape, "x"), _as_array(y, shape, "y"))
 
 
 def _membership_residual(model: Model, x: np.ndarray) -> float:
@@ -210,7 +222,7 @@ def _require_on_manifold(model: Model, x, tols: Tolerances, what: str) -> np.nda
     residual is <= tols.manifold, which NaN and inf never are; WrongSheet for
     x1 <= 0 in H^n.  ``what`` names x in the messages ("point", "vertex 3").
     """
-    xv = _as_vector(model, x, what)
+    xv = _as_array(x, (model.ambient_dim,), what)
     residual = _membership_residual(model, xv)
     if not residual <= tols.manifold:
         raise OffManifold(f"{what} is off the {model.name} manifold: residual {residual!r} > {tols.manifold!r}")
@@ -269,7 +281,7 @@ def normalize_to_manifold(model: Model, v) -> np.ndarray:
     space-like, light-like or zero v upstream (a degenerate or undefined
     projection), or one too large or too small for float64.
     """
-    vv = _as_vector(model, v)
+    vv = _as_array(v, (model.ambient_dim,), "vector")
     q = model.curvature * _product(model, vv, vv)
     if not 2.0**-1022 <= q < math.inf:
         raise NotNormalizable(

@@ -20,9 +20,9 @@ All user-facing indices (vertices, faces, minor row/column sets, block
 splits) are 1-based, matching the mathematical notation; storage is
 0-based.  This module owns the one index rule, ``_index_positions``: every
 index argument of the package passes through it, so ``1.5``, ``3.0``,
-``True`` and ``"1"`` are refused alike (never truncated) with the typed
-error of the function that received them (``BadFace`` for faces and
-vertices, ``BadIndexSet`` for matrix index sets).
+``True``, ``"1"`` and a set are refused alike (never truncated) with the
+typed error of the function that received them (``BadFace`` for faces
+and vertices, ``BadIndexSet`` for matrix index sets).
 
 ``face_complement`` is the one face reader outside the fast path: the
 cross-checks, the oracle and the CLI take their face positions from it and
@@ -33,14 +33,15 @@ G is; nothing else reads them, so a wrong plan cannot fool a check.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, MappingView, Set
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BadFace, DegenerateSimplex, DimensionMismatch, GeometryError
-from .forms import DEFAULT_TOLS, Model, Tolerances, _is_integer, _require_on_manifold
+from .errors import BadFace, DegenerateSimplex, GeometryError
+from .forms import DEFAULT_TOLS, Model, Tolerances, _as_array, _is_integer, _require_on_manifold
 
 __all__ = ["Simplex", "build_simplex", "face_complement"]
 
@@ -108,16 +109,13 @@ def build_simplex(
     """Validate vertices and assemble the stored edge/normal/scaling data.
 
     Raises OffManifold / WrongSheet for bad points, DimensionMismatch for a
-    wrong vertex count or coordinate length, and DegenerateSimplex when the
+    wrong vertex count or coordinate length or an entry that is not a real
+    number (``forms._as_array``), and DegenerateSimplex when the
     edge matrix is singular by ``_singular`` (linearly dependent vertices),
     or, under a floor low enough to pass that, when the normal solve fails.
     """
-    P = np.asarray(vertices, dtype=float)
     m = model.ambient_dim
-    if P.shape != (m, m):
-        raise DimensionMismatch(
-            f"expected {m} vertices of length {m}, got array of shape {P.shape}"
-        )
+    P = _as_array(vertices, (m, m), "vertices")
     for i, vertex in enumerate(P, start=1):
         _require_on_manifold(model, vertex, tols, f"vertex {i}")
 
@@ -153,11 +151,15 @@ def _index_positions(
 
     Valid indices are Python ``int``s or numpy integers, strictly increasing
     within first..m (1-based unless ``first`` says otherwise).  ``bool``,
-    ``float`` (even ``3.0``) and ``str`` are refused, never truncated;
+    ``float`` (even ``3.0``) and ``str`` are refused, never truncated, and
+    so is an unordered collection (a set, a mapping, a dict view);
     anything invalid raises ``error``.  Set relations (face size, a vertex
     outside a face, borders outside a base) stay with the callers.
     """
     try:
+        # a set's iteration order is no order; the tuple test keeps the common case cheap
+        if type(indices) is not tuple and isinstance(indices, (Set, Mapping, MappingView)):
+            raise TypeError
         items = tuple(indices)
     except TypeError:
         raise error(f"{what} must be a sequence of integers, got {indices!r}") from None

@@ -107,6 +107,18 @@ def test_validate_octant(tmp_path, capsys):
     assert report["inputs_digest"].startswith("sha256:")
 
 
+@pytest.mark.parametrize("metadata, keys", [
+    ({"name": "octant"}, ["model", "vertices", "metadata"]),
+    ({}, ["model", "vertices"]),
+], ids=["named", "empty"])
+def test_validate_echoes_metadata(tmp_path, capsys, metadata, keys):
+    code, report, _ = run_json(capsys, "validate", write_doc(tmp_path, {**OCTANT, "metadata": metadata}))
+    assert code == 0
+    assert list(report["inputs"]) == keys
+    assert report["inputs"].get("metadata", {}) == metadata
+    assert report["inputs_digest"] == documents.digest(report["inputs"])
+
+
 def test_validate_human_output(tmp_path, capsys):
     path = write_doc(tmp_path, OCTANT)
     code, out, _ = run(capsys, "validate", path)

@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 
 from hsproj import DocumentError, Model
-from hsproj.documents import digest, dumps, parse_simplex_document
+from hsproj.documents import _model, digest, dumps, parse_simplex_document
 
 OCTANT = '{"model": "spherical", "vertices": [[1,0,0],[0,1,0],[0,0,1]]}'
 
 
 def test_parse_octant():
     doc = parse_simplex_document(OCTANT)
-    assert doc.model == "spherical"
-    assert doc.to_model() == Model.spherical(3)
-    assert doc.vertex_array().shape == (3, 3)
-    assert doc.metadata == {}
+    # no metadata key when the document has none; integral entries read as floats
+    assert doc == {"model": "spherical", "vertices": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+    assert list(doc) == ["model", "vertices"]
+    assert all(type(x) is float for row in doc["vertices"] for x in row)
+    assert _model(doc["model"], len(doc["vertices"])) == Model.spherical(3)
 
 
 def test_parse_metadata_kept():
@@ -23,8 +24,8 @@ def test_parse_metadata_kept():
         '{"model": "hyperbolic", "vertices": [[1,0],[1.5430806348152437,1.1752011936438014]],'
         ' "metadata": {"name": "segment"}}'
     )
-    assert doc.metadata == {"name": "segment"}
-    assert doc.as_dict()["metadata"] == {"name": "segment"}
+    assert list(doc) == ["model", "vertices", "metadata"]
+    assert doc["metadata"] == {"name": "segment"}
 
 
 @pytest.mark.parametrize(

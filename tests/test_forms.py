@@ -132,6 +132,30 @@ def test_on_manifold_examples():
     assert on_manifold(S3, (0.6, 0.8, 1e-4), DEFAULT_TOLS.scaled(100.0))
 
 
+# entries numpy cannot read as real numbers, each in the argument's place
+NON_REAL = {"str": ["a", 0, 0], "ragged": [[1, 0], [0]], "complex": [1j, 0, 0], "mapping": {"x": 1}}
+NON_REAL_CALLS = {
+    "inner": lambda x: inner(S3, x, (1, 0, 0)),
+    "distance": lambda x: distance(S3, x, (1, 0, 0)),
+    "normalize_to_manifold": lambda x: normalize_to_manifold(S3, x),
+    "project_to_face": lambda x: hsproj.project_to_face(hsproj.build_simplex(S3, np.eye(3)), (1, 2), x),
+    "build_simplex": lambda x: hsproj.build_simplex(S3, x),
+    "build_simplex.row": lambda x: hsproj.build_simplex(S3, [x, (0, 1, 0), (0, 0, 1)]),
+}
+
+
+@pytest.mark.parametrize("entry", NON_REAL)
+@pytest.mark.parametrize("call", NON_REAL_CALLS)
+def test_non_real_entries_are_a_dimension_mismatch(call, entry):
+    with pytest.raises(DimensionMismatch):
+        NON_REAL_CALLS[call](NON_REAL[entry])
+
+
+@pytest.mark.parametrize("entry", NON_REAL)
+def test_on_manifold_is_false_for_non_real_entries(entry):
+    assert on_manifold(S3, NON_REAL[entry]) is False
+
+
 def test_distance_examples():
     p = np.array([1.0, 0.0, 0.0])
     q = np.array([COSH1, SINH1, 0.0])

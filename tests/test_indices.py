@@ -78,14 +78,21 @@ ENTRIES = {
     ),
 }
 
-BAD = ("1.5", "3.0", "True", "np.True_", "str", "below", "above", "duplicate", "decreasing", "non-sequence")
-# a bare integer is a bad set, but what a scalar entry takes
-REFUSALS = [(entry, label) for entry, spec in ENTRIES.items() for label in BAD if spec[1] or label != "non-sequence"]
+BAD = (
+    "1.5", "3.0", "True", "np.True_", "str", "below", "above", "duplicate", "decreasing", "non-sequence",
+    "unordered",
+)
+# a bare integer is a bad set, but what a scalar entry takes; an unordered
+# collection is a bad set even with valid members, read in any order
+SET_ONLY = ("non-sequence", "unordered")
+REFUSALS = [(entry, label) for entry, spec in ENTRIES.items() for label in BAD if spec[1] or label not in SET_ONLY]
 
 
-def _bad_argument(label, is_set, lo, hi):
+def _bad_argument(label, is_set, lo, hi, valid):
     if label == "non-sequence":
         return lo
+    if label == "unordered":
+        return set(valid)
     value = {
         "1.5": 1.5, "3.0": 3.0, "True": True, "np.True_": np.True_, "str": "1",
         "below": lo - 1, "above": hi + 1, "duplicate": (1, 1), "decreasing": (3, 1),
@@ -97,9 +104,9 @@ def _bad_argument(label, is_set, lo, hi):
 
 @pytest.mark.parametrize("entry, label", REFUSALS, ids=[f"{e}-{l}" for e, l in REFUSALS])
 def test_index_rule_refuses_with_typed_error(entry, label):
-    error, is_set, lo, hi, _, call = ENTRIES[entry]
+    error, is_set, lo, hi, valid, call = ENTRIES[entry]
     with pytest.raises(error):
-        call(_bad_argument(label, is_set, lo, hi))
+        call(_bad_argument(label, is_set, lo, hi, valid))
 
 
 def test_minors_routes_run_the_index_rule_once(monkeypatch):
